@@ -385,18 +385,18 @@ def take_sites(x, idx: np.ndarray) -> Tensor:
     """Gather columns of the last axis; backward scatter-adds."""
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
-    out = x.data[..., idx]
+    out = x.data[..., idx]  # raises on out-of-range indices
     n_cols = x.data.shape[-1]
+    idx = np.where(idx < 0, idx + n_cols, idx)  # negative indices count from the end
 
     def bw(g):
-        acc = np.zeros(g.shape[:-1] + (n_cols,), dtype=g.dtype)
-        if idx.size:
-            order = np.argsort(idx, kind="stable")
-            sidx = idx[order]
-            starts = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
-            sums = np.add.reduceat(g[..., order], starts, axis=-1)
-            acc[..., sidx[starts]] = sums
-        _accumulate(x, acc)
+        # one bincount over (row, column) keys; it adds in index order, so
+        # the result is deterministic and each row is summed independently
+        lead = g.shape[:-1]
+        rows = math.prod(lead)
+        keys = (np.arange(rows) * n_cols)[:, None] + idx
+        acc = np.bincount(keys.ravel(), weights=g.ravel(), minlength=rows * n_cols)
+        _accumulate(x, acc.reshape(lead + (n_cols,)))
 
     return _make(out, (x,), bw)
 
@@ -423,11 +423,14 @@ def vector_map_raw(v, w) -> Tensor:
         raise ParameterError(
             f"vector channels {v.data.shape[1]} do not match weight rows {w.data.shape[0]}"
         )
-    out = np.einsum("cqn,qp->cpn", v.data, w.data)
+    # one GEMM per coordinate slice, all with the same shape: a signed
+    # permutation of the coordinates only moves and negates whole slices,
+    # so rotated inputs give bit-identical (rotated) outputs
+    out = np.matmul(w.data.T, v.data)
 
     def bw(g):
-        _accumulate(v, np.einsum("cpn,qp->cqn", g, w.data))
-        _accumulate(w, np.einsum("cqn,cpn->qp", v.data, g))
+        _accumulate(v, np.matmul(w.data, g))
+        _accumulate(w, np.matmul(v.data, g.swapaxes(1, 2)).sum(axis=0))  # sum of v[c] @ g[c].T
 
     return _make(out, (v, w), bw)
 

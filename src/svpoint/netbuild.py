@@ -645,8 +645,15 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, model wants {target.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         target[...] = arr
         seen.add(name)
+    if cur.pos != len(cur.blob):
+        raise CheckpointError(
+            f"{path}: {len(cur.blob) - cur.pos} trailing bytes after the last tensor "
+            f"at offset {cur.pos}"
+        )
     missing = set(registry) - seen
     if missing:
         raise CheckpointError(f"{path}: checkpoint missing tensors: {sorted(missing)[:4]}")

@@ -181,6 +181,49 @@ def test_fd_pooling_ops():
     assert rel <= 1e-8
 
 
+def test_take_sites_backward_matches_add_at():
+    rng = np.random.default_rng(26)
+    cases = [
+        ((9,), np.array([4, 1, 4, 8, 0, 4, 1])),
+        ((3, 9), np.array([7, 7, 2, 0, 8, 2, 2, 5, 7, 1])),
+        ((3, 5, 9), rng.integers(0, 9, 40)),
+        ((3, 5, 9), np.array([-1, 3, 8, -9, 0])),  # negative indices count from the end
+        ((2, 9), np.array([], dtype=np.intp)),
+    ]
+    for shape, idx in cases:
+        x = ad.parameter(rng.standard_normal(shape))
+        g = rng.standard_normal(shape[:-1] + (idx.size,))
+        with ad.Tape() as tape:
+            out = ad.take_sites(x, idx)
+            loss = (out * ad.as_tensor(g)).sum()
+        tape.backward(loss)
+        ref = np.zeros(shape)
+        np.add.at(ref, (..., idx), g)
+        assert x.grad.shape == shape
+        scale = max(float(np.abs(ref).max(initial=0.0)), 1.0)
+        assert np.abs(x.grad - ref).max() <= 1e-12 * scale, (shape, idx)
+
+
+def test_vector_map_raw_exact_under_cube_rotations_at_scale():
+    """Signed permutations of the coordinates commute with the map bit for bit
+    at benchmark scale, where BLAS blocks and threads the GEMMs."""
+    from svpoint.geometry import signed_permutation_rotation
+
+    rng = np.random.default_rng(27)
+    v = rng.standard_normal((3, 42, 32768))
+    w = rng.standard_normal((42, 42))
+    out = ad.vector_map_raw(v, w).data
+
+    def act(matrix, arr):  # R . arr by slice indexing and negation, no float product
+        cols = np.abs(matrix).argmax(axis=1)
+        return np.stack([arr[j] if matrix[i, j] > 0 else -arr[j] for i, j in enumerate(cols)])
+
+    for index in range(24):
+        matrix = signed_permutation_rotation(index).matrix
+        rotated = ad.vector_map_raw(act(matrix, v), w).data
+        assert np.array_equal(rotated, act(matrix, out)), f"rotation {index}"
+
+
 def test_fd_vector_feature_ops():
     v = rand_t((3, 4, 9), 30)
     w = rand_t((4, 5), 31)

@@ -225,6 +225,28 @@ def test_neighbor_tables_match_per_cloud_search():
         assert np.array_equal(table.neighbors, direct.neighbors)
 
 
+def test_binary_dgcnn_training_deterministic_bitwise():
+    """Two Adam steps through the edge-regrouped binary backbone (vector
+    maps, site gathers and pair contractions) repeat bit for bit."""
+    clouds = random_clouds(2, 24, 31)
+    labels = np.array([c.label for c in clouds])
+
+    def run():
+        model = nb.build_model(small_cfg(backbone="dgcnn_like", binarize="vanilla"), rng_seed=5)
+        for _ in range(2):
+            model.store.zero_grad()
+            with ad.Tape() as tape:
+                loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"), labels)
+            tape.backward(loss)
+            ad.adam_step(model.store, lr=1e-2)
+        return dict(model.state_arrays())
+
+    first, second = run(), run()
+    assert first.keys() == second.keys()
+    for name in first:
+        assert np.array_equal(first[name], second[name]), name
+
+
 # ---------------------------------------------------------------------------
 # whole-model accounting
 
@@ -369,6 +391,20 @@ def test_checkpoint_rejects_damage(tmp_path):
 
     with pytest.raises(CheckpointError):
         nb.load_checkpoint(tmp_path / "absent.ckpt")
+
+    trailing = tmp_path / "trailing.ckpt"
+    trailing.write_bytes(blob + b"garbage")
+    with pytest.raises(CheckpointError, match=f"offset {len(blob)}"):
+        nb.load_checkpoint(trailing)
+
+    # a payload follows its name, dtype tag, rank and shape; poison its first entry
+    arrays = dict(nb.build_model(small_cfg()).state_arrays())
+    for name in ("extract.frame.weight", "block0.norm.running_var"):
+        start = blob.index(name.encode()) + len(name) + 2 + 8 * arrays[name].ndim
+        poisoned = tmp_path / "nan.ckpt"
+        poisoned.write_bytes(blob[:start] + struct.pack("<d", np.nan) + blob[start + 8:])
+        with pytest.raises(CheckpointError, match=name):
+            nb.load_checkpoint(poisoned)
 
 
 def test_checkpoint_phase_two_state_flag(tmp_path):
