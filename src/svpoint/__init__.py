@@ -2,7 +2,7 @@
 
 from .errors import CheckpointError, ConfigError, ParameterError, StateError
 from .geometry import (KnnGraph, PointCloud, Rotation, SVFeature,
-                       apply_rotation, extract_initial_features, knn_graph,
+                       apply_rotation, extract_initial_features, knn_graphs,
                        random_rotation, signed_permutation_rotation,
                        synthesize_shapes)
 from .netbuild import (Model, ModelConfig, OpCounter, binarize_plan,

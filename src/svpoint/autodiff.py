@@ -541,7 +541,8 @@ def vector_norm_scale_train(v, log_scale, eps: float):
 
 
 def scalar_linear(x, params) -> Tensor:
-    """Linear layer on scalar features (in, N) -> (out, N), honoring precision mode."""
+    """Linear layer on scalar features (in, N) -> (out, N), full_precision or
+    binary_full; weight-only binarization belongs to the vector path."""
     x = as_tensor(x)
     w = as_tensor(params.weight)
     if x.data.shape[0] != w.data.shape[0]:
@@ -555,14 +556,11 @@ def scalar_linear(x, params) -> Tensor:
         if bias is not None:
             out = add(out, reshape(as_tensor(bias), (-1, 1)))
         return out
-    if mode == "binary_full":
-        beta = params.beta
-        xs = sign_ste(x if beta is None else sub(x, reshape(as_tensor(beta), (-1, 1))))
-        out = matmul(transpose(sign_ste(w)), xs)
-    elif mode == "binary_weight":
-        out = matmul(transpose(sign_ste(w)), x)
-    else:
-        raise ParameterError(f"unknown precision mode {mode!r}")
+    if mode != "binary_full":
+        raise ParameterError(f"scalar features cannot use precision mode {mode!r}")
+    beta = params.beta
+    xs = sign_ste(x if beta is None else sub(x, reshape(as_tensor(beta), (-1, 1))))
+    out = matmul(transpose(sign_ste(w)), xs)
     gamma = params.gamma
     if gamma is not None:
         out = mul(out, reshape(as_tensor(gamma), (-1, 1)))

@@ -144,27 +144,6 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
     return gamma[:, None] * (sw.T @ sx)
 
 
-def binary_weight_linear(x: np.ndarray, params) -> np.ndarray:
-    """Weight-only binarized linear layer: y = gamma * (x . Sign(W)).
-
-    Multiplication by ±1 weights reduces to signed accumulation, so this
-    kernel costs additions only; x stays real. No beta here: the vector
-    path must not shift coordinates.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = _arr(params.weight)
-    mode = getattr(params, "mode", "binary_weight")
-    if mode != "binary_weight":
-        raise ParameterError(f"binary_weight_linear needs mode binary_weight, got {mode!r}")
-    if x.ndim != 2 or w.ndim != 2 or x.shape[0] != w.shape[0]:
-        raise ParameterError(f"shape mismatch: x {x.shape} vs weight {w.shape}")
-    gamma = params.gamma
-    gamma = np.ones(w.shape[1]) if gamma is None else _arr(gamma)
-    if gamma.shape != (w.shape[1],):
-        raise ParameterError("gamma must be per output channel")
-    return gamma[:, None] * (sign(w).T @ x)
-
-
 def bench_gemm(n: int, trials: int, seed: int = 0) -> list[dict]:
     """Time the packed XNOR kernel against a dense float matmul at size n.
 

@@ -137,7 +137,7 @@ def _train_epochs(model, train_clouds, test_clouds, protocol, epochs, total_epoc
         lr = ad.lr_schedule(args.schedule, epoch, total_epochs, args.lr)
         order = aug_rng.permutation(n_train)
         losses, hits = [], 0
-        for lo in range(0, n_train, args.batch):
+        for step, lo in enumerate(range(0, n_train, args.batch)):
             idx = order[lo: lo + args.batch]
             batch = _rotate_batch([train_clouds[i] for i in idx], protocol.train_rot, aug_rng)
             labels = labels_all[idx]
@@ -146,6 +146,11 @@ def _train_epochs(model, train_clouds, test_clouds, protocol, epochs, total_epoc
             with ad.Tape() as tape:
                 logits = model.forward(batch, stats_mode="train", graphs=graphs)
                 loss = ad.cross_entropy_logits(logits, labels)
+            if not np.isfinite(loss.item()):
+                raise StateError(
+                    f"training diverged: loss {loss.item()} at epoch {epoch} step {step}; "
+                    f"try a lower --lr"
+                )
             tape.backward(loss)
             ad.adam_step(model.store, lr=lr)
             losses.append(loss.item())

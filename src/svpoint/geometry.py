@@ -172,46 +172,78 @@ def rotate_feature(feat: SVFeature, rot: Rotation) -> SVFeature:
 # kNN graph
 
 
-def knn_graph(cloud: PointCloud, k: int) -> KnnGraph:
-    """Exact Euclidean k nearest neighbors, self excluded, ties by index."""
-    n = cloud.n
+def _equal_point_count(clouds) -> int:
+    if not clouds:
+        raise ParameterError("no clouds given")
+    n = clouds[0].n
+    if any(c.n != n for c in clouds):
+        raise ParameterError(
+            f"all clouds must have equal point counts, got {sorted({c.n for c in clouds})}"
+        )
+    return n
+
+
+def knn_graphs(clouds, k: int) -> list[KnnGraph]:
+    """Exact Euclidean k nearest neighbors of each cloud, self excluded,
+    ties by index. The clouds must share a point count n > k.
+
+    One distance tensor serves the whole batch. Squared distances go
+    through the order-insensitive coordinate sum, so a signed permutation
+    of a cloud leaves its table unchanged.
+    """
+    n = _equal_point_count(clouds)
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k={k} must be in [1, {n - 1}]")
-    diff = cloud.points[:, None, :] - cloud.points[None, :, :]  # (n, n, 3)
-    d2 = ad.sorted_coord_sum(diff * diff, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")  # stable: equal distances by index
-    return KnnGraph(k=k, neighbors=order[:, :k])
+    pts = np.stack([c.points for c in clouds])  # (B, n, 3)
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    d2 = ad.sorted_coord_sum(diff * diff, axis=3)
+    idx = np.arange(n)
+    d2[:, idx, idx] = np.inf
+    order = np.argsort(d2, axis=2, kind="stable")[:, :, :k]  # stable: equal distances by index
+    return [KnnGraph(k=k, neighbors=order[i]) for i in range(len(clouds))]
 
 
 # ---------------------------------------------------------------------------
 # initial features
 
 
-def extract_initial_features(cloud: PointCloud, graph: KnnGraph, frame_params) -> SVFeature:
-    """Edge features for the first block.
+def extract_initial_features(clouds, graphs, frame_params) -> SVFeature:
+    """Edge features for the first block, all clouds on one site axis.
 
     Per edge (i, j): two vector channels, the site position o_i and the
     relative offset o_j - o_i; six scalar channels, the flattened
     projection of those vectors onto the learned equivariant frame they
-    generate. Output has p=6, q=2, N=k*n, edges of one site contiguous.
+    generate. Output has p=6, q=2, N=B*n*k, edges of one site contiguous,
+    sites of one cloud contiguous. With frame_params None (the baseline
+    model) the six raw coordinates are the scalars and there are no
+    vector channels.
     """
-    if graph.n != cloud.n:
-        raise ParameterError(f"graph has {graph.n} nodes for a cloud of {cloud.n}")
-    w = _field(frame_params.weight)
-    if w.shape != (2, 3):
-        raise ParameterError(f"frame weight must be 2x3, got {w.shape}")
-    n, k = cloud.n, graph.k
-    pts = cloud.points
-    centers = pts[np.repeat(np.arange(n), k)]  # (N, 3)
-    neigh = pts[graph.neighbors.reshape(-1)]
-    vecs = np.stack([centers.T, (neigh - centers).T], axis=1)  # (3, 2, N)
-
-    v = ad.as_tensor(vecs)
+    n = _equal_point_count(clouds)
+    if len(graphs) != len(clouds):
+        raise ParameterError(f"{len(graphs)} graphs for {len(clouds)} clouds")
+    k = graphs[0].k
+    for g in graphs:
+        if g.n != n or g.k != k:
+            raise ParameterError(f"graph of {g.n} nodes x {g.k} neighbors for clouds of {n} "
+                                 f"points and k={k}")
+        if g.neighbors.size and not 0 <= g.neighbors.min() <= g.neighbors.max() < n:
+            raise ParameterError(f"neighbor indices must lie in [0, {n})")
+    if frame_params is not None and (shape := _field(frame_params.weight).shape) != (2, 3):
+        raise ParameterError(f"frame weight must be 2x3, got {shape}")
+    b = len(clouds)
+    pts_all = np.concatenate([c.points for c in clouds], axis=0)  # (B*n, 3)
+    centers_idx = np.repeat(np.arange(b * n), k)
+    neigh_idx = np.concatenate([g.neighbors.reshape(-1) + i * n for i, g in enumerate(graphs)])
+    centers = pts_all[centers_idx]
+    rel = pts_all[neigh_idx] - centers
+    if frame_params is None:
+        # raw coordinates as scalars: deliberately rotation-sensitive
+        scalars = ad.as_tensor(np.concatenate([centers.T, rel.T], axis=0))
+        return SVFeature(scalars=scalars, vectors=ad.as_tensor(np.zeros((3, 0, b * n * k))))
+    v = ad.as_tensor(np.stack([centers.T, rel.T], axis=1))  # (3, 2, N)
     frame = ad.vector_linear(v, frame_params)  # (3, 3, N)
     proj = ad.pair_contract(frame, v)  # (3, 2, N), frame axis major
-    scalars = ad.reshape(proj, (6, n * k))
-    return SVFeature(scalars=scalars, vectors=v)
+    return SVFeature(scalars=ad.reshape(proj, (6, b * n * k)), vectors=v)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CheckpointError, ConfigError, ParameterError, StateError
-from .geometry import KnnGraph, PointCloud, SVFeature
+from .geometry import KnnGraph, PointCloud, extract_initial_features, knn_graphs
 from .svcore import (BlockToggles, LinearParams, NormParams, SVBlockParams,
                      aggregate, invariant_head, regroup_edges, svblock_forward)
 
@@ -277,29 +277,17 @@ def param_bits(model: "Model") -> int:
 # model
 
 
-def _batch_graphs(clouds, k: int) -> list[KnnGraph]:
-    # one distance tensor for the whole batch; per-slice arithmetic is the
-    # same elementwise min/median/max network knn_graph uses, so neighbor
-    # tables agree bit for bit with the per-cloud routine
-    pts = np.stack([c.points for c in clouds])  # (B, n, 3)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    d2 = ad.sorted_coord_sum(diff * diff, axis=3)
-    n = pts.shape[1]
-    idx = np.arange(n)
-    d2[:, idx, idx] = np.inf
-    order = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
-    return [KnnGraph(k=k, neighbors=order[i]) for i in range(len(clouds))]
-
-
 def neighbor_tables(clouds, k: int, chunk: int = 32) -> list[KnnGraph]:
     """Per-cloud kNN tables, batched in chunks to bound memory.
 
     Useful when the same clouds are fed repeatedly (e.g. un-augmented
     training): the tables depend only on geometry, never on parameters.
     """
+    if chunk < 1:
+        raise ParameterError(f"chunk must be >= 1, got {chunk}")
     out: list[KnnGraph] = []
     for lo in range(0, len(clouds), chunk):
-        out.extend(_batch_graphs(clouds[lo: lo + chunk], k))
+        out.extend(knn_graphs(clouds[lo: lo + chunk], k))
     return out
 
 
@@ -346,27 +334,6 @@ class Model:
             raise ParameterError(f"need more than k={self.cfg.k} points, got {n}")
         return n
 
-    def _batch_extract(self, clouds, graphs) -> SVFeature:
-        # one site-axis pass over all clouds; edge math matches the
-        # per-cloud extraction exactly (every site is independent)
-        n, k, b = clouds[0].n, graphs[0].k, len(clouds)
-        pts_all = np.concatenate([c.points for c in clouds], axis=0)  # (B*n, 3)
-        centers_idx = np.repeat(np.arange(b * n), k)
-        neigh_idx = np.concatenate(
-            [g.neighbors.reshape(-1) + i * n for i, g in enumerate(graphs)]
-        )
-        centers = pts_all[centers_idx]
-        rel = pts_all[neigh_idx] - centers
-        if self.cfg.baseline:
-            # raw coordinates as scalars: deliberately rotation-sensitive
-            scalars = ad.as_tensor(np.concatenate([centers.T, rel.T], axis=0))
-            vectors = ad.as_tensor(np.zeros((3, 0, b * n * k)))
-            return SVFeature(scalars=scalars, vectors=vectors)
-        v = ad.as_tensor(np.stack([centers.T, rel.T], axis=1))  # (3, 2, N)
-        frame = ad.vector_linear(v, self.extract_frame)
-        proj = ad.pair_contract(frame, v)
-        return SVFeature(scalars=ad.reshape(proj, (6, b * n * k)), vectors=v)
-
     def forward(self, clouds: list[PointCloud], stats_mode: str = "eval",
                 graphs: list[KnnGraph] | None = None) -> ad.Tensor:
         """Class logits (classes, B) for a batch of equal-size clouds.
@@ -374,15 +341,16 @@ class Model:
         `graphs` may carry precomputed neighbor tables (one per cloud, same
         order); callers that reuse fixed clouds across epochs can build the
         tables once since kNN depends only on geometry, not on parameters.
+        Each table must have one row per point and indices in [0, n).
         """
         n = self._check_batch(clouds)
         b = len(clouds)
         k = self.cfg.k
         if graphs is None:
-            graphs = _batch_graphs(clouds, k)
+            graphs = knn_graphs(clouds, k)
         elif len(graphs) != b or any(g.k != k for g in graphs):
             raise ParameterError("precomputed graphs do not match batch or model k")
-        x = self._batch_extract(clouds, graphs)
+        x = extract_initial_features(clouds, graphs, self.extract_frame)
 
         if self.cfg.backbone == "pointnet_like" or self.cfg.baseline:
             x = svblock_forward(x, self.blocks[0], stats_mode, groups=b)
@@ -443,14 +411,9 @@ def _build_block(model: Model, idx: int, rng, p_in: int, q_in: int,
     gate_mlp = []
     if toggles.vector_reweight and q_out:
         gate_mlp = [(_build_linear(model, f"{name}.gate0", rng, p_in, q_out, bias=True), "sigmoid")]
-    norm = NormParams(
-        scalar_gain=model._param(f"{name}.norm.scalar_gain", np.ones(p_out)),
-        scalar_bias=model._param(f"{name}.norm.scalar_bias", np.zeros(p_out)),
-        vector_log_scale=model._param(f"{name}.norm.vector_log_scale", np.zeros(q_out)),
-        running_mean=np.zeros(p_out),
-        running_var=np.ones(p_out),
-        running_norm=np.ones(q_out),
-    )
+    norm = NormParams.create(p_out, q_out)
+    for key in ("scalar_gain", "scalar_bias", "vector_log_scale"):
+        model.store.add(f"{name}.norm.{key}", getattr(norm, key))
     model._register_running(f"{name}.norm", norm)
     return SVBlockParams(frame=frame, scalar_mlp=scalar_mlp, vector_map=vector_map,
                          gate_mlp=gate_mlp, toggles=toggles, norm=norm)
@@ -580,6 +543,10 @@ def save_checkpoint(model: Model, path) -> None:
     out.write(struct.pack("<I", len(cfg_bytes)))
     out.write(cfg_bytes)
     entries = list(model.state_arrays())
+    for name, arr in entries:
+        # load_checkpoint rejects such files, so never write one
+        if not np.isfinite(arr).all():
+            raise StateError(f"not saving {path}: tensor {name!r} holds non-finite values")
     out.write(struct.pack("<I", len(entries)))
     for name, arr in entries:
         name_b = name.encode("utf-8")

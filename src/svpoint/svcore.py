@@ -154,22 +154,13 @@ def _run_mlp(x, layers: list[tuple[LinearParams, str]], skip_nonlin_last: bool =
     return x
 
 
-def scalar_update(s, v_in, params: SVBlockParams, stats_mode: str = "train") -> ad.Tensor:
-    """Scalar path: optional concat with projected vectors, then MLP.
-
-    Normalization (when the block has one) and the final nonlinearity sit
-    between the last linear and the output, matching the block wiring in
-    svblock_forward; here they are applied inline for standalone use.
-    """
+def scalar_update(s, v_in, params: SVBlockParams) -> ad.Tensor:
+    """Scalar path up to the last linear: optional concat with the projected
+    vectors, then the MLP without its final nonlinearity. The block
+    normalizes the result before applying that nonlinearity."""
     s = ad.as_tensor(s)
     x = ad.concat([s, ad.as_tensor(v_in)], axis=0) if params.toggles.scalar_concat else s
-    x = _run_mlp(x, params.scalar_mlp, skip_nonlin_last=True)
-    if params.norm is not None:
-        x = _normalize_scalars(x, params.norm, stats_mode)
-    tag = params.scalar_mlp[-1][1] if params.scalar_mlp else "none"
-    if tag == "relu":
-        x = ad.relu(x)
-    return x
+    return _run_mlp(x, params.scalar_mlp, skip_nonlin_last=True)
 
 
 def reweighting_factors(s, params: SVBlockParams, groups: int = 1) -> ad.Tensor:
@@ -185,20 +176,12 @@ def reweighting_factors(s, params: SVBlockParams, groups: int = 1) -> ad.Tensor:
     return _run_mlp(s_com, params.gate_mlp)
 
 
-def vector_update(v, params: SVBlockParams, factors=None) -> ad.Tensor:
-    """Vector path: channel mapping, then per-channel gating by `factors`.
+def vector_update(v, factors) -> ad.Tensor:
+    """Vector path gating: scale each channel by its factor in (0, 1).
 
-    factors may be (q_out,) or (q_out, groups); sites split evenly across
-    groups. Skipped entirely when the reweight toggle is off.
+    factors may be (q,) or (q, groups); sites split evenly across groups.
     """
-    out = vector_mapping(v, params.vector_map)
-    if not params.toggles.vector_reweight or factors is None:
-        return out
-    return _apply_factors(out, factors)
-
-
-def _apply_factors(v: ad.Tensor, factors) -> ad.Tensor:
-    factors = ad.as_tensor(factors)
+    v, factors = ad.as_tensor(v), ad.as_tensor(factors)
     f = factors if factors.data.ndim == 2 else ad.reshape(factors, (-1, 1))
     q, n = v.data.shape[1], v.data.shape[2]
     if f.data.shape[0] != q:
@@ -275,24 +258,19 @@ def svblock_forward(
     norm scales linearly with its gate).
     """
     s, v = ad.as_tensor(x.scalars), ad.as_tensor(x.vectors)
-    frame = coordinate_frame(v, params.frame)
-    v_in = invariant_projection(frame, v)
-
-    xs = ad.concat([s, v_in], axis=0) if params.toggles.scalar_concat else s
-    s_out = _run_mlp(xs, params.scalar_mlp, skip_nonlin_last=True)
-    v_out = vector_mapping(v, params.vector_map)
-
+    v_in = invariant_projection(coordinate_frame(v, params.frame), v)
+    out = SVFeature(scalars=scalar_update(s, v_in, params),
+                    vectors=vector_mapping(v, params.vector_map))
     if params.norm is not None:
-        s_out = _normalize_scalars(s_out, params.norm, stats_mode)
-        v_out = _normalize_vectors(v_out, params.norm, stats_mode)
+        out = equivariant_norm(out, stats_mode, params.norm)
+    s_out, v_out = out.scalars, out.vectors
 
     tag = params.scalar_mlp[-1][1] if params.scalar_mlp else "none"
     if tag == "relu":
         s_out = ad.relu(s_out)
 
     if params.toggles.vector_reweight and v_out.data.shape[1] > 0:
-        factors = reweighting_factors(s, params, groups=groups)
-        v_out = _apply_factors(v_out, factors)
+        v_out = vector_update(v_out, reweighting_factors(s, params, groups=groups))
     return SVFeature(scalars=s_out, vectors=v_out)
 
 

@@ -158,11 +158,11 @@ def test_criterion_2_equivariance_suite(capsys):
     feat = geo.SVFeature(scalars=rng.standard_normal((2, 8)),
                          vectors=rng.standard_normal((3, 3, 8)))
     factors = rng.uniform(0.2, 0.8, 2)
-    upd_base = sv.vector_update(feat.vectors, blk, factors=factors).data
+    upd_base = sv.vector_update(sv.vector_mapping(feat.vectors, blk.vector_map), factors).data
     blk_base = sv.svblock_forward(feat, blk, stats_mode="eval")
     for rot in rots:
         rf = geo.rotate_feature(feat, rot)
-        got = sv.vector_update(rf.vectors, blk, factors=factors).data
+        got = sv.vector_update(sv.vector_mapping(rf.vectors, blk.vector_map), factors).data
         track("vector_update", np.abs(got - geo.rotate_vectors(upd_base, rot)).max())
         out = sv.svblock_forward(rf, blk, stats_mode="eval")
         track("svblock.scalars", np.abs(out.scalars.data - blk_base.scalars.data).max())
@@ -179,9 +179,9 @@ def test_criterion_2_equivariance_suite(capsys):
     head_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))
     head_base = sv.invariant_head(feat4, head_frame).data
     cloud = geo.PointCloud(rng.standard_normal((16, 3)))
-    g16 = geo.knn_graph(cloud, 4)
+    g16 = geo.knn_graphs([cloud], 4)
     ext_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))
-    ext_base = geo.extract_initial_features(cloud, g16, ext_frame)
+    ext_base = geo.extract_initial_features([cloud], g16, ext_frame)
     for rot in rots:
         rf = geo.rotate_feature(feat4, rot)
         track("aggregate", np.abs(
@@ -192,9 +192,8 @@ def test_criterion_2_equivariance_suite(capsys):
             sv.equivariant_norm(rf, "eval", nrm).vectors.data
             - geo.rotate_vectors(nrm_base, rot)).max())
         track("invariant_head", np.abs(sv.invariant_head(rf, head_frame).data - head_base).max())
-        ext = geo.extract_initial_features(
-            geo.apply_rotation(cloud, rot), geo.knn_graph(geo.apply_rotation(cloud, rot), 4),
-            ext_frame)
+        rc = [geo.apply_rotation(cloud, rot)]
+        ext = geo.extract_initial_features(rc, geo.knn_graphs(rc, 4), ext_frame)
         track("extract.scalars", np.abs(ext.scalars.data - ext_base.scalars.data).max())
         track("extract.vectors", np.abs(
             ext.vectors.data - geo.rotate_vectors(ext_base.vectors.data, rot)).max())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import svpoint.autodiff as ad
 from svpoint import binkernel as bk
 from svpoint.errors import ParameterError
 from svpoint.svcore import LinearParams
@@ -192,17 +193,24 @@ def test_binary_full_mode_and_shape_checks():
         bk.binary_linear_full(np.ones((2, 4)), fp)  # wrong mode
 
 
+# weight-only binarization is the vector path's mode: ad.vector_linear
+# applies one (in_dim, out_dim) sign weight to each coordinate slice
+
+
 def test_binary_weight_all_positive_is_column_sum():
     params = LinearParams(weight=np.full((3, 1), 0.7), mode="binary_weight",
                           gamma=np.array([2.0]))
-    x = np.array([[1.0], [2.0], [4.0]])
-    assert bk.binary_weight_linear(x, params)[0, 0] == 14.0  # 2 * (1+2+4)
+    v = np.zeros((3, 3, 1))
+    v[0, :, 0] = [1.0, 2.0, 4.0]
+    out = ad.vector_linear(v, params).data
+    assert out[0, 0, 0] == 14.0  # 2 * (1+2+4)
+    assert (out[1:] == 0.0).all()
 
 
 def test_binary_weight_zero_input():
     params = LinearParams(weight=np.random.default_rng(10).standard_normal((5, 3)),
                           mode="binary_weight", gamma=np.ones(3))
-    assert (bk.binary_weight_linear(np.zeros((5, 8)), params) == 0.0).all()
+    assert (ad.vector_linear(np.zeros((3, 5, 8)), params).data == 0.0).all()
 
 
 def test_binary_weight_matches_dense_oracle():
@@ -210,11 +218,13 @@ def test_binary_weight_matches_dense_oracle():
     for _ in range(20):
         params = LinearParams(weight=rng.standard_normal((12, 7)), mode="binary_weight",
                               gamma=rng.standard_normal(7))
-        x = rng.standard_normal((12, 30))
+        v = rng.standard_normal((3, 12, 30))
         w = np.asarray(params.weight.data)
         gamma = np.asarray(params.gamma.data)
-        oracle = gamma[:, None] * (bk.sign(w).T @ x)
-        assert np.abs(bk.binary_weight_linear(x, params) - oracle).max() < 1e-12
+        got = ad.vector_linear(v, params).data
+        for c in range(3):
+            oracle = gamma[:, None] * (bk.sign(w).T @ v[c])
+            assert np.abs(got[c] - oracle).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

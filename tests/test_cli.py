@@ -8,6 +8,7 @@ import pytest
 import svpoint.cli as cli
 import svpoint.netbuild as nb
 from svpoint.errors import ParameterError
+from svpoint.geometry import synthesize_shapes, write_xyz
 
 TINY_CFG = "[model]\nbackbone = pointnet_like\nk = 4\nchannels = 16,24\nhead_dim = 32\n"
 
@@ -121,6 +122,40 @@ def test_train_log_format_and_determinism(ws, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path / "b.ckpt")]) == 0
     capsys.readouterr()
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def error_lines(text):
+    return [line for line in text.splitlines() if line.startswith("error:")]
+
+
+def test_train_mixed_point_counts_fails_cleanly(ws, tmp_path, capsys):
+    # I/SO3 builds the neighbor tables of the whole split up front
+    data = tmp_path / "mixed"
+    assert cli.main(["gen-data", "--train", "4", "--test", "4",
+                     "--points", "32", "--out", str(data)]) == 0
+    first = (data / "train.tsv").read_text().splitlines()[0].split("\t")[0]
+    write_xyz(synthesize_shapes(0, 40, 0), data / first)
+    capsys.readouterr()
+    out = tmp_path / "mixed.ckpt"
+    assert cli.main(["train", "--config", str(ws / "net.ini"), "--data", str(data),
+                     "--protocol", "I/SO3", "--epochs", "1", "--out", str(out)]) == 1
+    errors = error_lines(capsys.readouterr().err)
+    assert len(errors) == 1 and "equal point counts" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_stops(ws, tmp_path, capsys):
+    out = tmp_path / "diverged.ckpt"
+    assert cli.main(["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
+                     "--epochs", "2", "--batch", "2", "--lr", "1e6",
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    errors = error_lines(captured.err)
+    assert len(errors) == 1
+    assert re.search(r"loss nan at epoch \d+ step \d+", errors[0]), errors[0]
+    assert "loss=nan" not in captured.out
+    assert not out.exists()
 
 
 def test_train_binary_config(ws, tmp_path, capsys):

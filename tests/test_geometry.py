@@ -6,7 +6,7 @@ import pytest
 from svpoint.errors import ParameterError
 from svpoint.geometry import (KnnGraph, PointCloud, Rotation, SVFeature,
                               apply_rotation, extract_initial_features,
-                              knn_graph, random_rotation, read_off, read_xyz,
+                              knn_graphs, random_rotation, read_off, read_xyz,
                               rotate_feature, rotate_vectors,
                               signed_permutation_rotation, synthesize_shapes,
                               write_xyz, z_rotation)
@@ -16,6 +16,14 @@ from svpoint.svcore import LinearParams
 def frame22():
     rng = np.random.default_rng(7)
     return LinearParams(weight=rng.standard_normal((2, 3)))
+
+
+def knn_one(cloud, k):
+    return knn_graphs([cloud], k)[0]
+
+
+def extract_one(cloud, graph, frame_params):
+    return extract_initial_features([cloud], [graph], frame_params)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +136,13 @@ def test_apply_rotation():
 
 def test_knn_collinear():
     cloud = PointCloud([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-    assert knn_graph(cloud, 1).neighbors.tolist() == [[1], [0], [1]]
+    assert knn_one(cloud, 1).neighbors.tolist() == [[1], [0], [1]]
 
 
 def test_knn_exhaustive_rows():
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.standard_normal((12, 3)))
-    graph = knn_graph(cloud, 11)
+    graph = knn_one(cloud, 11)
     for i in range(12):
         assert sorted(graph.neighbors[i]) == [j for j in range(12) if j != i]
         d = np.linalg.norm(cloud.points[graph.neighbors[i]] - cloud.points[i], axis=1)
@@ -145,7 +153,7 @@ def test_knn_matches_brute_force():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((64, 3))
-        graph = knn_graph(PointCloud(pts), 8)
+        graph = knn_one(PointCloud(pts), 8)
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         oracle = np.argsort(d2, axis=1, kind="stable")[:, :8]
@@ -156,16 +164,32 @@ def test_knn_k_range():
     cloud = PointCloud(np.random.default_rng(0).standard_normal((5, 3)))
     for bad in (0, 5):
         with pytest.raises(ParameterError):
-            knn_graph(cloud, bad)
+            knn_one(cloud, bad)
+
+
+def test_knn_graphs_batch_input_checks():
+    rng = np.random.default_rng(3)
+    mixed = [PointCloud(rng.standard_normal((6, 3))), PointCloud(rng.standard_normal((7, 3)))]
+    with pytest.raises(ParameterError, match="equal point counts"):
+        knn_graphs(mixed, 2)
+    with pytest.raises(ParameterError):
+        knn_graphs([], 2)
+
+
+def test_knn_graphs_batch_matches_single_clouds():
+    rng = np.random.default_rng(4)
+    clouds = [PointCloud(rng.standard_normal((20, 3))) for _ in range(3)]
+    for cloud, graph in zip(clouds, knn_graphs(clouds, 5)):
+        assert np.array_equal(graph.neighbors, knn_one(cloud, 5).neighbors)
 
 
 def test_knn_permutation_consistent():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((30, 3))
-    graph = knn_graph(PointCloud(pts), 6)
+    graph = knn_one(PointCloud(pts), 6)
     perm = rng.permutation(30)
     inv = np.argsort(perm)
-    shuffled = knn_graph(PointCloud(pts[perm]), 6)
+    shuffled = knn_one(PointCloud(pts[perm]), 6)
     for new_i in range(30):
         old_i = perm[new_i]
         assert set(perm[shuffled.neighbors[new_i]]) == set(graph.neighbors[old_i])
@@ -183,7 +207,7 @@ def test_knn_graph_type_checks():
 def test_extract_vector_columns():
     cloud = PointCloud([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [5.0, 5.0, 5.0]])
     graph = KnnGraph(k=1, neighbors=np.array([[1], [0], [0]]))
-    feat = extract_initial_features(cloud, graph, frame22())
+    feat = extract_one(cloud, graph, frame22())
     vecs = np.asarray(feat.vectors.data)
     # edge (0, 1): columns o_0 and o_1 - o_0
     assert np.array_equal(vecs[:, 0, 0], [1.0, 0.0, 0.0])
@@ -193,8 +217,8 @@ def test_extract_vector_columns():
 
 def test_extract_center_column_zero_at_origin():
     cloud = PointCloud([[0.0, 0, 0], [0.0, 0, 1], [0.0, 1, 0]])
-    graph = knn_graph(cloud, 2)
-    feat = extract_initial_features(cloud, graph, frame22())
+    graph = knn_one(cloud, 2)
+    feat = extract_one(cloud, graph, frame22())
     vecs = np.asarray(feat.vectors.data)
     assert np.array_equal(vecs[:, 0, :2], np.zeros((3, 2)))  # o_0 = origin
 
@@ -204,10 +228,10 @@ def test_extract_equivariance():
     rng = np.random.default_rng(5)
     for seed in range(30):
         cloud = PointCloud(rng.standard_normal((20, 3)))
-        graph = knn_graph(cloud, 4)
-        feat = extract_initial_features(cloud, graph, params)
+        graph = knn_one(cloud, 4)
+        feat = extract_one(cloud, graph, params)
         rot = random_rotation(seed)
-        feat_rot = extract_initial_features(apply_rotation(cloud, rot), graph, params)
+        feat_rot = extract_one(apply_rotation(cloud, rot), graph, params)
         assert np.abs(
             np.asarray(feat_rot.vectors.data)
             - rotate_vectors(np.asarray(feat.vectors.data), rot)
@@ -220,21 +244,50 @@ def test_extract_equivariance():
 def test_extract_bit_exact_under_signed_perms():
     params = frame22()
     cloud = PointCloud(np.random.default_rng(2).standard_normal((16, 3)))
-    graph = knn_graph(cloud, 3)
-    base = np.asarray(extract_initial_features(cloud, graph, params).scalars.data)
+    graph = knn_one(cloud, 3)
+    base = np.asarray(extract_one(cloud, graph, params).scalars.data)
     for i in range(24):
         rot = signed_permutation_rotation(i)
-        rotated = extract_initial_features(apply_rotation(cloud, rot), graph, params)
+        rotated = extract_one(apply_rotation(cloud, rot), graph, params)
         assert np.array_equal(np.asarray(rotated.scalars.data), base), f"rotation {i}"
 
 
 def test_extract_mismatch_errors():
     cloud = PointCloud(np.random.default_rng(0).standard_normal((8, 3)))
-    graph = knn_graph(cloud, 2)
+    graph = knn_one(cloud, 2)
     with pytest.raises(ParameterError):
-        extract_initial_features(PointCloud(np.zeros((3, 3)) + np.eye(3)), graph, frame22())
+        extract_one(PointCloud(np.zeros((3, 3)) + np.eye(3)), graph, frame22())
     with pytest.raises(ParameterError):
-        extract_initial_features(cloud, graph, LinearParams(weight=np.zeros((3, 3))))
+        extract_one(cloud, graph, LinearParams(weight=np.zeros((3, 3))))
+    with pytest.raises(ParameterError):
+        extract_initial_features([cloud, cloud], [graph], frame22())
+    # indices outside [0, n) would read another cloud's points in a batch
+    for bad in (8, -1):
+        table = graph.neighbors.copy()
+        table[3, 1] = bad
+        with pytest.raises(ParameterError, match="neighbor indices"):
+            extract_one(cloud, KnnGraph(k=2, neighbors=table), frame22())
+
+
+def test_extract_batch_concatenates_clouds():
+    rng = np.random.default_rng(6)
+    clouds = [PointCloud(rng.standard_normal((10, 3))) for _ in range(3)]
+    graphs = knn_graphs(clouds, 3)
+    batch = extract_initial_features(clouds, graphs, frame22())
+    singles = [extract_one(c, g, frame22()) for c, g in zip(clouds, graphs)]
+    assert np.array_equal(batch.scalars.data,
+                          np.concatenate([f.scalars.data for f in singles], axis=1))
+    assert np.array_equal(batch.vectors.data,
+                          np.concatenate([f.vectors.data for f in singles], axis=2))
+
+
+def test_extract_raw_coordinates_without_frame():
+    cloud = PointCloud([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [5.0, 5.0, 5.0]])
+    graph = KnnGraph(k=1, neighbors=np.array([[1], [0], [0]]))
+    feat = extract_one(cloud, graph, None)
+    assert (feat.p, feat.q, feat.n_sites) == (6, 0, 3)
+    # edge (0, 1): o_0 then o_1 - o_0
+    assert np.asarray(feat.scalars.data)[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import svpoint.autodiff as ad
 import svpoint.netbuild as nb
 from svpoint.errors import CheckpointError, ConfigError, ParameterError, StateError
-from svpoint.geometry import PointCloud, knn_graph
+from svpoint.geometry import KnnGraph, PointCloud, knn_graphs
 
 
 def small_cfg(**kw):
@@ -218,11 +218,49 @@ def test_precomputed_graphs_match_default_path():
 
 
 def test_neighbor_tables_match_per_cloud_search():
+    # chunking bounds memory only: any chunk size gives the same tables
     clouds = random_clouds(9, 20, 4)
-    tables = nb.neighbor_tables(clouds, 5, chunk=4)
-    for cloud, table in zip(clouds, tables):
-        direct = knn_graph(cloud, 5)
-        assert np.array_equal(table.neighbors, direct.neighbors)
+    whole = nb.neighbor_tables(clouds, 5, chunk=len(clouds))
+    for chunk in (1, 4):
+        tables = nb.neighbor_tables(clouds, 5, chunk=chunk)
+        assert len(tables) == len(clouds)
+        for cloud, table, ref in zip(clouds, tables, whole):
+            assert np.array_equal(table.neighbors, ref.neighbors)
+            assert np.array_equal(table.neighbors, knn_graphs([cloud], 5)[0].neighbors)
+
+
+def test_neighbor_tables_reject_bad_requests():
+    five = random_clouds(2, 5, 5)
+    for bad_k in (5, 0):  # k=5 would list each point as its own neighbor
+        with pytest.raises(ParameterError, match="k="):
+            nb.neighbor_tables(five, bad_k)
+    mixed = five + random_clouds(1, 6, 6)
+    with pytest.raises(ParameterError, match="equal point counts"):
+        nb.neighbor_tables(mixed, 2)
+    with pytest.raises(ParameterError):
+        nb.neighbor_tables(five, 2, chunk=0)
+
+
+@pytest.mark.parametrize("backbone", ["pointnet_like", "dgcnn_like"])
+def test_precomputed_graphs_validated(backbone):
+    cfg = small_cfg(backbone=backbone, channel_plan=(16, 24) if backbone == "pointnet_like"
+                    else (12, 18, 24))
+    model = nb.build_model(cfg)
+    clouds = random_clouds(3, 16, 7)
+    tables = nb.neighbor_tables(clouds, model.cfg.k)
+    # an out-of-range index used to read the next (or, for -1, the
+    # previous) cloud's points without complaint
+    for bad in (16, 17, -1):
+        table = tables[0].neighbors.copy()
+        table[5, 2] = bad
+        graphs = [KnnGraph(k=4, neighbors=table)] + tables[1:]
+        with pytest.raises(ParameterError, match="neighbor indices"):
+            model.forward(clouds, graphs=graphs)
+    for rows in (15, 17):
+        table = np.resize(tables[1].neighbors, (rows, 4))
+        graphs = [tables[0], KnnGraph(k=4, neighbors=table), tables[2]]
+        with pytest.raises(ParameterError, match="graph of"):
+            model.forward(clouds, graphs=graphs)
 
 
 def test_binary_dgcnn_training_deterministic_bitwise():
@@ -359,6 +397,15 @@ def test_checkpoint_expect_cfg(tmp_path):
     nb.load_checkpoint(path, expect_cfg=small_cfg())
     with pytest.raises(CheckpointError):
         nb.load_checkpoint(path, expect_cfg=small_cfg(channel_plan=(16, 32)))
+
+
+def test_save_checkpoint_refuses_non_finite(tmp_path):
+    model = nb.build_model(small_cfg())
+    model.store.params["block0.scalar0.weight"].data[0, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    with pytest.raises(StateError, match="block0.scalar0.weight"):
+        nb.save_checkpoint(model, path)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_damage(tmp_path):

@@ -164,11 +164,14 @@ def test_projection_flatten_is_frame_axis_major():
 
 
 def test_scalar_update_passthrough():
+    # the last layer's ReLU belongs to the block, after normalization
     params = make_block(3, 2, 3, 2, concat=False, with_norm=False)
     params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "relu")]
     s = np.array([[1.0, -2.0], [0.5, 3.0], [-0.1, 0.0]])
     out = arr(scalar_update(s, np.zeros((6, 2)), params))
-    assert np.array_equal(out, np.maximum(s, 0.0))
+    assert np.array_equal(out, s)
+    block = svblock_forward(SVFeature(scalars=s, vectors=np.zeros((3, 2, 2))), params)
+    assert np.array_equal(arr(block.scalars), np.maximum(s, 0.0))
 
 
 def test_scalar_update_zero_weights():
@@ -219,16 +222,22 @@ def test_reweighting_factors_groups_and_errors():
 
 def test_vector_update_toggle_and_factors():
     rng = np.random.default_rng(9)
-    v = rng.standard_normal((3, 2, 5))
-    params = make_block(2, 2, 2, 3, reweight=False)
-    pure = arr(vector_update(v, params))
-    assert np.array_equal(pure, arr(vector_mapping(v, params.vector_map)))
+    feat = rand_feature(2, 2, 5, 9)
+    params = make_block(2, 2, 2, 3, reweight=False, with_norm=False)
+    pure = arr(vector_mapping(feat.vectors, params.vector_map))
+    assert np.array_equal(arr(svblock_forward(feat, params).vectors), pure)
 
     params.toggles.vector_reweight = True
-    halved = arr(vector_update(v, params, factors=np.full(3, 0.5)))
+    gated = vector_update(pure, reweighting_factors(feat.scalars, params))
+    assert np.array_equal(arr(svblock_forward(feat, params).vectors), arr(gated))
+    halved = arr(vector_update(pure, np.full(3, 0.5)))
     assert np.abs(halved - 0.5 * pure).max() < 1e-15
+    per_group = rng.uniform(0.1, 0.9, (3, 5))  # one group per site
+    assert np.array_equal(arr(vector_update(pure, per_group)), pure * per_group[None])
     with pytest.raises(ParameterError):
-        vector_update(v, params, factors=np.ones(4))
+        vector_update(pure, np.ones(4))
+    with pytest.raises(ParameterError):
+        vector_update(pure, np.ones((3, 2)))
 
 
 def test_vector_update_equivariant():
@@ -236,10 +245,11 @@ def test_vector_update_equivariant():
     params = make_block(2, 3, 2, 2)
     v = rng.standard_normal((3, 3, 6))
     factors = rng.uniform(0.1, 0.9, 2)
-    base = arr(vector_update(v, params, factors=factors))
+    base = arr(vector_update(vector_mapping(v, params.vector_map), factors))
     for seed in range(100):
         rot = random_rotation(seed)
-        got = arr(vector_update(rotate_vectors(v, rot), params, factors=factors))
+        got = arr(vector_update(vector_mapping(rotate_vectors(v, rot), params.vector_map),
+                                factors))
         assert np.abs(got - rotate_vectors(base, rot)).max() < 1e-12
 
 
