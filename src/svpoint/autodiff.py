@@ -64,7 +64,7 @@ class Tape:
         _ACTIVE_TAPES.pop()
         return False
 
-    def backward(self, loss: "Tensor", loss_grad: float = 1.0) -> None:
+    def backward(self, loss: "Tensor") -> None:
         """Seed d(loss) and sweep the recorded nodes in reverse.
 
         Gradients land in the .grad of every reachable tensor with
@@ -74,7 +74,7 @@ class Tape:
             raise StateError("backward on a tape with no recorded forward")
         if loss._grad_fn is None and not loss.requires_grad:
             raise StateError("loss tensor was not recorded on this tape")
-        loss.grad = np.broadcast_to(np.float64(loss_grad), loss.data.shape).copy()
+        loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
             if node.grad is not None and node._grad_fn is not None:
                 node._grad_fn(node.grad)
@@ -262,14 +262,14 @@ def sqrt(x) -> Tensor:
     return _make(r, (x,), bw)
 
 
-def sign_ste(x, clip: float = 1.2) -> Tensor:
+def sign_ste(x) -> Tensor:
     """Elementwise Sign with the clipped straight-through backward rule."""
     x = as_tensor(x)
     out = _sign_forward(x.data)
     saved = x.data
 
     def bw(g):
-        _accumulate(x, ste_backward(g, saved, clip=clip))
+        _accumulate(x, ste_backward(g, saved))
 
     return _make(out, (x,), bw)
 
@@ -646,29 +646,17 @@ class ParamStore:
         return self.params.items()
 
 
-def adam_step(
-    store: ParamStore,
-    grads: dict[str, np.ndarray] | None = None,
-    lr: float = 1e-3,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
+def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
     """One bias-corrected Adam update over every parameter in the store.
 
-    `grads` defaults to the .grad fields populated by Tape.backward; a
+    Gradients are the .grad fields populated by Tape.backward; a
     parameter with no gradient contributes a zero gradient.
     """
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     store.step_count += 1
     t = store.step_count
     for name, p in store.params.items():
-        if grads is not None:
-            g = grads.get(name)
-        else:
-            g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        g = np.asarray(g, dtype=np.float64)
+        g = np.zeros_like(p.data) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ParameterError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}"
@@ -684,21 +672,14 @@ def adam_step(
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def lr_schedule(
-    kind: str,
-    epoch: int,
-    total: int,
-    base_lr: float,
-    step: int = 20,
-    decay: float = 0.7,
-) -> float:
-    """Cosine annealing toward 0, or stepwise decay every `step` epochs."""
+def lr_schedule(kind: str, epoch: int, total: int, base_lr: float) -> float:
+    """Cosine annealing toward 0, or decay by 0.7 every 20 epochs."""
     if epoch > total:
         raise ParameterError(f"epoch {epoch} past schedule total {total}")
     if kind == "cosine":
         return base_lr * (1.0 + math.cos(math.pi * epoch / total)) / 2.0
     if kind == "multistep":
-        return base_lr * decay ** (epoch // step)
+        return base_lr * 0.7 ** (epoch // 20)
     raise ParameterError(f"unknown schedule kind {kind!r}")
 
 

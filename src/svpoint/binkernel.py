@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ParameterError
 
 WORD_BITS = 64
+STE_CLIP = 1.2  # the straight-through gradient passes for |x| < STE_CLIP
 
 
 def _arr(v) -> np.ndarray:
@@ -32,7 +33,7 @@ def sign(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, -1.0)
 
 
-def ste_backward(grad_out: np.ndarray, x_saved: np.ndarray, clip: float = 1.2) -> np.ndarray:
+def ste_backward(grad_out: np.ndarray, x_saved: np.ndarray) -> np.ndarray:
     """Straight-through gradient for sign: pass inside the strict clip band, else zero."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
     x_saved = np.asarray(x_saved, dtype=np.float64)
@@ -40,7 +41,7 @@ def ste_backward(grad_out: np.ndarray, x_saved: np.ndarray, clip: float = 1.2) -
         raise ParameterError(
             f"gradient shape {grad_out.shape} does not match saved input {x_saved.shape}"
         )
-    return grad_out * ((x_saved > -clip) & (x_saved < clip))
+    return grad_out * ((x_saved > -STE_CLIP) & (x_saved < STE_CLIP))
 
 
 @dataclass
@@ -145,7 +146,8 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
 
 
 def bench_gemm(n: int, trials: int, seed: int = 0) -> list[dict]:
-    """Time the packed XNOR kernel against a dense float matmul at size n.
+    """Time the packed XNOR kernel against a dense float matmul and a
+    sign-weight product (sign matrix times real input) at size n.
 
     Returns one record per kernel: {kernel, n, trials, ns_per_op}, where
     an op is one n*n*n GEMM.
@@ -156,6 +158,7 @@ def bench_gemm(n: int, trials: int, seed: int = 0) -> list[dict]:
     a = sign(rng.standard_normal((n, n)))
     b = sign(rng.standard_normal((n, n)))
     pa, pb = bitpack(a), bitpack(b.T)
+    x = rng.standard_normal((n, n))
 
     def clock(fn) -> float:
         fn()  # warm up
@@ -169,4 +172,6 @@ def bench_gemm(n: int, trials: int, seed: int = 0) -> list[dict]:
          "ns_per_op": clock(lambda: xnor_popcount_gemm(pa, pb))},
         {"kernel": "float_matmul", "n": n, "trials": trials,
          "ns_per_op": clock(lambda: a @ b)},
+        {"kernel": "signadd", "n": n, "trials": trials,
+         "ns_per_op": clock(lambda: a @ x)},
     ]

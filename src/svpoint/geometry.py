@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ParameterError
+from .svcore import SVFeature, _data, coordinate_frame, invariant_projection
 
 # ---------------------------------------------------------------------------
 # containers
@@ -64,43 +65,6 @@ class KnnGraph:
     @property
     def n(self) -> int:
         return self.neighbors.shape[0]
-
-
-def _field(data):
-    return data.data if isinstance(data, ad.Tensor) else np.asarray(data)
-
-
-@dataclass
-class SVFeature:
-    """Paired invariant scalars (p, N) and equivariant vectors (3, q, N).
-
-    Fields may hold plain arrays or autodiff Tensors; shapes are checked
-    either way. p or q may be zero (size-0 tensors), not both.
-    """
-
-    scalars: object
-    vectors: object
-
-    def __post_init__(self):
-        s, v = _field(self.scalars), _field(self.vectors)
-        if s.ndim != 2 or v.ndim != 3 or v.shape[0] != 3:
-            raise ParameterError(f"bad feature shapes scalars {s.shape}, vectors {v.shape}")
-        if s.shape[1] != v.shape[2]:
-            raise ParameterError(f"site counts differ: {s.shape[1]} vs {v.shape[2]}")
-        if s.shape[0] == 0 and v.shape[1] == 0:
-            raise ParameterError("feature needs at least one scalar or vector channel")
-
-    @property
-    def p(self) -> int:
-        return _field(self.scalars).shape[0]
-
-    @property
-    def q(self) -> int:
-        return _field(self.vectors).shape[1]
-
-    @property
-    def n_sites(self) -> int:
-        return _field(self.scalars).shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +129,7 @@ def rotate_vectors(vectors: np.ndarray, rot: Rotation) -> np.ndarray:
 
 def rotate_feature(feat: SVFeature, rot: Rotation) -> SVFeature:
     """The group action on a feature: scalars untouched, vectors rotated."""
-    return SVFeature(np.asarray(_field(feat.scalars)), rotate_vectors(_field(feat.vectors), rot))
+    return SVFeature(_data(feat.scalars), rotate_vectors(_data(feat.vectors), rot))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +147,11 @@ def _equal_point_count(clouds) -> int:
     return n
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise ParameterError(f"k={k} must be in [1, {n - 1}]")
+
+
 def knn_graphs(clouds, k: int) -> list[KnnGraph]:
     """Exact Euclidean k nearest neighbors of each cloud, self excluded,
     ties by index. The clouds must share a point count n > k.
@@ -192,8 +161,7 @@ def knn_graphs(clouds, k: int) -> list[KnnGraph]:
     of a cloud leaves its table unchanged.
     """
     n = _equal_point_count(clouds)
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"k={k} must be in [1, {n - 1}]")
+    _check_k(k, n)
     pts = np.stack([c.points for c in clouds])  # (B, n, 3)
     diff = pts[:, :, None, :] - pts[:, None, :, :]
     d2 = ad.sorted_coord_sum(diff * diff, axis=3)
@@ -222,14 +190,13 @@ def extract_initial_features(clouds, graphs, frame_params) -> SVFeature:
     if len(graphs) != len(clouds):
         raise ParameterError(f"{len(graphs)} graphs for {len(clouds)} clouds")
     k = graphs[0].k
+    _check_k(k, n)
     for g in graphs:
         if g.n != n or g.k != k:
             raise ParameterError(f"graph of {g.n} nodes x {g.k} neighbors for clouds of {n} "
                                  f"points and k={k}")
-        if g.neighbors.size and not 0 <= g.neighbors.min() <= g.neighbors.max() < n:
+        if not 0 <= g.neighbors.min() <= g.neighbors.max() < n:
             raise ParameterError(f"neighbor indices must lie in [0, {n})")
-    if frame_params is not None and (shape := _field(frame_params.weight).shape) != (2, 3):
-        raise ParameterError(f"frame weight must be 2x3, got {shape}")
     b = len(clouds)
     pts_all = np.concatenate([c.points for c in clouds], axis=0)  # (B*n, 3)
     centers_idx = np.repeat(np.arange(b * n), k)
@@ -241,9 +208,7 @@ def extract_initial_features(clouds, graphs, frame_params) -> SVFeature:
         scalars = ad.as_tensor(np.concatenate([centers.T, rel.T], axis=0))
         return SVFeature(scalars=scalars, vectors=ad.as_tensor(np.zeros((3, 0, b * n * k))))
     v = ad.as_tensor(np.stack([centers.T, rel.T], axis=1))  # (3, 2, N)
-    frame = ad.vector_linear(v, frame_params)  # (3, 3, N)
-    proj = ad.pair_contract(frame, v)  # (3, 2, N), frame axis major
-    return SVFeature(scalars=ad.reshape(proj, (6, b * n * k)), vectors=v)
+    return SVFeature(scalars=invariant_projection(coordinate_frame(v, frame_params), v), vectors=v)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from . import autodiff as ad
 from .errors import CheckpointError, ConfigError, ParameterError, StateError
 from .geometry import KnnGraph, PointCloud, extract_initial_features, knn_graphs
 from .svcore import (BlockToggles, LinearParams, NormParams, SVBlockParams,
-                     aggregate, invariant_head, regroup_edges, svblock_forward)
+                     _run_mlp, aggregate, invariant_head, regroup_edges,
+                     svblock_forward)
 
 BACKBONES = ("pointnet_like", "dgcnn_like")
 BINARIZE_MODES = ("none", "vanilla", "two_step")
@@ -324,16 +325,6 @@ class Model:
 
     # -- forward
 
-    def _check_batch(self, clouds: list[PointCloud]) -> int:
-        if not clouds:
-            raise ParameterError("empty batch")
-        n = clouds[0].n
-        if any(c.n != n for c in clouds):
-            raise ParameterError("all clouds in a batch must have equal point counts")
-        if n <= self.cfg.k:
-            raise ParameterError(f"need more than k={self.cfg.k} points, got {n}")
-        return n
-
     def forward(self, clouds: list[PointCloud], stats_mode: str = "eval",
                 graphs: list[KnnGraph] | None = None) -> ad.Tensor:
         """Class logits (classes, B) for a batch of equal-size clouds.
@@ -343,18 +334,17 @@ class Model:
         tables once since kNN depends only on geometry, not on parameters.
         Each table must have one row per point and indices in [0, n).
         """
-        n = self._check_batch(clouds)
-        b = len(clouds)
         k = self.cfg.k
         if graphs is None:
             graphs = knn_graphs(clouds, k)
-        elif len(graphs) != b or any(g.k != k for g in graphs):
-            raise ParameterError("precomputed graphs do not match batch or model k")
+        elif any(g.k != k for g in graphs):
+            raise ParameterError(f"precomputed graphs do not match model k={k}")
         x = extract_initial_features(clouds, graphs, self.extract_frame)
+        n, b = clouds[0].n, len(clouds)
 
         if self.cfg.backbone == "pointnet_like" or self.cfg.baseline:
             x = svblock_forward(x, self.blocks[0], stats_mode, groups=b)
-            x = aggregate(x, k, scalar_mode="max")
+            x = aggregate(x, k)
             for blk in self.blocks[1:]:
                 x = svblock_forward(x, blk, stats_mode, groups=b)
         else:
@@ -364,22 +354,23 @@ class Model:
             )
             x = svblock_forward(x, self.blocks[0], stats_mode, groups=b)
             for blk in self.blocks[1:]:
-                x = aggregate(x, k, scalar_mode="max")
+                x = aggregate(x, k)
                 x = regroup_edges(x, batch_graph)
                 x = svblock_forward(x, blk, stats_mode, groups=b)
-            x = aggregate(x, k, scalar_mode="max")
+            x = aggregate(x, k)
 
-        x = aggregate(x, n, scalar_mode="max")  # global pooling, one site per cloud
-        feats = invariant_head(x, self.head_frame)
-        out = feats
-        for i, (lin, tag) in enumerate(self.final_mlp):
-            out = ad.scalar_linear(out, lin)
-            if tag == "relu" and i < len(self.final_mlp) - 1:
-                out = ad.relu(out)
-        return out
+        x = aggregate(x, n)  # global pooling, one site per cloud
+        return _run_mlp(invariant_head(x, self.head_frame), self.final_mlp)
+
+    def eval_logits(self, clouds: list[PointCloud]) -> np.ndarray:
+        """Eval-mode logits (classes, B); raises StateError if any is not finite."""
+        logits = self.forward(clouds, stats_mode="eval").data
+        if not np.isfinite(logits).all():
+            raise StateError("model gives non-finite logits; its weights overflow the forward pass")
+        return logits
 
     def predict(self, clouds: list[PointCloud]) -> np.ndarray:
-        return self.forward(clouds, stats_mode="eval").data.argmax(axis=0)
+        return self.eval_logits(clouds).argmax(axis=0)
 
 
 # ---------------------------------------------------------------------------

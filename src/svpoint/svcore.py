@@ -17,13 +17,45 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ParameterError
-from .geometry import SVFeature
 
 MODES = ("full_precision", "binary_weight", "binary_full")
 
 
 def _data(x):
     return x.data if isinstance(x, ad.Tensor) else np.asarray(x)
+
+
+@dataclass
+class SVFeature:
+    """Paired invariant scalars (p, N) and equivariant vectors (3, q, N).
+
+    Fields may hold plain arrays or autodiff Tensors; shapes are checked
+    either way. p or q may be zero (size-0 tensors), not both.
+    """
+
+    scalars: object
+    vectors: object
+
+    def __post_init__(self):
+        s, v = _data(self.scalars), _data(self.vectors)
+        if s.ndim != 2 or v.ndim != 3 or v.shape[0] != 3:
+            raise ParameterError(f"bad feature shapes scalars {s.shape}, vectors {v.shape}")
+        if s.shape[1] != v.shape[2]:
+            raise ParameterError(f"site counts differ: {s.shape[1]} vs {v.shape[2]}")
+        if s.shape[0] == 0 and v.shape[1] == 0:
+            raise ParameterError("feature needs at least one scalar or vector channel")
+
+    @property
+    def p(self) -> int:
+        return _data(self.scalars).shape[0]
+
+    @property
+    def q(self) -> int:
+        return _data(self.vectors).shape[1]
+
+    @property
+    def n_sites(self) -> int:
+        return _data(self.scalars).shape[1]
 
 
 @dataclass
@@ -140,17 +172,21 @@ def invariant_projection(v_c, v) -> ad.Tensor:
     return ad.reshape(prod, (3 * q, n))
 
 
+def _activate(x, tag: str):
+    if tag == "relu":
+        return ad.relu(x)
+    if tag == "sigmoid":
+        return ad.sigmoid(x)
+    if tag != "none":
+        raise ParameterError(f"unknown nonlinearity tag {tag!r}")
+    return x
+
+
 def _run_mlp(x, layers: list[tuple[LinearParams, str]], skip_nonlin_last: bool = False):
     for i, (lin, tag) in enumerate(layers):
         x = ad.scalar_linear(x, lin)
-        if skip_nonlin_last and i == len(layers) - 1:
-            continue
-        if tag == "relu":
-            x = ad.relu(x)
-        elif tag == "sigmoid":
-            x = ad.sigmoid(x)
-        elif tag != "none":
-            raise ParameterError(f"unknown nonlinearity tag {tag!r}")
+        if not (skip_nonlin_last and i == len(layers) - 1):
+            x = _activate(x, tag)
     return x
 
 
@@ -263,11 +299,8 @@ def svblock_forward(
                     vectors=vector_mapping(v, params.vector_map))
     if params.norm is not None:
         out = equivariant_norm(out, stats_mode, params.norm)
-    s_out, v_out = out.scalars, out.vectors
-
-    tag = params.scalar_mlp[-1][1] if params.scalar_mlp else "none"
-    if tag == "relu":
-        s_out = ad.relu(s_out)
+    s_out = _activate(out.scalars, params.scalar_mlp[-1][1] if params.scalar_mlp else "none")
+    v_out = out.vectors
 
     if params.toggles.vector_reweight and v_out.data.shape[1] > 0:
         v_out = vector_update(v_out, reweighting_factors(s, params, groups=groups))
@@ -278,20 +311,13 @@ def svblock_forward(
 # aggregation and regrouping
 
 
-def aggregate(
-    x: SVFeature, k: int, scalar_mode: str = "max", vector_mode: str = "mean"
-) -> SVFeature:
+def aggregate(x: SVFeature, k: int) -> SVFeature:
     """Pool each contiguous run of k sites down to one site.
 
-    Scalars may pool by max or mean; vectors always by mean, because a
-    coordinate-wise max would pick coordinates from different vectors and
-    break equivariance.
+    Scalars pool by max, vectors by mean: a coordinate-wise max would
+    pick coordinates from different vectors and break equivariance.
     """
-    if vector_mode != "mean":
-        raise ParameterError("vector aggregation must be mean")
-    if scalar_mode not in ("max", "mean"):
-        raise ParameterError(f"unknown scalar aggregation {scalar_mode!r}")
-    s = ad.pool_groups(ad.as_tensor(x.scalars), k, scalar_mode)
+    s = ad.pool_groups(ad.as_tensor(x.scalars), k, "max")
     v = ad.pool_groups(ad.as_tensor(x.vectors), k, "mean")
     return SVFeature(scalars=s, vectors=v)
 

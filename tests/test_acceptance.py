@@ -49,6 +49,7 @@ def dataset(tmp_path_factory):
     assert rc == 0
     (root / "fp.ini").write_text("[model]\nbackbone = pointnet_like\n")
     (root / "bin.ini").write_text("[model]\nbackbone = pointnet_like\nbinarize = vanilla\n")
+    (root / "base.ini").write_text("[model]\nbackbone = pointnet_like\nbaseline = true\n")
     return root
 
 
@@ -65,7 +66,7 @@ def trained(dataset):
                    "--out", str(dataset / "bin.ckpt")])
     assert rc == 0
     budget = time.perf_counter() - t0
-    rc, _ = quiet(["train", "--config", str(dataset / "fp.ini"), "--baseline",
+    rc, _ = quiet(["train", "--config", str(dataset / "base.ini"),
                    "--data", data, "--protocol", "I/z", "--epochs", "15",
                    "--out", str(dataset / "base.ckpt")])
     assert rc == 0

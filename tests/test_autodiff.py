@@ -310,16 +310,21 @@ def make_store(value):
     return store
 
 
+def step_with_grad(store, grad, lr):
+    store.params["w"].grad = np.array(grad)
+    ad.adam_step(store, lr=lr)
+
+
 def test_adam_zero_gradient_no_move():
     store = make_store([1.0, -2.0])
-    ad.adam_step(store, grads={"w": np.zeros(2)}, lr=0.1)
+    step_with_grad(store, np.zeros(2), lr=0.1)
     assert store.params["w"].data.tolist() == [1.0, -2.0]
 
 
 def test_adam_constant_gradient_step_size():
     store = make_store([0.0])
     for _ in range(300):
-        ad.adam_step(store, grads={"w": np.array([1.0])}, lr=0.01)
+        step_with_grad(store, [1.0], lr=0.01)
     # with a constant gradient the normalized update settles at lr
     delta = store.params["w"].data[0]
     assert abs(delta + 300 * 0.01) < 0.05
@@ -332,7 +337,7 @@ def test_adam_matches_hand_recursion():
     m = v = 0.0
     w = 0.5
     for t, g in enumerate(grads, 1):
-        ad.adam_step(store, grads={"w": np.array([g])}, lr=lr)
+        step_with_grad(store, [g], lr=lr)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         w -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
@@ -347,7 +352,7 @@ def test_adam_uses_tape_grads_and_checks_shapes():
     ad.adam_step(store, lr=0.1)
     assert store.params["w"].data[0] != 1.0
     with pytest.raises(ParameterError):
-        ad.adam_step(store, grads={"w": np.zeros(5)}, lr=0.1)
+        step_with_grad(store, np.zeros(5), lr=0.1)
 
 
 def test_param_store_unique_names():

@@ -1,14 +1,18 @@
 """End-to-end command-line coverage on a tiny synthetic workspace."""
 
+import argparse
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import svpoint.cli as cli
 import svpoint.netbuild as nb
-from svpoint.errors import ParameterError
+from svpoint.errors import ConfigError, ParameterError
 from svpoint.geometry import synthesize_shapes, write_xyz
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY_CFG = "[model]\nbackbone = pointnet_like\nk = 4\nchannels = 16,24\nhead_dim = 32\n"
 
@@ -27,6 +31,8 @@ def ws(tmp_path_factory):
     assert rc == 0
     (root / "net.ini").write_text(TINY_CFG)
     (root / "bin.ini").write_text(TINY_CFG + "binarize = vanilla\n")
+    (root / "two_step.ini").write_text(TINY_CFG + "binarize = two_step\n")
+    (root / "base.ini").write_text(TINY_CFG + "baseline = true\n")
     return root
 
 
@@ -42,8 +48,8 @@ def fp_ckpt(ws):
 @pytest.fixture(scope="module")
 def base_ckpt(ws):
     out = ws / "base.ckpt"
-    rc = cli.main(["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
-                   "--epochs", "1", "--baseline", "--out", str(out)])
+    rc = cli.main(["train", "--config", str(ws / "base.ini"), "--data", str(ws / "data"),
+                   "--epochs", "1", "--out", str(out)])
     assert rc == 0
     return out
 
@@ -144,18 +150,22 @@ def test_train_mixed_point_counts_fails_cleanly(ws, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_stops(ws, tmp_path, capsys):
-    out = tmp_path / "diverged.ckpt"
-    assert cli.main(["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
-                     "--epochs", "2", "--batch", "2", "--lr", "1e6",
-                     "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    errors = error_lines(captured.err)
-    assert len(errors) == 1
-    assert re.search(r"loss nan at epoch \d+ step \d+", errors[0]), errors[0]
-    assert "loss=nan" not in captured.out
-    assert not out.exists()
+    # at batch 2 the loss turns NaN mid-epoch; with the whole set in one
+    # batch the weights turn finite but huge, and the test logits show it first
+    for batch, reason in (("2", r"loss nan at epoch \d+ step \d+"),
+                          ("32", r"non-finite test logits at epoch 0")):
+        out = tmp_path / f"diverged{batch}.ckpt"
+        assert cli.main(["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
+                         "--epochs", "2", "--batch", batch, "--lr", "1e6",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        errors = error_lines(captured.err)
+        assert len(errors) == 1 and captured.err.splitlines() == errors
+        assert re.search(reason, errors[0]), errors[0]
+        assert "loss=nan" not in captured.out
+        assert not out.exists()
 
 
 def test_train_binary_config(ws, tmp_path, capsys):
@@ -167,17 +177,17 @@ def test_train_binary_config(ws, tmp_path, capsys):
 
 def test_train_two_step_phases(ws, tmp_path, capsys):
     out = tmp_path / "ts.ckpt"
-    assert cli.main(["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
-                     "--epochs", "2", "--two-step", "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", str(ws / "two_step.ini"), "--data", str(ws / "data"),
+                     "--epochs", "2", "--out", str(out)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch=")]
     phases = [EPOCH_LINE.match(l).group(2) for l in lines]
     assert phases == ["1", "2"]
     model = nb.load_checkpoint(out)
     assert model.binarized
-    assert model.cfg.binarize == "none"  # flag came from the phase switch, not the config
+    assert model.cfg.binarize == "two_step"
 
 
-def test_train_baseline_override_is_echoed(base_ckpt):
+def test_train_baseline_config_is_echoed(base_ckpt):
     assert nb.load_checkpoint(base_ckpt).cfg.baseline
 
 
@@ -208,6 +218,32 @@ def test_equiv_check_passes_for_invariant_model(fp_ckpt, capsys):
     assert cli.main(["equiv-check", "--ckpt", str(fp_ckpt), "--mode", "exact",
                      "--points", "32"]) == 0
     assert "bit_identical=24/24" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def overflow_ckpt(ws, fp_ckpt):
+    # finite weights, so the checkpoint loads, but the forward overflows
+    model = nb.load_checkpoint(fp_ckpt)
+    model.store.params["final0.weight"].data[...] = 1e308
+    out = ws / "overflow.ckpt"
+    nb.save_checkpoint(model, out)
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["eval", "--test-rot", "none", "--trials", "1"],
+    ["equiv-check", "--mode", "fp", "--trials", "2", "--points", "32"],
+    ["equiv-check", "--mode", "exact", "--points", "32"],
+], ids=["eval", "equiv_fp", "equiv_exact"])
+def test_non_finite_logits_fail_loudly(ws, overflow_ckpt, argv, capsys):
+    if argv[0] == "eval":
+        argv = argv + ["--data", str(ws / "data")]
+    assert cli.main(argv + ["--ckpt", str(overflow_ckpt)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite logits" in err[0]
+    assert captured.out == ""
 
 
 def test_equiv_check_flags_baseline(base_ckpt, capsys):
@@ -294,3 +330,33 @@ def test_command_error_paths(ws, tmp_path, capsys):
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), argv
         assert captured.out == "", argv  # nothing on stdout before the diagnostic
+
+
+# ---------------------------------------------------------------------------
+# the README documents the surface that exists
+
+
+def test_readme_commands_use_existing_flags():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = [line.split() for block in blocks for line in block.splitlines()
+                if line.startswith("svpoint ")]
+    assert len(commands) >= 6
+    for words in commands:
+        options = sub.choices[words[1]]._option_string_actions
+        for flag in (w for w in words if w.startswith("--")):
+            assert flag in options, f"README: `svpoint {words[1]}` has no {flag}"
+
+
+def test_readme_config_keys_match_parser():
+    text = README.read_text()
+    section = text.split("`[model]` keys:", 1)[1].split("\n## ", 1)[0]
+    documented = {key for names in re.findall(r"^- ((?:`\w+`(?:, )?)+):", section, re.M)
+                  for key in re.findall(r"`(\w+)`", names)}
+    printed = nb.ModelConfig().to_text()
+    accepted = set(re.findall(r"^(\w+) = ", printed, re.M))
+    assert documented == accepted
+    assert nb.ModelConfig.from_text(printed) == nb.ModelConfig()
+    with pytest.raises(ConfigError, match="unknown config key"):
+        nb.ModelConfig.from_text("[model]\nchannel_plan = 8\n")

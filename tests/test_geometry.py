@@ -267,6 +267,12 @@ def test_extract_mismatch_errors():
         table[3, 1] = bad
         with pytest.raises(ParameterError, match="neighbor indices"):
             extract_one(cloud, KnnGraph(k=2, neighbors=table), frame22())
+    # a hand-made table may hold in-range indices yet have k >= n
+    tiny = PointCloud(np.eye(3))
+    for k in (3, 4):
+        full = KnnGraph(k=k, neighbors=np.arange(3 * k).reshape(3, k) % 3)
+        with pytest.raises(ParameterError, match=r"k=\d must be in \[1, 2\]"):
+            extract_one(tiny, full, frame22())
 
 
 def test_extract_batch_concatenates_clouds():

@@ -343,8 +343,9 @@ def test_binarize_plan_can_include_boundary():
 def test_two_step_phase_preserves_weights_and_resets_optimizer():
     model = nb.build_model(small_cfg())
     before = {n: t.data.copy() for n, t in model.store.items()}
-    grads = {n: np.ones_like(t.data) for n, t in model.store.items()}
-    ad.adam_step(model.store, grads=grads, lr=0.01)
+    for _, t in model.store.items():
+        t.grad = np.ones_like(t.data)
+    ad.adam_step(model.store, lr=0.01)
     assert model.store.step_count == 1
 
     nb.binarize_plan(model, "two_step_phase2")

@@ -174,6 +174,15 @@ def test_scalar_update_passthrough():
     assert np.array_equal(arr(block.scalars), np.maximum(s, 0.0))
 
 
+def test_block_rejects_unknown_last_scalar_tag():
+    # the block applies the last scalar nonlinearity itself, after the norm
+    params = make_block(3, 2, 3, 2, concat=False)
+    params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "tanh")]
+    feat = SVFeature(scalars=np.ones((3, 4)), vectors=np.ones((3, 2, 4)))
+    with pytest.raises(ParameterError, match="unknown nonlinearity tag 'tanh'"):
+        svblock_forward(feat, params)
+
+
 def test_scalar_update_zero_weights():
     params = make_block(3, 2, 4, 2, with_norm=False)
     params.scalar_mlp = [(LinearParams(weight=np.zeros((9, 4)), bias=np.zeros(4)), "relu")]
@@ -407,10 +416,7 @@ def test_aggregate_k1_identity():
 def test_aggregate_values_and_modes():
     feat = SVFeature(scalars=np.array([[1.0, 5.0, 3.0]]),
                      vectors=np.ones((3, 1, 3)))
-    assert arr(aggregate(feat, 3, scalar_mode="max").scalars)[0, 0] == 5.0
-    assert arr(aggregate(feat, 3, scalar_mode="mean").scalars)[0, 0] == 3.0
-    with pytest.raises(ParameterError):
-        aggregate(feat, 3, vector_mode="max")
+    assert arr(aggregate(feat, 3).scalars)[0, 0] == 5.0
     with pytest.raises(ParameterError):
         aggregate(feat, 2)
 
