@@ -114,11 +114,16 @@ def cmd_gen_data(args) -> int:
 
 
 def _accuracy(model: netbuild.Model, clouds: list[PointCloud], batch: int = 32) -> float:
+    # the model batches equal-size clouds: bucket by point count, keep split order
+    buckets: dict[int, list[PointCloud]] = {}
+    for cloud in clouds:
+        buckets.setdefault(cloud.n, []).append(cloud)
     hits = 0
-    for lo in range(0, len(clouds), batch):
-        part = clouds[lo: lo + batch]
-        pred = model.predict(part)
-        hits += int(sum(p == c.label for p, c in zip(pred, part)))
+    for bucket in buckets.values():
+        for lo in range(0, len(bucket), batch):
+            part = bucket[lo: lo + batch]
+            pred = model.predict(part)
+            hits += int(sum(p == c.label for p, c in zip(pred, part)))
     return hits / len(clouds)
 
 

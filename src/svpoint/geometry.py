@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ParameterError
-from .svcore import SVFeature, _data, coordinate_frame, invariant_projection
+from .svcore import SVFeature, _data, coordinate_frame, invariant_projection, regroup_edges
 
 # ---------------------------------------------------------------------------
 # containers
@@ -172,24 +172,18 @@ def knn_graphs(clouds, k: int) -> list[KnnGraph]:
 
 
 # ---------------------------------------------------------------------------
-# initial features
+# batch graph and initial features
 
 
-def extract_initial_features(clouds, graphs, frame_params) -> SVFeature:
-    """Edge features for the first block, all clouds on one site axis.
-
-    Per edge (i, j): two vector channels, the site position o_i and the
-    relative offset o_j - o_i; six scalar channels, the flattened
-    projection of those vectors onto the learned equivariant frame they
-    generate. Output has p=6, q=2, N=B*n*k, edges of one site contiguous,
-    sites of one cloud contiguous. With frame_params None (the baseline
-    model) the six raw coordinates are the scalars and there are no
-    vector channels.
+def batch_graph(clouds, graphs, k: int) -> KnnGraph:
+    """One graph over the B*n sites of a batch, cloud i's sites at
+    [i*n, (i+1)*n), from its per-cloud table. Each table must have one row
+    per point, k columns (1 <= k <= n-1) and indices in [0, n): any other
+    index would reach into another cloud's sites.
     """
     n = _equal_point_count(clouds)
     if len(graphs) != len(clouds):
         raise ParameterError(f"{len(graphs)} graphs for {len(clouds)} clouds")
-    k = graphs[0].k
     _check_k(k, n)
     for g in graphs:
         if g.n != n or g.k != k:
@@ -197,17 +191,24 @@ def extract_initial_features(clouds, graphs, frame_params) -> SVFeature:
                                  f"points and k={k}")
         if not 0 <= g.neighbors.min() <= g.neighbors.max() < n:
             raise ParameterError(f"neighbor indices must lie in [0, {n})")
-    b = len(clouds)
-    pts_all = np.concatenate([c.points for c in clouds], axis=0)  # (B*n, 3)
-    centers_idx = np.repeat(np.arange(b * n), k)
-    neigh_idx = np.concatenate([g.neighbors.reshape(-1) + i * n for i, g in enumerate(graphs)])
-    centers = pts_all[centers_idx]
-    rel = pts_all[neigh_idx] - centers
+    return KnnGraph(k=k, neighbors=np.vstack([g.neighbors + i * n for i, g in enumerate(graphs)]))
+
+
+def extract_initial_features(clouds, graph: KnnGraph, frame_params) -> SVFeature:
+    """Edge features for the first block, all clouds on one site axis.
+
+    The points, node features over the B*n sites of `graph` (from
+    `batch_graph`), go through `regroup_edges`: edge (i, j) carries o_i
+    and o_j - o_i, N = B*n*k. As one vector channel they give q=2 and
+    p=6 scalars, their projection onto the learned equivariant frame
+    they generate. With frame_params None (the baseline model) they are
+    three scalar channels: six raw-coordinate scalars, no vectors.
+    """
+    pts = np.concatenate([c.points for c in clouds], axis=0).T  # (3, B*n)
     if frame_params is None:
         # raw coordinates as scalars: deliberately rotation-sensitive
-        scalars = ad.as_tensor(np.concatenate([centers.T, rel.T], axis=0))
-        return SVFeature(scalars=scalars, vectors=ad.as_tensor(np.zeros((3, 0, b * n * k))))
-    v = ad.as_tensor(np.stack([centers.T, rel.T], axis=1))  # (3, 2, N)
+        return regroup_edges(SVFeature(pts, np.zeros((3, 0, pts.shape[1]))), graph)
+    v = regroup_edges(SVFeature(np.zeros((0, pts.shape[1])), pts[:, None, :]), graph).vectors
     return SVFeature(scalars=invariant_projection(coordinate_frame(v, frame_params), v), vectors=v)
 
 

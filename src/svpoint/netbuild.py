@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CheckpointError, ConfigError, ParameterError, StateError
-from .geometry import KnnGraph, PointCloud, extract_initial_features, knn_graphs
+from .geometry import KnnGraph, PointCloud, batch_graph, extract_initial_features, knn_graphs
 from .svcore import (BlockToggles, LinearParams, NormParams, SVBlockParams,
                      _run_mlp, aggregate, invariant_head, regroup_edges,
                      svblock_forward)
@@ -75,6 +75,10 @@ class ModelConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"config parse failure: {exc}") from None
+        extra = [name for name in parser.sections() if name != "model"]
+        if extra or parser.defaults():
+            raise ConfigError(f"config section [{(extra or ['DEFAULT'])[0]}] is not allowed; "
+                              f"every key goes under [model]")
         if "model" not in parser:
             raise ConfigError("config needs a [model] section")
         sec = parser["model"]
@@ -149,6 +153,14 @@ def split_channels(c: int, ratio: float) -> tuple[int, int]:
     p_target = round(ratio * c)
     q = (c - p_target) // 3
     return c - 3 * q, q
+
+
+def block_schedule(cfg: ModelConfig) -> list[tuple[bool, bool]]:
+    """(regroup, pool) per block: rebuild edges before it, k-pool after it.
+    Block 0 takes the initial edges; a DGCNN rebuilds EdgeConv's
+    [f_i ; f_j - f_i] before each later block, a PointNet runs them on nodes."""
+    dgcnn = cfg.backbone == "dgcnn_like"
+    return [(dgcnn and i > 0, dgcnn or i == 0) for i in range(len(cfg.channel_plan))]
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +249,9 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
         ctr.add_layer("extract.frame", **_linear_cost(model.extract_frame, n_edges, True))
         ctr.add_layer("extract.projection", macs=9 * 2 * n_edges)
     sites = n_edges
-    for i, blk in enumerate(model.blocks):
-        if cfg.backbone == "dgcnn_like" and i > 0:
-            sites = n_edges  # regrouped back to edges
+    for i, (blk, (regroup, pool)) in enumerate(zip(model.blocks, block_schedule(cfg))):
+        if regroup:
+            sites = n_edges
         name = f"block{i}"
         q_in = blk.frame.in_dim
         if q_in:
@@ -251,8 +263,8 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
             ctr.add_layer(f"{name}.gate{j}", **_linear_cost(lin, 1, False))
         if blk.vector_map.out_dim:
             ctr.add_layer(f"{name}.vector_map", **_linear_cost(blk.vector_map, sites, True))
-        if i == 0 or cfg.backbone == "dgcnn_like":
-            sites = n_points  # aggregation back to nodes
+        if pool:
+            sites = n_points
     q_last = model.head_frame.in_dim
     if q_last:
         ctr.add_layer("head.frame", **_linear_cost(model.head_frame, 1, True))
@@ -264,14 +276,10 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
 
 def param_bits(model: "Model") -> int:
     """Storage cost: 1 bit per binarized weight entry, 32 otherwise."""
-    bits = 0
-    for name, tensor in model.store.items():
-        lin = model._owner_linear.get(name)
-        binary_weight_entry = (
-            lin is not None and name.endswith("weight") and lin.mode != "full_precision"
-        )
-        bits += tensor.data.size * (1 if binary_weight_entry else 32)
-    return bits
+    binary = {f"{name}.weight" for name, lin, _ in _eligible_layers(model)
+              if lin.mode != "full_precision"}
+    return sum(tensor.data.size * (1 if name in binary else 32)
+               for name, tensor in model.store.items())
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +311,6 @@ class Model:
         self.head_frame: LinearParams | None = None
         self.final_mlp: list[tuple[LinearParams, str]] = []
         self.binarized = False
-        self._owner_linear: dict[str, LinearParams] = {}
         self._running: list[tuple[str, np.ndarray]] = []
 
     # -- parameter bookkeeping
@@ -332,34 +339,19 @@ class Model:
         `graphs` may carry precomputed neighbor tables (one per cloud, same
         order); callers that reuse fixed clouds across epochs can build the
         tables once since kNN depends only on geometry, not on parameters.
-        Each table must have one row per point and indices in [0, n).
+        Each table must have one row per point, the model's k columns and
+        indices in [0, n).
         """
         k = self.cfg.k
-        if graphs is None:
-            graphs = knn_graphs(clouds, k)
-        elif any(g.k != k for g in graphs):
-            raise ParameterError(f"precomputed graphs do not match model k={k}")
-        x = extract_initial_features(clouds, graphs, self.extract_frame)
-        n, b = clouds[0].n, len(clouds)
-
-        if self.cfg.backbone == "pointnet_like" or self.cfg.baseline:
-            x = svblock_forward(x, self.blocks[0], stats_mode, groups=b)
-            x = aggregate(x, k)
-            for blk in self.blocks[1:]:
-                x = svblock_forward(x, blk, stats_mode, groups=b)
-        else:
-            batch_graph = KnnGraph(
-                k=k,
-                neighbors=np.vstack([g.neighbors + i * n for i, g in enumerate(graphs)]),
-            )
-            x = svblock_forward(x, self.blocks[0], stats_mode, groups=b)
-            for blk in self.blocks[1:]:
+        graph = batch_graph(clouds, knn_graphs(clouds, k) if graphs is None else graphs, k)
+        x = extract_initial_features(clouds, graph, self.extract_frame)
+        for blk, (regroup, pool) in zip(self.blocks, block_schedule(self.cfg)):
+            if regroup:
+                x = regroup_edges(x, graph)
+            x = svblock_forward(x, blk, stats_mode, groups=len(clouds))
+            if pool:
                 x = aggregate(x, k)
-                x = regroup_edges(x, batch_graph)
-                x = svblock_forward(x, blk, stats_mode, groups=b)
-            x = aggregate(x, k)
-
-        x = aggregate(x, n)  # global pooling, one site per cloud
+        x = aggregate(x, clouds[0].n)  # global pooling, one site per cloud
         return _run_mlp(invariant_head(x, self.head_frame), self.final_mlp)
 
     def eval_logits(self, clouds: list[PointCloud]) -> np.ndarray:
@@ -387,7 +379,6 @@ def _build_linear(model: Model, name: str, rng, d_in: int, d_out: int,
     lin = LinearParams(weight=model._param(f"{name}.weight", _glorot(rng, d_in, d_out)))
     if bias:
         lin.bias = model._param(f"{name}.bias", np.zeros(d_out))
-    model._owner_linear[f"{name}.weight"] = lin
     return lin
 
 
@@ -420,12 +411,12 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
     if not cfg.baseline:
         model.extract_frame = _build_linear(model, "extract.frame", rng, 2, 3, bias=False)
 
-    for i, width in enumerate(cfg.channel_plan):
+    for i, (width, (regroup, _)) in enumerate(zip(cfg.channel_plan, block_schedule(cfg))):
         if cfg.baseline:
             p_out, q_out = width, 0
         else:
             p_out, q_out = split_channels(width, cfg.sv_ratio)
-        if cfg.backbone == "dgcnn_like" and i > 0:
+        if regroup:
             p, q = 2 * p, 2 * q  # edge regrouping doubles both channel sets
         model.blocks.append(_build_block(model, i, rng, p, q, p_out, q_out, cfg))
         p, q = p_out, q_out
@@ -501,6 +492,8 @@ def binarize_plan(model: Model, scheme: str) -> Model:
 MAGIC = b"SVNC"
 CKPT_VERSION = 1
 _DTYPE_TAGS = {0: "<f8"}
+# ends the echoed config of a model that two-step training binarized later
+_BINARIZED_MARKER = "\n[state]\nbinarized = true\n"
 
 
 class _Cursor:
@@ -525,8 +518,8 @@ class _Cursor:
 def save_checkpoint(model: Model, path) -> None:
     """Serialize config text and every persistent array, little-endian."""
     cfg_text = model.cfg.text_for_echo()
-    if model.binarized and model.cfg.binarize != "vanilla" and "[state]" not in cfg_text:
-        cfg_text += "\n[state]\nbinarized = true\n"
+    if model.binarized and model.cfg.binarize != "vanilla":
+        cfg_text += _BINARIZED_MARKER
     cfg_bytes = cfg_text.encode("utf-8")
     out = io.BytesIO()
     out.write(MAGIC)
@@ -566,6 +559,8 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = cur.unpack("<I")
     cfg_text = cur.take(cfg_len).decode("utf-8")
+    phase2 = cfg_text.endswith(_BINARIZED_MARKER)
+    cfg_text = cfg_text.removesuffix(_BINARIZED_MARKER)
     try:
         cfg = ModelConfig.from_text(cfg_text)
     except ConfigError as exc:
@@ -576,10 +571,6 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
             f"does not match the requested config ({expect_cfg.backbone}, "
             f"channels {expect_cfg.channel_plan})"
         )
-    parser = configparser.ConfigParser()
-    parser.read_string(cfg_text)
-    phase2 = parser.has_section("state") and parser["state"].getboolean("binarized", False)
-
     model = build_model(cfg, rng_seed=0)
     if phase2 and not model.binarized:
         binarize_plan(model, "vanilla")

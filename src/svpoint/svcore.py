@@ -331,6 +331,8 @@ def regroup_edges(x_node: SVFeature, graph) -> SVFeature:
     """
     s, v = ad.as_tensor(x_node.scalars), ad.as_tensor(x_node.vectors)
     n, k = graph.n, graph.k
+    if x_node.n_sites != n:
+        raise ParameterError(f"{x_node.n_sites} node sites for a graph of {n} nodes")
     center_idx = np.repeat(np.arange(n), k)
     neigh_idx = graph.neighbors.reshape(-1)
     s_i = ad.take_sites(s, center_idx)

@@ -182,7 +182,7 @@ def test_criterion_2_equivariance_suite(capsys):
     cloud = geo.PointCloud(rng.standard_normal((16, 3)))
     g16 = geo.knn_graphs([cloud], 4)
     ext_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))
-    ext_base = geo.extract_initial_features([cloud], g16, ext_frame)
+    ext_base = geo.extract_initial_features([cloud], geo.batch_graph([cloud], g16, 4), ext_frame)
     for rot in rots:
         rf = geo.rotate_feature(feat4, rot)
         track("aggregate", np.abs(
@@ -194,7 +194,8 @@ def test_criterion_2_equivariance_suite(capsys):
             - geo.rotate_vectors(nrm_base, rot)).max())
         track("invariant_head", np.abs(sv.invariant_head(rf, head_frame).data - head_base).max())
         rc = [geo.apply_rotation(cloud, rot)]
-        ext = geo.extract_initial_features(rc, geo.knn_graphs(rc, 4), ext_frame)
+        ext = geo.extract_initial_features(rc, geo.batch_graph(rc, geo.knn_graphs(rc, 4), 4),
+                                           ext_frame)
         track("extract.scalars", np.abs(ext.scalars.data - ext_base.scalars.data).max())
         track("extract.vectors", np.abs(
             ext.vectors.data - geo.rotate_vectors(ext_base.vectors.data, rot)).max())

@@ -10,7 +10,7 @@ import pytest
 import svpoint.cli as cli
 import svpoint.netbuild as nb
 from svpoint.errors import ConfigError, ParameterError
-from svpoint.geometry import synthesize_shapes, write_xyz
+from svpoint.geometry import PointCloud, synthesize_shapes, write_xyz
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -187,6 +187,20 @@ def test_train_two_step_phases(ws, tmp_path, capsys):
     assert model.cfg.binarize == "two_step"
 
 
+def test_train_rejects_a_state_section(ws, tmp_path, capsys):
+    # only checkpoints carry [state]; from a config it made unloadable checkpoints
+    out = tmp_path / "state.ckpt"
+    for extra in ("[state]\nbinarized = true\n",
+                  "binarize = two_step\n[state]\nbinarized = false\n"):
+        (tmp_path / "state.ini").write_text(TINY_CFG + extra)
+        assert cli.main(["train", "--config", str(tmp_path / "state.ini"),
+                         "--data", str(ws / "data"), "--epochs", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: config section [state] is not allowed; "
+                                             "every key goes under [model]"]
+        assert not out.exists()
+
+
 def test_train_baseline_config_is_echoed(base_ckpt):
     assert nb.load_checkpoint(base_ckpt).cfg.baseline
 
@@ -208,6 +222,42 @@ def test_eval_rotated_split_runs(ws, fp_ckpt, capsys):
     assert cli.main(["eval", "--ckpt", str(fp_ckpt), "--data", str(ws / "data"),
                      "--test-rot", "so3", "--trials", "2", "--split", "train"]) == 0
     assert "test_rot=so3 trials=2" in capsys.readouterr().out
+
+
+def test_accuracy_batches_by_point_count():
+    class Recorder:
+        def __init__(self):
+            self.batches = []
+
+        def predict(self, part):
+            self.batches.append([c.label for c in part])
+            return np.array([0] * len(part))
+
+    def clouds(counts):  # labelled by their place in the split
+        return [PointCloud(synthesize_shapes(0, n, i).points, label=i)
+                for i, n in enumerate(counts)]
+
+    model = Recorder()
+    assert cli._accuracy(model, clouds([16] * 70)) == 1 / 70  # only cloud 0 has label 0
+    assert model.batches == [list(range(0, 32)), list(range(32, 64)), list(range(64, 70))]
+    model = Recorder()
+    assert cli._accuracy(model, clouds([16, 20, 16, 20, 16]), batch=2) == 1 / 5
+    assert model.batches == [[0, 2], [4], [1, 3]]
+
+
+def test_eval_scores_a_split_of_mixed_point_counts(ws, fp_ckpt, tmp_path, capsys):
+    data = tmp_path / "mixed"
+    assert cli.main(["gen-data", "--train", "4", "--test", "6",
+                     "--points", "32", "--out", str(data)]) == 0
+    name = (data / "test.tsv").read_text().splitlines()[2].split("\t")[0]
+    write_xyz(synthesize_shapes(2, 40, 0), data / name)
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(fp_ckpt), "--data", str(data),
+                     "--test-rot", "none", "--trials", "1"]) == 0
+    model = nb.load_checkpoint(fp_ckpt)
+    split = cli.load_split(data, "test")
+    hits = sum(int(model.predict([c])[0] == c.label) for c in split)
+    assert f"accuracy={hits / len(split):.4f}" in capsys.readouterr().out
 
 
 def test_equiv_check_passes_for_invariant_model(fp_ckpt, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from svpoint.errors import ParameterError
 from svpoint.geometry import (KnnGraph, PointCloud, Rotation, SVFeature,
-                              apply_rotation, extract_initial_features,
+                              apply_rotation, batch_graph, extract_initial_features,
                               knn_graphs, random_rotation, read_off, read_xyz,
                               rotate_feature, rotate_vectors,
                               signed_permutation_rotation, synthesize_shapes,
@@ -23,7 +23,7 @@ def knn_one(cloud, k):
 
 
 def extract_one(cloud, graph, frame_params):
-    return extract_initial_features([cloud], [graph], frame_params)
+    return extract_initial_features([cloud], batch_graph([cloud], [graph], graph.k), frame_params)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,9 @@ def test_extract_mismatch_errors():
     with pytest.raises(ParameterError):
         extract_one(cloud, graph, LinearParams(weight=np.zeros((3, 3))))
     with pytest.raises(ParameterError):
-        extract_initial_features([cloud, cloud], [graph], frame22())
+        batch_graph([cloud, cloud], [graph], 2)
+    with pytest.raises(ParameterError, match="16 node sites for a graph of 8 nodes"):
+        extract_initial_features([cloud, cloud], batch_graph([cloud], [graph], 2), frame22())
     # indices outside [0, n) would read another cloud's points in a batch
     for bad in (8, -1):
         table = graph.neighbors.copy()
@@ -275,11 +277,24 @@ def test_extract_mismatch_errors():
             extract_one(tiny, full, frame22())
 
 
+def test_batch_graph_offsets_each_table():
+    rng = np.random.default_rng(8)
+    clouds = [PointCloud(rng.standard_normal((10, 3))) for _ in range(3)]
+    graphs = knn_graphs(clouds, 3)
+    graph = batch_graph(clouds, graphs, 3)
+    assert (graph.n, graph.k) == (30, 3)
+    for i, g in enumerate(graphs):
+        assert np.array_equal(graph.neighbors[10 * i: 10 * (i + 1)], g.neighbors + 10 * i)
+    # tables of another k than the model's
+    with pytest.raises(ParameterError, match="graph of 10 nodes x 3 neighbors"):
+        batch_graph(clouds, graphs, 4)
+
+
 def test_extract_batch_concatenates_clouds():
     rng = np.random.default_rng(6)
     clouds = [PointCloud(rng.standard_normal((10, 3))) for _ in range(3)]
     graphs = knn_graphs(clouds, 3)
-    batch = extract_initial_features(clouds, graphs, frame22())
+    batch = extract_initial_features(clouds, batch_graph(clouds, graphs, 3), frame22())
     singles = [extract_one(c, g, frame22()) for c, g in zip(clouds, graphs)]
     assert np.array_equal(batch.scalars.data,
                           np.concatenate([f.scalars.data for f in singles], axis=1))

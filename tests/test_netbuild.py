@@ -131,6 +131,12 @@ def test_config_rejects_bad_input():
         nb.ModelConfig.from_text("[model]\nk = three\n")
     with pytest.raises(ConfigError):
         nb.ModelConfig.from_file("/no/such/file.ini")
+    # a user [state] section once steered how checkpoints were read back
+    for extra in ("[state]\nbinarized = true\n", "[state]\nbinarized = false\n",
+                  "[other]\n", "[DEFAULT]\nk = 8\n"):
+        with pytest.raises(ConfigError, match=r"section \[\w+\] is not allowed") as info:
+            nb.ModelConfig.from_text("[model]\nk = 4\n" + extra)
+        assert "\n" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +267,44 @@ def test_precomputed_graphs_validated(backbone):
         graphs = [tables[0], KnnGraph(k=4, neighbors=table), tables[2]]
         with pytest.raises(ParameterError, match="graph of"):
             model.forward(clouds, graphs=graphs)
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+@pytest.mark.parametrize("backbone", ["pointnet_like", "dgcnn_like"])
+def test_block_sites_follow_the_counted_schedule(backbone, baseline, monkeypatch):
+    """Each block receives the site axis that count_model_ops charges it
+    for, in a train step and an eval forward, on both backbones with and
+    without the baseline's raw-coordinate features."""
+    cfg = small_cfg(backbone=backbone, baseline=baseline, channel_plan=(12, 18, 24))
+    model = nb.build_model(cfg, rng_seed=1)
+    clouds = random_clouds(3, 16, 4)
+    received = []
+    block = nb.svblock_forward
+
+    def spy(x, params, *args, **kw):
+        received.append(x.n_sites)
+        return block(x, params, *args, **kw)
+
+    monkeypatch.setattr(nb, "svblock_forward", spy)
+    model.store.zero_grad()
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"),
+                                       np.array([c.label for c in clouds]))
+    tape.backward(loss)
+    ad.adam_step(model.store, lr=1e-2)
+    logits = model.forward(clouds, stats_mode="eval").data
+    assert logits.shape == (3, 3) and np.isfinite(logits).all()
+
+    costs = dict(nb.count_model_ops(model, 16).per_layer)
+    counted = []
+    for i, blk in enumerate(model.blocks):
+        lin = blk.scalar_mlp[0][0]
+        cost = sum(costs[f"block{i}.scalar0"].values())
+        assert cost % (lin.in_dim * lin.out_dim) == 0
+        counted.append(cost // (lin.in_dim * lin.out_dim) * len(clouds))
+    later = 16 * 4 if backbone == "dgcnn_like" else 16  # edges or nodes, per cloud
+    assert counted == [3 * 16 * 4, 3 * later, 3 * later]
+    assert received == counted * 2
 
 
 def test_binary_dgcnn_training_deterministic_bitwise():

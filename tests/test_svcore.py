@@ -444,6 +444,10 @@ def test_regroup_edges_formula():
             edge = i * 2 + slot
             assert np.array_equal(got[:2, edge], s[:, i])
             assert np.array_equal(got[2:, edge], s[:, j] - s[:, i])
+    # node features of another site count than the graph's (a one-cloud
+    # table given a batch) would gather silently misaligned edges
+    with pytest.raises(ParameterError, match="5 node sites for a graph of 4 nodes"):
+        regroup_edges(rand_feature(2, 2, 5, 32), graph)
 
 
 def test_regroup_same_features_zero_difference():
