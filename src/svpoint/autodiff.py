@@ -26,22 +26,49 @@ from .errors import ParameterError, StateError
 # the sign of a zero result.
 
 
-def sorted_coord_sum(arr: np.ndarray, axis: int = 0) -> np.ndarray:
+def sorted_coord_sum(arr: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Sum `arr` along an axis of length 3, insensitive to axis order.
 
     A three-element min/median/max network (cheaper than a generic sort)
     fixes the addition order by value, so any permutation of the three
-    summands produces the same bits.
+    summands produces the same bits. The network needs two temporaries
+    beside `out` (allocated when None, and not overlapping `arr`).
     """
     if arr.shape[axis] != 3:
         raise ParameterError(f"coordinate axis must have length 3, got {arr.shape[axis]}")
     a, b, c = np.moveaxis(arr, axis, 0)
-    lo_ab = np.minimum(a, b)
-    hi_ab = np.maximum(a, b)
-    lo = np.minimum(lo_ab, c)
-    mid = np.minimum(hi_ab, np.maximum(lo_ab, c))
-    hi = np.maximum(hi_ab, c)
-    return ((lo + mid) + hi) + 0.0
+    lo_ab = np.asarray(np.minimum(a, b))  # arrays even for a 3-vector, so they take out=
+    hi_ab = np.asarray(np.maximum(a, b))
+    out = np.minimum(lo_ab, c, out=out)  # lo
+    mid = np.minimum(hi_ab, np.maximum(lo_ab, c, out=lo_ab), out=lo_ab)
+    hi = np.maximum(hi_ab, c, out=hi_ab)
+    out += mid
+    out += hi
+    out += 0.0
+    return out
+
+
+# Sums of coordinate products run over the site axis in chunks of this many
+# sites, so their (3, q, chunk) product is the only full-width temporary.
+CHUNK_SITES = 4096
+
+
+def _coord_dot(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sorted_coord_sum(x * y): (3,1|q,N),(3,q,N) -> (q,N), chunked over sites."""
+    n = y.shape[2]
+    buf = np.empty(y.shape[:2] + (min(n, CHUNK_SITES),))
+    for lo in range(0, n, CHUNK_SITES):
+        hi = min(lo + CHUNK_SITES, n)
+        part = buf[:, :, : hi - lo]
+        np.multiply(x[:, :, lo:hi], y[:, :, lo:hi], out=part)
+        sorted_coord_sum(part, out=out[:, lo:hi])
+    return out
+
+
+def _site_norms(v: np.ndarray) -> np.ndarray:
+    """Order-insensitive Euclidean norms per channel and site: (3,q,N) -> (q,N)."""
+    norms = _coord_dot(v, v, np.empty(v.shape[1:]))
+    return np.sqrt(norms, out=norms)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +471,10 @@ def pair_contract(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[0] != 3 or b.data.shape[0] != 3 or a.data.shape[2] != b.data.shape[2]:
         raise ParameterError(f"bad contraction shapes {a.data.shape} x {b.data.shape}")
-    prod = a.data[:, :, None, :] * b.data[:, None, :, :]  # (3, a, q, N)
-    out = sorted_coord_sum(prod, axis=0)
+    # one frame column at a time, so no (3, a, q, N) product is built
+    out = np.empty(a.data.shape[1:2] + b.data.shape[1:])
+    for i in range(out.shape[0]):
+        _coord_dot(a.data[:, i : i + 1], b.data, out[i])
 
     def bw(g):
         _accumulate(a, np.einsum("aqn,cqn->can", g, b.data))
@@ -457,8 +486,7 @@ def pair_contract(a, b) -> Tensor:
 def vector_norms(v) -> Tensor:
     """Per-channel per-site Euclidean norms: (3,q,N) -> (q,N), order-insensitive."""
     v = as_tensor(v)
-    sq = sorted_coord_sum(v.data * v.data, axis=0)
-    out = np.sqrt(sq)
+    out = _site_norms(v.data)
 
     def bw(g):
         denom = np.where(out > 0, out, 1.0)
@@ -483,25 +511,30 @@ def batch_norm_train(x, gain, bias, eps: float):
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    xhat = x.data - mu  # centered here, standardized in place below
+    out = xhat * xhat
+    var = out.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data[:, None] + bias.data[:, None]
+    xhat *= inv
+    np.multiply(xhat, gain.data[:, None], out=out)
+    out += bias.data[:, None]
     count = x.data.shape[1]
 
     def bw(g):
-        _accumulate(gain, (g * xhat).sum(axis=1))
+        # two full-size buffers; the in-place steps keep the textbook order
+        # inv / count * (count * gx - sum(gx) - xhat * sum(gx * xhat))
+        buf = g * xhat
+        _accumulate(gain, buf.sum(axis=1))
         _accumulate(bias, g.sum(axis=1))
         gx = g * gain.data[:, None]
-        _accumulate(
-            x,
-            inv / count * (
-                count * gx
-                - gx.sum(axis=1, keepdims=True)
-                - xhat * (gx * xhat).sum(axis=1, keepdims=True)
-            ),
-        )
+        sum_gx = gx.sum(axis=1, keepdims=True)
+        np.multiply(gx, xhat, out=buf)
+        sum_gx_xhat = buf.sum(axis=1, keepdims=True)
+        gx *= count
+        gx -= sum_gx
+        gx -= np.multiply(xhat, sum_gx_xhat, out=buf)
+        gx *= inv / count
+        _accumulate(x, gx)
 
     return _make(out, (x, gain, bias), bw), mu[:, 0], var[:, 0]
 
@@ -513,7 +546,7 @@ def vector_norm_scale_train(v, log_scale, eps: float):
     (out, mean_norms) with the (q,) batch statistic for running averages.
     """
     v, log_scale = as_tensor(v), as_tensor(log_scale)
-    norms = np.sqrt(sorted_coord_sum(v.data * v.data, axis=0))  # (q, N)
+    norms = _site_norms(v.data)  # (q, N)
     mean_norm = norms.mean(axis=1)
     denom = mean_norm + eps
     coef = np.exp(log_scale.data) / denom  # (q,)
@@ -521,11 +554,16 @@ def vector_norm_scale_train(v, log_scale, eps: float):
     count = v.data.shape[2]
 
     def bw(g):
-        a = (g * v.data).sum(axis=(0, 2))  # (q,) inner product with the output direction
+        buf = g * v.data
+        a = buf.sum(axis=(0, 2))  # (q,) inner product with the output direction
         _accumulate(log_scale, a * coef)
         through_mean = (a * coef / denom / count)[None, :, None]
         safe = np.where(norms > 0, norms, 1.0)[None, :, :]
-        _accumulate(v, g * coef[None, :, None] - through_mean * (v.data / safe))
+        gv = g * coef[None, :, None]
+        np.divide(v.data, safe, out=buf)
+        buf *= through_mean
+        gv -= buf
+        _accumulate(v, gv)
 
     return _make(out, (v, log_scale), bw), mean_norm
 

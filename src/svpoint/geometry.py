@@ -162,9 +162,10 @@ def knn_graphs(clouds, k: int) -> list[KnnGraph]:
     """
     n = _equal_point_count(clouds)
     _check_k(k, n)
-    pts = np.stack([c.points for c in clouds])  # (B, n, 3)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    d2 = ad.sorted_coord_sum(diff * diff, axis=3)
+    pts = np.stack([c.points for c in clouds]).transpose(2, 0, 1).copy()  # (3, B, n)
+    diff = pts[:, :, :, None] - pts[:, :, None, :]  # (3, B, n, n), coordinate first
+    diff *= diff
+    d2 = ad.sorted_coord_sum(diff, axis=0)
     idx = np.arange(n)
     d2[:, idx, idx] = np.inf
     order = np.argsort(d2, axis=2, kind="stable")[:, :, :k]  # stable: equal distances by index

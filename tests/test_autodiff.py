@@ -40,6 +40,7 @@ def test_sorted_coord_sum_correct_value():
     arr = rng.standard_normal((5, 3, 7))
     got = ad.sorted_coord_sum(arr, axis=1)
     assert np.abs(got - arr.sum(axis=1)).max() < 1e-12
+    assert ad.sorted_coord_sum(np.array([1.0, -2.0, 4.0])) == 3.0
 
 
 def test_sorted_coord_sum_needs_length_three():
@@ -204,6 +205,12 @@ def test_take_sites_backward_matches_add_at():
         assert np.abs(x.grad - ref).max() <= 1e-12 * scale, (shape, idx)
 
 
+def cube_act(matrix, arr):
+    """R . arr for a signed permutation R, by slice indexing and negation (no float product)."""
+    cols = np.abs(matrix).argmax(axis=1)
+    return np.stack([arr[j] if matrix[i, j] > 0 else -arr[j] for i, j in enumerate(cols)])
+
+
 def test_vector_map_raw_exact_under_cube_rotations_at_scale():
     """Signed permutations of the coordinates commute with the map bit for bit
     at benchmark scale, where BLAS blocks and threads the GEMMs."""
@@ -213,15 +220,66 @@ def test_vector_map_raw_exact_under_cube_rotations_at_scale():
     v = rng.standard_normal((3, 42, 32768))
     w = rng.standard_normal((42, 42))
     out = ad.vector_map_raw(v, w).data
-
-    def act(matrix, arr):  # R . arr by slice indexing and negation, no float product
-        cols = np.abs(matrix).argmax(axis=1)
-        return np.stack([arr[j] if matrix[i, j] > 0 else -arr[j] for i, j in enumerate(cols)])
-
     for index in range(24):
         matrix = signed_permutation_rotation(index).matrix
-        rotated = ad.vector_map_raw(act(matrix, v), w).data
-        assert np.array_equal(rotated, act(matrix, out)), f"rotation {index}"
+        rotated = ad.vector_map_raw(cube_act(matrix, v), w).data
+        assert np.array_equal(rotated, cube_act(matrix, out)), f"rotation {index}"
+
+
+def test_pair_contract_exact_at_scale():
+    """Across site-chunk boundaries the chunked contraction equals the unfused
+    product-then-sum bit for bit, on sites-major edge vectors as `take_sites`
+    lays them out, and is unchanged by the cube's rotations. (The fingerprint
+    configs have too few sites to fill one chunk.)"""
+    from svpoint.geometry import signed_permutation_rotation
+
+    rng = np.random.default_rng(28)
+    n, q = 2 * ad.CHUNK_SITES + 17, 42
+    a = rng.standard_normal((3, 3, n))
+    b = rng.standard_normal((n, 3, q)).transpose(1, 2, 0)
+    out = ad.pair_contract(a, b).data
+    assert np.array_equal(out, ad.sorted_coord_sum(a[:, :, None] * b[:, None], axis=0))
+    for index in range(24):
+        matrix = signed_permutation_rotation(index).matrix
+        rotated = ad.pair_contract(cube_act(matrix, a), cube_act(matrix, b)).data
+        assert np.array_equal(rotated, out), f"rotation {index}"
+
+    v = rng.standard_normal((3, q, n))
+    log_scale = rng.standard_normal(q) * 0.1
+    norms = np.sqrt(ad.sorted_coord_sum(v * v, axis=0))
+    mean_norm = norms.mean(axis=1)
+    scaled, got_mean = ad.vector_norm_scale_train(v, log_scale, 1e-5)
+    assert np.array_equal(got_mean, mean_norm)
+    assert np.array_equal(scaled.data, v * (np.exp(log_scale) / (mean_norm + 1e-5))[None, :, None])
+    assert np.array_equal(ad.vector_norms(v).data, norms)
+
+
+def test_fused_primitive_peak_allocations():
+    """The chunked contraction never builds its (3, a, q, N) product, and the
+    batch-norm backward works in two full-size buffers."""
+    import tracemalloc
+
+    rng = np.random.default_rng(29)
+
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    a = rng.standard_normal((3, 3, 32768))
+    b = rng.standard_normal((3, 42, 32768))
+    out_bytes = 3 * 42 * 32768 * 8
+    assert traced_peak(ad.pair_contract, a, b) <= 1.5 * out_bytes
+
+    x = ad.parameter(rng.standard_normal((130, 32768)))
+    gain, bias = ad.parameter(np.ones(130)), ad.parameter(np.zeros(130))
+    with ad.Tape():
+        out, _, _ = ad.batch_norm_train(x, gain, bias, 1e-5)
+    g = rng.standard_normal(out.data.shape)
+    assert traced_peak(out._grad_fn, g) <= 2.25 * x.data.nbytes
 
 
 def test_fd_vector_feature_ops():

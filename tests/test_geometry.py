@@ -183,6 +183,24 @@ def test_knn_graphs_batch_matches_single_clouds():
         assert np.array_equal(graph.neighbors, knn_one(cloud, 5).neighbors)
 
 
+def test_knn_tables_match_last_axis_network_with_ties():
+    """The coordinate-first distance sum orders neighbors as the network over a
+    trailing coordinate axis did, ties by index included."""
+    from svpoint.autodiff import sorted_coord_sum
+
+    grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    perm = np.random.default_rng(10).permutation(27)
+    clouds = [PointCloud(grid * 0.1), PointCloud(grid[perm] * 0.3 - 0.2)]
+    pts = np.stack([c.points for c in clouds])
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    d2 = sorted_coord_sum(diff * diff, axis=3)
+    d2[:, np.arange(27), np.arange(27)] = np.inf
+    tables = np.argsort(d2, axis=2, kind="stable")
+    for k in (6, 26):
+        for graph, table in zip(knn_graphs(clouds, k), tables):
+            assert np.array_equal(graph.neighbors, table[:, :k])
+
+
 def test_knn_permutation_consistent():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((30, 3))
