@@ -2,8 +2,9 @@
 
 Tensors wrap float64 numpy arrays. Recording happens only inside a Tape
 context; outside of one, ops run as plain numpy with no graph overhead.
-Backward traverses the recorded forward order reversed and accumulates
-gradients additively at fan-out points.
+Backward traverses the recorded forward order reversed, accumulates
+gradients additively at fan-out points, and frees each node's gradient
+as soon as it is consumed, so a tape sweeps once.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.swept = False
 
     def __enter__(self) -> "Tape":
         _ACTIVE_TAPES.append(self)
@@ -94,17 +96,25 @@ class Tape:
     def backward(self, loss: "Tensor") -> None:
         """Seed d(loss) and sweep the recorded nodes in reverse.
 
-        Gradients land in the .grad of every reachable tensor with
-        requires_grad, parameters included.
+        Gradients land in the .grad of every leaf tensor with
+        requires_grad, parameters included. Each recorded node lets go of
+        its gradient and its backward closure (with the arrays that
+        closure saved) as soon as the sweep passes it, so a tape sweeps
+        once; node data stays.
         """
+        if self.swept:
+            raise StateError("backward already ran on this tape; record a new forward")
         if not self.nodes:
             raise StateError("backward on a tape with no recorded forward")
         if loss._grad_fn is None and not loss.requires_grad:
             raise StateError("loss tensor was not recorded on this tape")
+        self.swept = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            if node.grad is not None and node._grad_fn is not None:
-                node._grad_fn(node.grad)
+            grad, grad_fn = node.grad, node._grad_fn
+            node.grad = node._grad_fn = None
+            if grad is not None and grad_fn is not None:
+                grad_fn(grad)
 
 
 class Tensor:
@@ -408,6 +418,19 @@ def expand_groups(x, size: int) -> Tensor:
     return _make(out, (x,), bw)
 
 
+def _scatter_sites(g: np.ndarray, idx: np.ndarray, n_cols: int) -> np.ndarray:
+    """Scatter-add the last axis of g onto n_cols columns at non-negative idx.
+
+    One bincount over (row, column) keys; it adds in index order, so the
+    result is deterministic and each row is summed independently.
+    """
+    lead = g.shape[:-1]
+    rows = math.prod(lead)
+    keys = (np.arange(rows) * n_cols)[:, None] + idx
+    acc = np.bincount(keys.ravel(), weights=g.ravel(), minlength=rows * n_cols)
+    return acc.reshape(lead + (n_cols,))
+
+
 def take_sites(x, idx: np.ndarray) -> Tensor:
     """Gather columns of the last axis; backward scatter-adds."""
     x = as_tensor(x)
@@ -417,13 +440,41 @@ def take_sites(x, idx: np.ndarray) -> Tensor:
     idx = np.where(idx < 0, idx + n_cols, idx)  # negative indices count from the end
 
     def bw(g):
-        # one bincount over (row, column) keys; it adds in index order, so
-        # the result is deterministic and each row is summed independently
-        lead = g.shape[:-1]
-        rows = math.prod(lead)
-        keys = (np.arange(rows) * n_cols)[:, None] + idx
-        acc = np.bincount(keys.ravel(), weights=g.ravel(), minlength=rows * n_cols)
-        _accumulate(x, acc.reshape(lead + (n_cols,)))
+        _accumulate(x, _scatter_sites(g, idx, n_cols))
+
+    return _make(out, (x,), bw)
+
+
+def edge_pairs(x, neighbors: np.ndarray) -> Tensor:
+    """Edge features [x_i ; x_j - x_i] over a neighbor table: (..., c, n) -> (..., 2c, n*k).
+
+    `neighbors` is (n, k); edge i*k + s pairs node i with neighbors[i, s],
+    so node i's edges are contiguous. The output is sites-major in memory
+    (the edge axis has the largest stride), the layout a gather along the
+    last axis gives.
+    """
+    x = as_tensor(x)
+    neighbors = np.asarray(neighbors)
+    n = x.data.shape[-1]
+    if neighbors.ndim != 2 or neighbors.shape[0] != n:
+        raise ParameterError(f"neighbor table of shape {neighbors.shape} for {n} nodes")
+    if neighbors.size and not 0 <= neighbors.min() <= neighbors.max() < n:
+        raise ParameterError(f"neighbor indices outside [0, {n})")
+    k = neighbors.shape[1]
+    c = x.data.shape[-2]
+    neigh_idx = neighbors.reshape(-1).astype(np.intp, copy=False)
+    center_idx = np.repeat(np.arange(n), k)
+    lead = x.data.shape[:-2]
+    out = np.moveaxis(np.empty((n * k,) + lead + (2 * c,)), 0, -1)
+    x_i = out[..., :c, :]
+    x_i[...] = x.data[..., center_idx]
+    np.subtract(x.data[..., neigh_idx], x_i, out=out[..., c:, :])
+
+    def bw(g):
+        g_diff = g[..., c:, :]
+        _accumulate(x, _scatter_sites(g_diff, neigh_idx, n))
+        # a - b is a + (-b) exactly, so this equals the unfused center gradient
+        _accumulate(x, _scatter_sites(g[..., :c, :] - g_diff, center_idx, n))
 
     return _make(out, (x,), bw)
 

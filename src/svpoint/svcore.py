@@ -329,19 +329,10 @@ def regroup_edges(x_node: SVFeature, graph) -> SVFeature:
     doubling the channel counts; N goes from n to k*n with node i's edges
     contiguous. Requires node features over the graph's base sites.
     """
-    s, v = ad.as_tensor(x_node.scalars), ad.as_tensor(x_node.vectors)
-    n, k = graph.n, graph.k
-    if x_node.n_sites != n:
-        raise ParameterError(f"{x_node.n_sites} node sites for a graph of {n} nodes")
-    center_idx = np.repeat(np.arange(n), k)
-    neigh_idx = graph.neighbors.reshape(-1)
-    s_i = ad.take_sites(s, center_idx)
-    s_j = ad.take_sites(s, neigh_idx)
-    v_i = ad.take_sites(v, center_idx)
-    v_j = ad.take_sites(v, neigh_idx)
-    s_out = ad.concat([s_i, ad.sub(s_j, s_i)], axis=0)
-    v_out = ad.concat([v_i, ad.sub(v_j, v_i)], axis=1)
-    return SVFeature(scalars=s_out, vectors=v_out)
+    if x_node.n_sites != graph.n:
+        raise ParameterError(f"{x_node.n_sites} node sites for a graph of {graph.n} nodes")
+    return SVFeature(scalars=ad.edge_pairs(x_node.scalars, graph.neighbors),
+                     vectors=ad.edge_pairs(x_node.vectors, graph.neighbors))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,55 @@ def test_backward_requires_recording():
         tape.backward(loose)
 
 
+def test_tape_is_single_use():
+    x = ad.parameter(np.array([3.0]))
+    with ad.Tape() as tape:
+        loss = (x * x).sum()
+    tape.backward(loss)
+    assert x.grad[0] == 6.0
+    with pytest.raises(StateError, match="backward already ran on this tape"):
+        tape.backward(loss)
+    assert x.grad[0] == 6.0
+
+
+def test_backward_releases_every_node():
+    """The sweep leaves no gradient or closure on a recorded node; leaf
+    gradients are those of the analytic formula, fan-out included."""
+    rng = np.random.default_rng(4)
+    w = ad.parameter(rng.standard_normal(5))
+    b = ad.parameter(rng.standard_normal(5))
+    x = ad.as_tensor(rng.standard_normal(5))
+    with ad.Tape() as tape:
+        y = w * x + b
+        loss = (y * y + w).sum()
+    tape.backward(loss)
+    assert len(tape.nodes) == 5
+    assert all(node.grad is None and node._grad_fn is None for node in tape.nodes)
+    y_ref = w.data * x.data + b.data
+    assert np.abs(w.grad - (2.0 * y_ref * x.data + 1.0)).max() < 1e-12
+    assert np.abs(b.grad - 2.0 * y_ref).max() < 1e-12
+
+
+def test_backward_peak_memory_frees_consumed_gradients():
+    """A chain of 12 products sweeps in a few live arrays, not one per node."""
+    import tracemalloc
+
+    p = ad.parameter(np.random.default_rng(5).standard_normal(10**6))
+    with ad.Tape() as tape:
+        y = p
+        for _ in range(12):
+            y = y * 1.001
+        loss = y.sum()
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(p.grad - 1.001**12).max() < 1e-12
+    assert peak <= 4 * p.data.nbytes
+
+
 def test_no_tape_means_no_recording():
     x = ad.parameter(np.ones(3))
     y = (x * 2.0).sum()
@@ -203,6 +252,57 @@ def test_take_sites_backward_matches_add_at():
         assert x.grad.shape == shape
         scale = max(float(np.abs(ref).max(initial=0.0)), 1.0)
         assert np.abs(x.grad - ref).max() <= 1e-12 * scale, (shape, idx)
+
+
+def edge_pairs_unfused(x, neighbors, axis):
+    """Reference composition that edge_pairs fuses: gathers, a difference, a concat."""
+    n, k = neighbors.shape
+    x_i = ad.take_sites(x, np.repeat(np.arange(n), k))
+    x_j = ad.take_sites(x, neighbors.reshape(-1))
+    return ad.concat([x_i, ad.sub(x_j, x_i)], axis=axis)
+
+
+def test_edge_pairs_matches_unfused_composition():
+    """Forward values and strides and the backward gradient equal the
+    take_sites/sub/concat composition bit for bit, across repeated
+    neighbors, on sites-major inputs as the model produces them."""
+    rng = np.random.default_rng(60)
+    n, q, k = 2 * ad.CHUNK_SITES + 17, 42, 4
+    neighbors = rng.integers(0, n, (n, k))
+    neighbors[::7, 1] = neighbors[::7, 0]  # the same neighbor twice
+    neighbors[::5, 2] = np.arange(0, n, 5)  # a node as its own neighbor
+    cases = [(rng.standard_normal((n, 3, q)).transpose(1, 2, 0), 1),
+             (rng.standard_normal((n, q)).T, 0)]
+    for data, axis in cases:
+        x_fused, x_ref = ad.parameter(data.copy()), ad.parameter(data.copy())
+        g = rng.standard_normal(data.shape[:-2] + (2 * q, n * k))
+        with ad.Tape() as tape:
+            fused = ad.edge_pairs(x_fused, neighbors)
+            loss = (fused * ad.as_tensor(g)).sum()
+        tape.backward(loss)
+        with ad.Tape() as tape:
+            ref = edge_pairs_unfused(x_ref, neighbors, axis)
+            loss = (ref * ad.as_tensor(g)).sum()
+        tape.backward(loss)
+        assert np.array_equal(fused.data, ref.data)
+        assert fused.data.strides == ref.data.strides
+        assert np.array_equal(x_fused.grad, x_ref.grad)
+
+
+def test_fd_edge_pairs():
+    x = rand_t((3, 2, 6), 61)
+    neighbors = np.array([[1, 1], [0, 5], [2, 3], [5, 0], [4, 4], [3, 1]])
+    rel = ad.finite_difference_check(weighted(lambda a: ad.edge_pairs(a, neighbors), 62), [x])
+    assert rel <= 1e-8
+
+
+def test_edge_pairs_rejects_bad_neighbors():
+    x = np.zeros((2, 4))
+    for bad in ([[1], [2], [3], [-1]], [[1], [2], [3], [4]]):
+        with pytest.raises(ParameterError, match=r"outside \[0, 4\)"):
+            ad.edge_pairs(x, np.array(bad))
+    with pytest.raises(ParameterError, match="for 4 nodes"):
+        ad.edge_pairs(x, np.array([[1], [2], [3]]))
 
 
 def cube_act(matrix, arr):

@@ -387,16 +387,23 @@ def test_command_error_paths(ws, tmp_path, capsys):
 
 
 def test_readme_commands_use_existing_flags():
+    """README code blocks and the `$ svpoint` lines of the logs under reports/
+    use only subcommands and flags the parser has."""
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     blocks = re.findall(r"^```\n(.*?)^```", README.read_text(), re.M | re.S)
-    commands = [line.split() for block in blocks for line in block.splitlines()
+    commands = [("README", line.split()) for block in blocks for line in block.splitlines()
                 if line.startswith("svpoint ")]
     assert len(commands) >= 6
-    for words in commands:
+    logs = sorted((README.parent / "reports").glob("*.log"))
+    logged = [(log.name, line.split()[1:]) for log in logs
+              for line in log.read_text().splitlines() if line.startswith("$ svpoint ")]
+    assert logs and len(logged) >= len(logs)
+    for source, words in commands + logged:
+        assert words[1] in sub.choices, f"{source}: no subcommand `svpoint {words[1]}`"
         options = sub.choices[words[1]]._option_string_actions
         for flag in (w for w in words if w.startswith("--")):
-            assert flag in options, f"README: `svpoint {words[1]}` has no {flag}"
+            assert flag in options, f"{source}: `svpoint {words[1]}` has no {flag}"
 
 
 def test_readme_config_keys_match_parser():
