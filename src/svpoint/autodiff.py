@@ -171,9 +171,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
 
@@ -353,19 +350,6 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (x,), bw)
 
 
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size // max(out.size, 1)
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g / count, x.data.shape).copy())
-
-    return _make(out, (x,), bw)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data @ b.data
@@ -534,18 +518,6 @@ def pair_contract(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def vector_norms(v) -> Tensor:
-    """Per-channel per-site Euclidean norms: (3,q,N) -> (q,N), order-insensitive."""
-    v = as_tensor(v)
-    out = _site_norms(v.data)
-
-    def bw(g):
-        denom = np.where(out > 0, out, 1.0)
-        _accumulate(v, (g / denom)[None, :, :] * v.data * (out > 0)[None, :, :])
-
-    return _make(out, (v,), bw)
-
-
 # ---------------------------------------------------------------------------
 # fused normalization (training mode)
 #
@@ -617,64 +589,6 @@ def vector_norm_scale_train(v, log_scale, eps: float):
         _accumulate(v, gv)
 
     return _make(out, (v, log_scale), bw), mean_norm
-
-
-# ---------------------------------------------------------------------------
-# precision-mode-aware linear layers
-#
-# These accept any object with weight/mode/beta/gamma (and optionally bias)
-# fields. Weights are stored in_dim x out_dim. The binary forwards use
-# sign_ste so the same code path trains with straight-through gradients;
-# their values match the packed integer kernels bit for bit because ±1
-# dot products are exact in float64.
-
-
-def scalar_linear(x, params) -> Tensor:
-    """Linear layer on scalar features (in, N) -> (out, N), full_precision or
-    binary_full; weight-only binarization belongs to the vector path."""
-    x = as_tensor(x)
-    w = as_tensor(params.weight)
-    if x.data.shape[0] != w.data.shape[0]:
-        raise ParameterError(
-            f"input channels {x.data.shape[0]} do not match weight rows {w.data.shape[0]}"
-        )
-    mode = getattr(params, "mode", "full_precision")
-    if mode == "full_precision":
-        out = matmul(transpose(w), x)
-        bias = getattr(params, "bias", None)
-        if bias is not None:
-            out = add(out, reshape(as_tensor(bias), (-1, 1)))
-        return out
-    if mode != "binary_full":
-        raise ParameterError(f"scalar features cannot use precision mode {mode!r}")
-    beta = params.beta
-    xs = sign_ste(x if beta is None else sub(x, reshape(as_tensor(beta), (-1, 1))))
-    out = matmul(transpose(sign_ste(w)), xs)
-    gamma = params.gamma
-    if gamma is not None:
-        out = mul(out, reshape(as_tensor(gamma), (-1, 1)))
-    return out
-
-
-def vector_linear(v, params) -> Tensor:
-    """Channel-mixing linear on vector features (3, q, N) -> (3, q', N).
-
-    Only full_precision and binary_weight are legal here: shifting or
-    binarizing the activations themselves would break equivariance, and a
-    bias would translate vectors.
-    """
-    v = as_tensor(v)
-    w = as_tensor(params.weight)
-    mode = getattr(params, "mode", "full_precision")
-    if mode == "full_precision":
-        return vector_map_raw(v, w)
-    if mode == "binary_weight":
-        out = vector_map_raw(v, sign_ste(w))
-        gamma = params.gamma
-        if gamma is not None:
-            out = mul(out, reshape(as_tensor(gamma), (1, -1, 1)))
-        return out
-    raise ParameterError(f"vector features cannot use precision mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -76,13 +76,6 @@ def bitpack(signs: np.ndarray) -> PackedSignMatrix:
     return PackedSignMatrix(rows=rows, cols=cols, words=np.ascontiguousarray(words))
 
 
-def bitunpack(packed: PackedSignMatrix) -> np.ndarray:
-    """Inverse of bitpack: recover the float ±1 matrix."""
-    raw = packed.words.astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(raw.reshape(packed.rows, -1), axis=1, bitorder="little")
-    return bits[:, : packed.cols].astype(np.float64) * 2.0 - 1.0
-
-
 def _tail_mask(cols: int, n_words: int) -> np.ndarray:
     mask = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
     rem = cols % WORD_BITS
@@ -119,21 +112,19 @@ def xnor_popcount_gemm(
 def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.ndarray:
     """Fully binarized linear layer: y = gamma * (Sign(x - beta) . Sign(W)).
 
-    x is (in_dim, N) with sites along columns; W is (in_dim, out_dim);
-    beta shifts input channels, gamma scales output channels. The packed
+    x is (in_dim, N) with sites along columns; `params` is a binary_full
+    `svcore.LinearParams` whose W is (in_dim, out_dim), whose beta shifts
+    input channels and whose gamma scales output channels. The packed
     XNOR route and the unpacked float route produce bit-identical output.
     """
     x = np.asarray(x, dtype=np.float64)
     w = _arr(params.weight)
-    mode = getattr(params, "mode", "binary_full")
-    if mode != "binary_full":
-        raise ParameterError(f"binary_linear_full needs mode binary_full, got {mode!r}")
+    if params.mode != "binary_full":
+        raise ParameterError(f"binary_linear_full needs mode binary_full, got {params.mode!r}")
     if x.ndim != 2 or w.ndim != 2 or x.shape[0] != w.shape[0]:
         raise ParameterError(f"shape mismatch: x {x.shape} vs weight {w.shape}")
-    beta = params.beta
-    beta = np.zeros(x.shape[0]) if beta is None else _arr(beta)
-    gamma = params.gamma
-    gamma = np.ones(w.shape[1]) if gamma is None else _arr(gamma)
+    beta = np.zeros(x.shape[0]) if params.beta is None else _arr(params.beta)
+    gamma = np.ones(w.shape[1]) if params.gamma is None else _arr(params.gamma)
     if beta.shape != (x.shape[0],) or gamma.shape != (w.shape[1],):
         raise ParameterError("beta must be per input channel, gamma per output channel")
     sx = sign(x - beta[:, None])

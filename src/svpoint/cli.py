@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from . import binkernel, netbuild
 from .errors import CheckpointError, ConfigError, ParameterError, StateError
-from .geometry import (PointCloud, apply_rotation, random_rotation, read_xyz,
-                       signed_permutation_rotation, synthesize_shapes,
+from .geometry import (SHAPE_NAMES, PointCloud, apply_rotation, random_rotation,
+                       read_xyz, signed_permutation_rotation, synthesize_shapes,
                        write_xyz, z_rotation)
 
 _ERRORS = (ParameterError, ConfigError, CheckpointError, StateError, OSError)
@@ -61,13 +61,12 @@ def _rotate_batch(clouds: list[PointCloud], kind: str, rng) -> list[PointCloud]:
 # dataset plumbing
 
 
-def _gen_split(out_dir: Path, split: str, count: int, classes: int, points: int,
-               seeds) -> None:
+def _gen_split(out_dir: Path, split: str, count: int, points: int, seeds) -> None:
     sub = out_dir / split
     sub.mkdir(parents=True, exist_ok=True)
     lines = []
     for i in range(count):
-        class_id = i % classes
+        class_id = i % len(SHAPE_NAMES)
         cloud = synthesize_shapes(class_id, points, np.random.default_rng(seeds[i]))
         name = f"{split}/c{class_id}_{i:04d}.xyz"
         write_xyz(cloud, out_dir / name)
@@ -75,36 +74,46 @@ def _gen_split(out_dir: Path, split: str, count: int, classes: int, points: int,
     (out_dir / f"{split}.tsv").write_text("\n".join(lines) + "\n")
 
 
-def load_split(data_dir, split: str) -> list[PointCloud]:
+def _manifest(data_dir, split: str):
+    """Yield (manifest:line, file name, class id) for each entry of a split."""
     manifest = Path(data_dir) / f"{split}.tsv"
     if not manifest.is_file():
         raise ParameterError(f"no manifest {manifest}; run gen-data first")
-    clouds = []
-    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            name, class_id = line.split("\t")
-        except ValueError:
-            raise ParameterError(f"{manifest}:{lineno}: expected filename<TAB>class") from None
-        cloud = read_xyz(Path(data_dir) / name)
-        cloud.label = int(class_id)
-        clouds.append(cloud)
-    if not clouds:
+    lines = manifest.read_text().splitlines()
+    if not any(line.strip() for line in lines):
         raise ParameterError(f"{manifest}: empty split")
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            name, _, class_id = line.partition("\t")
+            if not class_id.isdecimal():
+                raise ParameterError(f"{manifest}:{lineno}: expected filename<TAB>class id "
+                                     f"(an integer >= 0), got {line!r}")
+            yield f"{manifest}:{lineno}", name, int(class_id)
+
+
+def load_split(data_dir, split: str) -> list[PointCloud]:
+    clouds = []
+    for _, name, label in _manifest(data_dir, split):
+        clouds.append(read_xyz(Path(data_dir) / name))
+        clouds[-1].label = label
     return clouds
 
 
+def _check_classes(data_dir, split: str, classes: int) -> None:
+    """Reject a class id the model has no logit for, naming its manifest line."""
+    for where, _, label in _manifest(data_dir, split):
+        if label >= classes:
+            raise ParameterError(f"{where}: class id {label} is outside the model's "
+                                 f"{classes} classes")
+
+
 def cmd_gen_data(args) -> int:
-    classes = args.classes
-    if classes != 4:
-        raise ParameterError("the synthetic set defines exactly 4 classes")
     if args.train < 1 or args.test < 1 or args.points < 16:
         raise ParameterError("train/test counts must be >= 1 and points >= 16")
     out_dir = Path(args.out)
     seeds = np.random.SeedSequence(args.seed).spawn(args.train + args.test)
-    _gen_split(out_dir, "train", args.train, classes, args.points, seeds[: args.train])
-    _gen_split(out_dir, "test", args.test, classes, args.points, seeds[args.train:])
+    _gen_split(out_dir, "train", args.train, args.points, seeds[: args.train])
+    _gen_split(out_dir, "test", args.test, args.points, seeds[args.train:])
     print(f"wrote {args.train}+{args.test} clouds of {args.points} points to {out_dir}")
     return 0
 
@@ -176,10 +185,12 @@ def _train_epochs(model, train_clouds, test_clouds, protocol, epochs, total_epoc
 
 
 def cmd_train(args) -> int:
-    if args.epochs < 1:
-        raise ParameterError("epochs must be >= 1")
+    if args.epochs < 1 or args.batch < 1:
+        raise ParameterError("epochs and batch must be >= 1")
     cfg = netbuild.ModelConfig.from_file(args.config)
     protocol = EvalProtocol.from_string(args.protocol)
+    for split in ("train", "test"):
+        _check_classes(args.data, split, cfg.classes)
     train_clouds = load_split(args.data, "train")
     test_clouds = load_split(args.data, "test")
 
@@ -208,6 +219,7 @@ def cmd_eval(args) -> int:
     if args.trials < 1:
         raise ParameterError("trials must be >= 1")
     model = netbuild.load_checkpoint(args.ckpt)
+    _check_classes(args.data, args.split, model.cfg.classes)
     clouds = load_split(args.data, args.split)
     rng = np.random.default_rng(args.seed)
     accs = []
@@ -281,9 +293,6 @@ def cmd_count_ops(args) -> int:
     return 0
 
 
-_BENCH_KERNELS = (("xnor", "xnor_packed"), ("floatref", "float_matmul"), ("signadd", "signadd"))
-
-
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.n.replace(",", " ").split()]
     if args.trials < 1 or not sizes or min(sizes) < 1:
@@ -292,11 +301,9 @@ def cmd_bench(args) -> int:
     print("kernel,n,trials,ns_per_op")
     for n in sizes:
         by_kernel = {r["kernel"]: r for r in binkernel.bench_gemm(n, args.trials, seed=args.seed)}
-        rows += [by_kernel[name] for flag, name in _BENCH_KERNELS
-                 if args.kernel in (flag, "all")]
-        if args.kernel == "all":
-            ratio = by_kernel["float_matmul"]["ns_per_op"] / by_kernel["xnor_packed"]["ns_per_op"]
-            print(f"# n={n}: xnor speedup over floatref = {ratio:.1f}x")
+        rows += by_kernel.values()
+        ratio = by_kernel["float_matmul"]["ns_per_op"] / by_kernel["xnor_packed"]["ns_per_op"]
+        print(f"# n={n}: xnor speedup over floatref = {ratio:.1f}x")
     for r in rows:
         print(f"{r['kernel']},{r['n']},{r['trials']},{r['ns_per_op']:.0f}")
     return 0
@@ -311,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write the synthetic labeled dataset")
-    p.add_argument("--classes", type=int, default=4)
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--train", type=int, default=160)
     p.add_argument("--test", type=int, default=40)
@@ -356,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_ops)
 
     p = sub.add_parser("bench", help="kernel timing CSV")
-    p.add_argument("--kernel", choices=("xnor", "signadd", "floatref", "all"), default="all")
     p.add_argument("--n", default="256,1024")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

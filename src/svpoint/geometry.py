@@ -73,7 +73,7 @@ class KnnGraph:
 
 def random_rotation(rng_seed) -> Rotation:
     """Uniform rotation via a normalized Gaussian quaternion; seed or Generator."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     while True:
         quat = rng.standard_normal(4)
         norm = np.linalg.norm(quat)
@@ -89,7 +89,7 @@ def random_rotation(rng_seed) -> Rotation:
 
 def z_rotation(rng_seed) -> Rotation:
     """Rotation about the z axis by a uniform angle in [0, 2pi)."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     a = rng.uniform(0.0, 2.0 * np.pi)
     c, s = np.cos(a), np.sin(a)
     return Rotation(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
@@ -229,7 +229,7 @@ def synthesize_shapes(class_id: int, n_points: int, rng_seed) -> PointCloud:
         raise ParameterError(f"unknown shape class {class_id}")
     if n_points < 16:
         raise ParameterError(f"need at least 16 points, got {n_points}")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
 
     if class_id == 0:  # sphere
         g = rng.standard_normal((n_points, 3))
@@ -320,33 +320,4 @@ def read_xyz(path) -> PointCloud:
                 raise ParameterError(f"{path}:{lineno}: malformed real number") from None
     if not pts:
         raise ParameterError(f"{path}: no points")
-    return PointCloud(np.array(pts))
-
-
-def read_off(path) -> PointCloud:
-    """Vertex cloud from an OFF file; faces are ignored."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    if not lines or lines[0] != "OFF":
-        raise ParameterError(f"{path}:1: missing OFF header")
-    body = [(i + 1, ln) for i, ln in enumerate(lines[1:], 1) if ln and not ln.startswith("#")]
-    if not body:
-        raise ParameterError(f"{path}: missing counts line")
-    lineno, counts = body[0]
-    try:
-        nv = int(counts.split()[0])
-    except (ValueError, IndexError):
-        raise ParameterError(f"{path}:{lineno}: malformed counts line") from None
-    verts = body[1: 1 + nv]
-    if len(verts) < nv:
-        raise ParameterError(f"{path}: expected {nv} vertices, found {len(verts)}")
-    pts = []
-    for lineno, ln in verts:
-        parts = ln.split()
-        if len(parts) < 3:
-            raise ParameterError(f"{path}:{lineno}: vertex needs three coordinates")
-        try:
-            pts.append([float(p) for p in parts[:3]])
-        except ValueError:
-            raise ParameterError(f"{path}:{lineno}: malformed vertex coordinate") from None
     return PointCloud(np.array(pts))

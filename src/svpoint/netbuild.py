@@ -243,6 +243,8 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
     next to the linear maps, matching the five-term accounting.
     """
     cfg = model.cfg
+    if n_points < cfg.k + 1:
+        raise ParameterError(f"k={cfg.k} neighbors need {cfg.k + 1} points, got {n_points}")
     ctr = OpCounter()
     n_edges = n_points * cfg.k
     if not cfg.baseline:
@@ -404,7 +406,7 @@ def _build_block(model: Model, idx: int, rng, p_in: int, q_in: int,
 def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
     """Assemble a fresh model; weights Glorot-uniform from the seed."""
     cfg.validate()
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     model = Model(cfg)
 
     p, q = (6, 0) if cfg.baseline else (6, 2)

@@ -136,19 +136,60 @@ class SVBlockParams:
 
 
 # ---------------------------------------------------------------------------
-# core equivariant ops
+# precision-mode linear layers
+#
+# The binary forwards run sign_ste, so they train with straight-through
+# gradients and match the packed integer kernels bit for bit: ±1 dot
+# products are exact in float64.
+
+
+def scalar_linear(x, params: LinearParams) -> ad.Tensor:
+    """Linear layer on scalar features (in, N) -> (out, N), full_precision or
+    binary_full; weight-only binarization belongs to the vector path."""
+    x = ad.as_tensor(x)
+    w = ad.as_tensor(params.weight)
+    if x.data.shape[0] != w.data.shape[0]:
+        raise ParameterError(
+            f"input channels {x.data.shape[0]} do not match weight rows {w.data.shape[0]}"
+        )
+    if params.mode == "full_precision":
+        out = ad.matmul(ad.transpose(w), x)
+        if params.bias is not None:
+            out = ad.add(out, ad.reshape(ad.as_tensor(params.bias), (-1, 1)))
+        return out
+    if params.mode != "binary_full":
+        raise ParameterError(f"scalar features cannot use precision mode {params.mode!r}")
+    beta = params.beta
+    xs = ad.sign_ste(x if beta is None else ad.sub(x, ad.reshape(ad.as_tensor(beta), (-1, 1))))
+    out = ad.matmul(ad.transpose(ad.sign_ste(w)), xs)
+    if params.gamma is not None:
+        out = ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (-1, 1)))
+    return out
 
 
 def vector_mapping(v, params: LinearParams) -> ad.Tensor:
-    """Mix vector channels with one shared weight per coordinate: (3,q,N) -> (3,q',N)."""
+    """Mix vector channels with one shared weight per coordinate: (3,q,N) -> (3,q',N).
+
+    Only full_precision and binary_weight are legal here: shifting or
+    binarizing the activations themselves would break equivariance, and a
+    bias would translate vectors.
+    """
     v = ad.as_tensor(v)
     if v.data.ndim != 3 or v.data.shape[0] != 3:
         raise ParameterError(f"vector tensor must be (3, q, N), got {v.data.shape}")
-    if params.in_dim != v.data.shape[1]:
-        raise ParameterError(
-            f"weight rows {params.in_dim} do not match vector channels {v.data.shape[1]}"
-        )
-    return ad.vector_linear(v, params)
+    w = ad.as_tensor(params.weight)
+    if params.mode == "full_precision":
+        return ad.vector_map_raw(v, w)
+    if params.mode != "binary_weight":
+        raise ParameterError(f"vector features cannot use precision mode {params.mode!r}")
+    out = ad.vector_map_raw(v, ad.sign_ste(w))
+    if params.gamma is not None:
+        out = ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (1, -1, 1)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# core equivariant ops
 
 
 def coordinate_frame(v, frame: LinearParams) -> ad.Tensor:
@@ -184,7 +225,7 @@ def _activate(x, tag: str):
 
 def _run_mlp(x, layers: list[tuple[LinearParams, str]], skip_nonlin_last: bool = False):
     for i, (lin, tag) in enumerate(layers):
-        x = ad.scalar_linear(x, lin)
+        x = scalar_linear(x, lin)
         if not (skip_nonlin_last and i == len(layers) - 1):
             x = _activate(x, tag)
     return x
@@ -204,8 +245,6 @@ def reweighting_factors(s, params: SVBlockParams, groups: int = 1) -> ad.Tensor:
     then the small MLP ending in a sigmoid. Returns (q_out, groups)."""
     s = ad.as_tensor(s)
     n = s.data.shape[-1]
-    if n == 0:
-        raise ParameterError("cannot pool zero sites")
     if groups < 1 or n % groups != 0:
         raise ParameterError(f"{n} sites do not split into {groups} groups")
     s_com = ad.pool_groups(s, n // groups, "mean")  # (p, groups)
@@ -234,8 +273,6 @@ def vector_update(v, factors) -> ad.Tensor:
 
 
 def _normalize_scalars(s: ad.Tensor, norm: NormParams, stats_mode: str) -> ad.Tensor:
-    if stats_mode not in ("train", "eval"):
-        raise ParameterError(f"stats_mode must be train or eval, got {stats_mode!r}")
     if s.data.shape[0] == 0:
         return s
     if stats_mode == "train":
@@ -255,8 +292,6 @@ def _normalize_scalars(s: ad.Tensor, norm: NormParams, stats_mode: str) -> ad.Te
 
 
 def _normalize_vectors(v: ad.Tensor, norm: NormParams, stats_mode: str) -> ad.Tensor:
-    if stats_mode not in ("train", "eval"):
-        raise ParameterError(f"stats_mode must be train or eval, got {stats_mode!r}")
     if v.data.shape[1] == 0:
         return v
     if stats_mode == "train":
@@ -273,6 +308,8 @@ def _normalize_vectors(v: ad.Tensor, norm: NormParams, stats_mode: str) -> ad.Te
 def equivariant_norm(x: SVFeature, stats_mode: str, norm: NormParams) -> SVFeature:
     """Normalize a feature pair; scalar channels standardized, vector
     channels divided by their batch-mean norm so directions are untouched."""
+    if stats_mode not in ("train", "eval"):
+        raise ParameterError(f"stats_mode must be train or eval, got {stats_mode!r}")
     s = _normalize_scalars(ad.as_tensor(x.scalars), norm, stats_mode)
     v = _normalize_vectors(ad.as_tensor(x.vectors), norm, stats_mode)
     return SVFeature(scalars=s, vectors=v)

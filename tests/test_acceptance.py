@@ -331,22 +331,20 @@ def test_criterion_5_gradients(capsys):
         ("concat", weighted(lambda a, b: ad.concat([a, b], axis=0), 11), (x34, y34)),
         ("transpose", weighted(ad.transpose, 12), (x34,)),
         ("tsum", ad.tsum, (x34,)),
-        ("tmean", weighted(lambda a: ad.tmean(a, axis=1), 13), (x34,)),
         ("pool_mean", weighted(lambda a: ad.pool_groups(a, 2, "mean"), 14), (x34,)),
         ("pool_max", weighted(lambda a: ad.pool_groups(a, 2, "max"), 15), (off0,)),
         ("expand", weighted(lambda a: ad.expand_groups(a, 3), 16), (x34,)),
         ("take", weighted(lambda a: ad.take_sites(a, np.array([2, 0, 1, 3, 3])), 17), (x34,)),
         ("vector_map", weighted(ad.vector_map_raw, 18), (v3, wmap)),
         ("pair_contract", weighted(ad.pair_contract, 19), (v3, t(rng.standard_normal((3, 3, 4))))),
-        ("vector_norms", weighted(ad.vector_norms, 20), (v3,)),
         ("batch_norm", weighted(lambda a, g, b: ad.batch_norm_train(a, g, b, 1e-5)[0], 21),
          (x34, t(np.ones(3) + 0.3), t(np.zeros(3)))),
         ("vector_norm_scale",
          weighted(lambda a, s: ad.vector_norm_scale_train(a, s, 1e-5)[0], 22),
          (v3, t(np.zeros(3)))),
-        ("scalar_linear", weighted(lambda a, *_: ad.scalar_linear(a, lin), 23),
+        ("scalar_linear", weighted(lambda a, *_: sv.scalar_linear(a, lin), 23),
          (x34, lin.weight, lin.bias)),
-        ("vector_linear", weighted(lambda a, *_: ad.vector_linear(a, vlin), 24),
+        ("vector_linear", weighted(lambda a, *_: sv.vector_mapping(a, vlin), 24),
          (v3, vlin.weight)),
         ("cross_entropy", lambda a: ad.cross_entropy_logits(a, labels), (logits,)),
     ]

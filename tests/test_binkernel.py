@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-import svpoint.autodiff as ad
 from svpoint import binkernel as bk
 from svpoint.errors import ParameterError
-from svpoint.svcore import LinearParams
+from svpoint.svcore import LinearParams, vector_mapping
 
 
 def naive_pm1_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,7 +74,9 @@ def test_bitpack_round_trip():
     rng = np.random.default_rng(2)
     for cols in (1, 63, 64, 65, 1000):
         signs = bk.sign(rng.standard_normal((7, cols)))
-        assert np.array_equal(bk.bitunpack(bk.bitpack(signs)), signs)
+        raw = bk.bitpack(signs).words.astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(raw.reshape(7, -1), axis=1, bitorder="little")
+        assert np.array_equal(bits[:, :cols] * 2.0 - 1.0, signs)
 
 
 def test_bitpack_padding_zero():
@@ -193,7 +194,7 @@ def test_binary_full_mode_and_shape_checks():
         bk.binary_linear_full(np.ones((2, 4)), fp)  # wrong mode
 
 
-# weight-only binarization is the vector path's mode: ad.vector_linear
+# weight-only binarization is the vector path's mode: svcore.vector_mapping
 # applies one (in_dim, out_dim) sign weight to each coordinate slice
 
 
@@ -202,7 +203,7 @@ def test_binary_weight_all_positive_is_column_sum():
                           gamma=np.array([2.0]))
     v = np.zeros((3, 3, 1))
     v[0, :, 0] = [1.0, 2.0, 4.0]
-    out = ad.vector_linear(v, params).data
+    out = vector_mapping(v, params).data
     assert out[0, 0, 0] == 14.0  # 2 * (1+2+4)
     assert (out[1:] == 0.0).all()
 
@@ -210,7 +211,7 @@ def test_binary_weight_all_positive_is_column_sum():
 def test_binary_weight_zero_input():
     params = LinearParams(weight=np.random.default_rng(10).standard_normal((5, 3)),
                           mode="binary_weight", gamma=np.ones(3))
-    assert (ad.vector_linear(np.zeros((3, 5, 8)), params).data == 0.0).all()
+    assert (vector_mapping(np.zeros((3, 5, 8)), params).data == 0.0).all()
 
 
 def test_binary_weight_matches_dense_oracle():
@@ -221,7 +222,7 @@ def test_binary_weight_matches_dense_oracle():
         v = rng.standard_normal((3, 12, 30))
         w = np.asarray(params.weight.data)
         gamma = np.asarray(params.gamma.data)
-        got = ad.vector_linear(v, params).data
+        got = vector_mapping(v, params).data
         for c in range(3):
             oracle = gamma[:, None] * (bk.sign(w).T @ v[c])
             assert np.abs(got[c] - oracle).max() < 1e-12

@@ -2,6 +2,7 @@
 
 import argparse
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,6 @@ def test_gen_data_is_reproducible(ws, tmp_path, capsys):
 
 
 def test_gen_data_rejects_bad_requests(tmp_path, capsys):
-    assert cli.main(["gen-data", "--classes", "3", "--out", str(tmp_path / "x")]) == 1
-    assert "error:" in capsys.readouterr().err
     assert cli.main(["gen-data", "--points", "8", "--out", str(tmp_path / "y")]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -96,6 +95,13 @@ def test_load_split_diagnostics(tmp_path):
     (tmp_path / "train.tsv").write_text("\n  \n")
     with pytest.raises(ParameterError, match="empty split"):
         cli.load_split(tmp_path, "train")
+    write_xyz(PointCloud(np.eye(3)), tmp_path / "a.xyz")
+    for label in ("x", "-1", "1.0", ""):
+        (tmp_path / "train.tsv").write_text(f"a.xyz\t0\n\na.xyz\t{label}\n")
+        with pytest.raises(ParameterError, match=r"train\.tsv:3: expected filename<TAB>class"):
+            cli.load_split(tmp_path, "train")
+    (tmp_path / "train.tsv").write_text("a.xyz\t0\n\na.xyz\t7\n")
+    assert [c.label for c in cli.load_split(tmp_path, "train")] == [0, 7]
 
 
 def test_protocol_parsing():
@@ -342,9 +348,10 @@ def test_count_ops_needs_a_request(capsys):
 
 
 def test_bench_csv(capsys):
-    assert cli.main(["bench", "--kernel", "all", "--n", "64", "--trials", "1"]) == 0
+    assert cli.main(["bench", "--n", "64", "--trials", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "kernel,n,trials,ns_per_op"
+    assert re.fullmatch(r"# n=64: xnor speedup over floatref = [0-9.]+x", out[1])
     rows = [l.split(",") for l in out[1:] if l and not l.startswith("#")]
     assert {r[0] for r in rows} == {"xnor_packed", "float_matmul", "signadd"}
     for r in rows:
@@ -368,6 +375,11 @@ def test_command_error_paths(ws, tmp_path, capsys):
         ["count-ops", "--config", "/no/net.ini"],
         ["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
          "--epochs", "0", "--out", str(tmp_path / "x.ckpt")],
+        ["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
+         "--batch", "0", "--protocol", "z/SO3", "--epochs", "1", "--out", str(tmp_path / "x.ckpt")],
+        ["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
+         "--batch", "-1", "--epochs", "1", "--out", str(tmp_path / "x.ckpt")],
+        ["count-ops", "--config", str(ws / "net.ini"), "--points", "-5"],
         ["eval", "--ckpt", str(tmp_path / "absent.ckpt"), "--data", str(ws / "data"),
          "--trials", "0"],
         ["equiv-check", "--ckpt", str(tmp_path / "absent.ckpt"), "--trials", "0"],
@@ -380,6 +392,30 @@ def test_command_error_paths(ws, tmp_path, capsys):
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), argv
         assert captured.out == "", argv  # nothing on stdout before the diagnostic
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("label", ["x", "-1", "7"])
+def test_damaged_manifest_label_fails_in_one_line(ws, fp_ckpt, tmp_path, capsys, label):
+    """A class id that is no integer, is negative, or has no logit in the
+    4-class model stops train and eval in one line naming its manifest line."""
+    data = tmp_path / "data"
+    shutil.copytree(ws / "data", data)
+    for split in ("train", "test"):
+        lines = (data / f"{split}.tsv").read_text().splitlines()
+        lines[1] = lines[1].split("\t")[0] + "\t" + label
+        (data / f"{split}.tsv").write_text("\n".join(lines) + "\n")
+    for argv, split in (
+        (["train", "--config", str(ws / "net.ini"), "--data", str(data), "--epochs", "1",
+          "--out", str(tmp_path / "x.ckpt")], "train"),
+        (["eval", "--ckpt", str(fp_ckpt), "--data", str(data)], "test"),
+    ):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1, argv
+        assert err[0].startswith(f"error: {data / split}.tsv:2: "), err[0]
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------

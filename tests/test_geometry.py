@@ -6,7 +6,7 @@ import pytest
 from svpoint.errors import ParameterError
 from svpoint.geometry import (KnnGraph, PointCloud, Rotation, SVFeature,
                               apply_rotation, batch_graph, extract_initial_features,
-                              knn_graphs, random_rotation, read_off, read_xyz,
+                              knn_graphs, random_rotation, read_xyz,
                               rotate_feature, rotate_vectors,
                               signed_permutation_rotation, synthesize_shapes,
                               write_xyz, z_rotation)
@@ -402,24 +402,6 @@ def test_xyz_comments_and_errors(tmp_path):
     path.write_text("# only comments\n")
     with pytest.raises(ParameterError, match="no points"):
         read_xyz(path)
-
-
-def test_off_reader(tmp_path):
-    path = tmp_path / "m.off"
-    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-    cloud = read_off(path)
-    assert cloud.n == 3
-    assert np.array_equal(cloud.points[1], [1.0, 0.0, 0.0])
-
-    path.write_text("NOT-OFF\n")
-    with pytest.raises(ParameterError, match="OFF header"):
-        read_off(path)
-    path.write_text("OFF\n5 0 0\n0 0 0\n")
-    with pytest.raises(ParameterError, match="expected 5 vertices"):
-        read_off(path)
-    path.write_text("OFF\n1 0 0\n0 zero 0\n")
-    with pytest.raises(ParameterError, match="malformed vertex"):
-        read_off(path)
 
 
 def test_rotate_feature_action():

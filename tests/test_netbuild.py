@@ -342,6 +342,10 @@ def test_count_model_ops_fp_vs_binary():
     assert ops_bi.bops > 0 and ops_bi.adds > 0
     # binarization relabels work, never changes the totals
     assert ops_fp.macs == ops_bi.macs + ops_bi.adds + ops_bi.bops
+    nb.count_model_ops(fp, fp.cfg.k + 1)
+    for points in (fp.cfg.k, -5):  # a cloud needs k neighbors besides each point
+        with pytest.raises(ParameterError, match="neighbors need"):
+            nb.count_model_ops(fp, points)
 
 
 def test_param_bits_exact():
