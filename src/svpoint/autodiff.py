@@ -276,26 +276,6 @@ def sigmoid(x) -> Tensor:
     return _make(s, (x,), bw)
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    e = np.exp(x.data)
-
-    def bw(g):
-        _accumulate(x, g * e)
-
-    return _make(e, (x,), bw)
-
-
-def sqrt(x) -> Tensor:
-    x = as_tensor(x)
-    r = np.sqrt(x.data)
-
-    def bw(g):
-        _accumulate(x, g * 0.5 / r)
-
-    return _make(r, (x,), bw)
-
-
 def sign_ste(x) -> Tensor:
     """Elementwise Sign with the clipped straight-through backward rule."""
     x = as_tensor(x)
@@ -519,24 +499,31 @@ def pair_contract(a, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused normalization (training mode)
+# fused normalization
 #
 # Composing normalization from elementwise primitives works but costs a
 # dozen full-size passes per call; these fused forms do the textbook
-# backward in a few.
+# backward in a few. Given a statistic (eval's running one), an op uses it
+# as is, in the same arithmetic, and holds it fixed in backward.
 
 
-def batch_norm_train(x, gain, bias, eps: float):
-    """Standardize scalar channels over the site axis with learned affine.
+def batch_norm_train(x, gain, bias, eps: float, stats=None):
+    """Standardize scalar channels over the site axis with learned affine:
+    (x - mean) * (1 / sqrt(var + eps)) * gain + bias.
 
-    Returns (out, batch_mean, batch_var); the stats are plain (p,) arrays
-    for the caller's running averages.
+    `stats`, a (mean, var) pair of (p,) arrays, replaces the batch
+    statistics. Returns (out, mean, var), the stats as plain (p,) arrays.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=1, keepdims=True)
-    xhat = x.data - mu  # centered here, standardized in place below
-    out = xhat * xhat
-    var = out.mean(axis=1, keepdims=True)
+    if stats is None:
+        mu = x.data.mean(axis=1, keepdims=True)
+        xhat = x.data - mu  # centered here, standardized in place below
+        out = xhat * xhat
+        var = out.mean(axis=1, keepdims=True)
+    else:
+        mu, var = (stat[:, None] for stat in stats)
+        xhat = x.data - mu
+        out = np.empty_like(xhat)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     np.multiply(xhat, gain.data[:, None], out=out)
@@ -544,33 +531,38 @@ def batch_norm_train(x, gain, bias, eps: float):
     count = x.data.shape[1]
 
     def bw(g):
-        # two full-size buffers; the in-place steps keep the textbook order
-        # inv / count * (count * gx - sum(gx) - xhat * sum(gx * xhat))
         buf = g * xhat
         _accumulate(gain, buf.sum(axis=1))
         _accumulate(bias, g.sum(axis=1))
         gx = g * gain.data[:, None]
-        sum_gx = gx.sum(axis=1, keepdims=True)
-        np.multiply(gx, xhat, out=buf)
-        sum_gx_xhat = buf.sum(axis=1, keepdims=True)
-        gx *= count
-        gx -= sum_gx
-        gx -= np.multiply(xhat, sum_gx_xhat, out=buf)
-        gx *= inv / count
+        if stats is None:  # the batch statistics depend on x too
+            # two full-size buffers; the in-place steps keep the textbook order
+            # inv / count * (count * gx - sum(gx) - xhat * sum(gx * xhat))
+            sum_gx = gx.sum(axis=1, keepdims=True)
+            np.multiply(gx, xhat, out=buf)
+            sum_gx_xhat = buf.sum(axis=1, keepdims=True)
+            gx *= count
+            gx -= sum_gx
+            gx -= np.multiply(xhat, sum_gx_xhat, out=buf)
+            gx *= inv / count
+        else:
+            gx *= inv
         _accumulate(x, gx)
 
     return _make(out, (x, gain, bias), bw), mu[:, 0], var[:, 0]
 
 
-def vector_norm_scale_train(v, log_scale, eps: float):
+def vector_norm_scale_train(v, log_scale, eps: float, mean_norm=None):
     """Scale each vector channel by exp(log_scale) / (mean site norm + eps).
 
-    Directions never change, so the op is equivariant. Returns
-    (out, mean_norms) with the (q,) batch statistic for running averages.
+    Directions never change, so the op is equivariant. A (q,) `mean_norm`
+    replaces the batch's mean site norms. Returns (out, mean_norm).
     """
     v, log_scale = as_tensor(v), as_tensor(log_scale)
-    norms = _site_norms(v.data)  # (q, N)
-    mean_norm = norms.mean(axis=1)
+    norms = None
+    if mean_norm is None:
+        norms = _site_norms(v.data)  # (q, N)
+        mean_norm = norms.mean(axis=1)
     denom = mean_norm + eps
     coef = np.exp(log_scale.data) / denom  # (q,)
     out = v.data * coef[None, :, None]
@@ -580,12 +572,13 @@ def vector_norm_scale_train(v, log_scale, eps: float):
         buf = g * v.data
         a = buf.sum(axis=(0, 2))  # (q,) inner product with the output direction
         _accumulate(log_scale, a * coef)
-        through_mean = (a * coef / denom / count)[None, :, None]
-        safe = np.where(norms > 0, norms, 1.0)[None, :, :]
         gv = g * coef[None, :, None]
-        np.divide(v.data, safe, out=buf)
-        buf *= through_mean
-        gv -= buf
+        if norms is not None:  # the batch mean norm depends on v too
+            through_mean = (a * coef / denom / count)[None, :, None]
+            safe = np.where(norms > 0, norms, 1.0)[None, :, :]
+            np.divide(v.data, safe, out=buf)
+            buf *= through_mean
+            gv -= buf
         _accumulate(v, gv)
 
     return _make(out, (v, log_scale), bw), mean_norm

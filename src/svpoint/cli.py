@@ -136,18 +136,33 @@ def _accuracy(model: netbuild.Model, clouds: list[PointCloud], batch: int = 32) 
     return hits / len(clouds)
 
 
-def _train_epochs(model, train_clouds, test_clouds, protocol, epochs, total_epochs,
-                  start_epoch, args, aug_rng, phase, best):
+def cmd_train(args) -> int:
+    if args.epochs < 1 or args.batch < 1:
+        raise ParameterError("epochs and batch must be >= 1")
+    cfg = netbuild.ModelConfig.from_file(args.config)
+    protocol = EvalProtocol.from_string(args.protocol)
+    for split in ("train", "test"):
+        _check_classes(args.data, split, cfg.classes)
+    train_clouds = load_split(args.data, "train")
+    test_clouds = load_split(args.data, "test")
+
+    init_seed, aug_seed = np.random.SeedSequence(args.seed).spawn(2)
+    model = netbuild.build_model(cfg, np.random.default_rng(init_seed))
+    aug_rng = np.random.default_rng(aug_seed)
+
     labels_all = np.array([c.label for c in train_clouds])
     n_train = len(train_clouds)
     # without train-time rotation the clouds never change, so their
     # neighbor tables can be built once instead of once per step
     table = None
     if protocol.train_rot == "none":
-        table = netbuild.neighbor_tables(train_clouds, model.cfg.k, chunk=args.batch)
-    for local in range(epochs):
-        epoch = start_epoch + local
-        lr = ad.lr_schedule(args.schedule, epoch, total_epochs, args.lr)
+        table = netbuild.neighbor_tables(train_clouds, cfg.k, chunk=args.batch)
+    phase, best = 1, -1.0
+    for epoch in range(args.epochs):
+        if cfg.binarize == "two_step" and epoch == args.epochs // 2:
+            netbuild.binarize_plan(model, "two_step_phase2")
+            phase, best = 2, -1.0  # checkpoint selection restarts: modes changed
+        lr = ad.lr_schedule(args.schedule, epoch, args.epochs, args.lr)
         order = aug_rng.permutation(n_train)
         losses, hits = [], 0
         for step, lo in enumerate(range(0, n_train, args.batch)):
@@ -178,40 +193,10 @@ def _train_epochs(model, train_clouds, test_clouds, protocol, epochs, total_epoc
             f"loss={np.mean(losses):.4f} acc={hits / n_train:.4f} test_acc={test_acc:.4f}",
             flush=True,
         )
-        if test_acc > best[0]:
-            best[0] = test_acc
+        if test_acc > best:
+            best = test_acc
             netbuild.save_checkpoint(model, args.out)
-    return best
-
-
-def cmd_train(args) -> int:
-    if args.epochs < 1 or args.batch < 1:
-        raise ParameterError("epochs and batch must be >= 1")
-    cfg = netbuild.ModelConfig.from_file(args.config)
-    protocol = EvalProtocol.from_string(args.protocol)
-    for split in ("train", "test"):
-        _check_classes(args.data, split, cfg.classes)
-    train_clouds = load_split(args.data, "train")
-    test_clouds = load_split(args.data, "test")
-
-    seq = np.random.SeedSequence(args.seed)
-    init_seed, aug_seed = seq.spawn(2)
-    model = netbuild.build_model(cfg, np.random.default_rng(init_seed))
-    aug_rng = np.random.default_rng(aug_seed)
-
-    best = [-1.0]
-    if cfg.binarize == "two_step":
-        phase1 = args.epochs // 2
-        _train_epochs(model, train_clouds, test_clouds, protocol, phase1, args.epochs,
-                      0, args, aug_rng, 1, best)
-        netbuild.binarize_plan(model, "two_step_phase2")
-        best[0] = -1.0  # phase 2 restarts checkpoint selection: modes changed
-        _train_epochs(model, train_clouds, test_clouds, protocol, args.epochs - phase1,
-                      args.epochs, phase1, args, aug_rng, 2, best)
-    else:
-        _train_epochs(model, train_clouds, test_clouds, protocol, args.epochs,
-                      args.epochs, 0, args, aug_rng, 1, best)
-    print(f"best test_acc={best[0]:.4f} saved={args.out}")
+    print(f"best test_acc={best:.4f} saved={args.out}")
     return 0
 
 
@@ -294,9 +279,11 @@ def cmd_count_ops(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.n.replace(",", " ").split()]
+    # a size that is no decimal integer reads as 0 and fails the check
+    sizes = [int(s) if s.isdecimal() else 0 for s in args.n.replace(",", " ").split()]
     if args.trials < 1 or not sizes or min(sizes) < 1:
-        raise ParameterError("n and trials must be positive")
+        raise ParameterError(f"--n {args.n!r} must list positive integers and "
+                             f"--trials must be positive")
     rows = []
     print("kernel,n,trials,ns_per_op")
     for n in sizes:

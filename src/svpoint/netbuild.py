@@ -109,6 +109,8 @@ class ModelConfig:
                 kwargs["head_dim"] = sec.getint("head_dim")
         except ValueError as exc:
             raise ConfigError(f"config value error: {exc}") from None
+        if kwargs.get("channel_plan") == ():  # () would mean the backbone's default plan
+            raise ConfigError("channels is empty; list the block widths or drop the key")
         cfg = cls(**kwargs)
         cfg.raw_text = text
         return cfg
@@ -516,6 +518,14 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, count: int, what: str) -> str:
+        start, raw = self.pos, self.take(count)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} is not UTF-8: byte {raw[exc.start]:#04x} "
+                                  f"at offset {start + exc.start}") from None
+
 
 def save_checkpoint(model: Model, path) -> None:
     """Serialize config text and every persistent array, little-endian."""
@@ -560,7 +570,7 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = cur.unpack("<I")
-    cfg_text = cur.take(cfg_len).decode("utf-8")
+    cfg_text = cur.text(cfg_len, f"{path}: config text")
     phase2 = cfg_text.endswith(_BINARIZED_MARKER)
     cfg_text = cfg_text.removesuffix(_BINARIZED_MARKER)
     try:
@@ -582,7 +592,7 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
     seen = set()
     for _ in range(count):
         (name_len,) = cur.unpack("<H")
-        name = cur.take(name_len).decode("utf-8")
+        name = cur.text(name_len, f"{path}: tensor name")
         tag, ndim = cur.unpack("<BB")
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")

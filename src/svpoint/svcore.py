@@ -100,6 +100,11 @@ class BlockToggles:
     vector_reweight: bool = True
 
 
+# each training batch moves the running statistics by this share
+NORM_MOMENTUM = 0.1
+NORM_EPS = 1e-5
+
+
 @dataclass
 class NormParams:
     """Normalization state for one block: affine scalar stats, vector norm scale."""
@@ -110,8 +115,6 @@ class NormParams:
     running_mean: np.ndarray
     running_var: np.ndarray
     running_norm: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
     def create(cls, p: int, q: int) -> "NormParams":
@@ -272,46 +275,45 @@ def vector_update(v, factors) -> ad.Tensor:
 # normalization
 
 
-def _normalize_scalars(s: ad.Tensor, norm: NormParams, stats_mode: str) -> ad.Tensor:
+def _update_running(running: tuple[np.ndarray, ...], batch: tuple[np.ndarray, ...]) -> None:
+    """Move running statistics toward a training batch's, in place."""
+    for run, stat in zip(running, batch):
+        run *= 1 - NORM_MOMENTUM
+        run += NORM_MOMENTUM * stat
+
+
+def _normalize_scalars(s: ad.Tensor, norm: NormParams, train: bool) -> ad.Tensor:
     if s.data.shape[0] == 0:
         return s
-    if stats_mode == "train":
-        out, mean, var = ad.batch_norm_train(s, norm.scalar_gain, norm.scalar_bias, norm.eps)
-        m = norm.momentum
-        norm.running_mean *= 1 - m
-        norm.running_mean += m * mean
-        norm.running_var *= 1 - m
-        norm.running_var += m * var
-        return out
-    centered = ad.sub(s, ad.as_tensor(norm.running_mean[:, None]))
-    inv = ad.div(1.0, ad.sqrt(ad.add(ad.as_tensor(norm.running_var[:, None]), norm.eps)))
-    out = ad.mul(centered, inv)
-    gain = ad.reshape(ad.as_tensor(norm.scalar_gain), (-1, 1))
-    bias = ad.reshape(ad.as_tensor(norm.scalar_bias), (-1, 1))
-    return ad.add(ad.mul(out, gain), bias)
+    running = (norm.running_mean, norm.running_var)
+    out, *batch = ad.batch_norm_train(s, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
+                                      None if train else running)
+    if train:
+        _update_running(running, batch)
+    return out
 
 
-def _normalize_vectors(v: ad.Tensor, norm: NormParams, stats_mode: str) -> ad.Tensor:
+def _normalize_vectors(v: ad.Tensor, norm: NormParams, train: bool) -> ad.Tensor:
     if v.data.shape[1] == 0:
         return v
-    if stats_mode == "train":
-        out, mean_norm = ad.vector_norm_scale_train(v, norm.vector_log_scale, norm.eps)
-        m = norm.momentum
-        norm.running_norm *= 1 - m
-        norm.running_norm += m * mean_norm
-        return out
-    scale = ad.exp(ad.as_tensor(norm.vector_log_scale))  # learned positive scale
-    per_channel = ad.div(scale, ad.add(ad.as_tensor(norm.running_norm), norm.eps))
-    return ad.mul(v, ad.reshape(per_channel, (1, -1, 1)))
+    out, mean_norm = ad.vector_norm_scale_train(v, norm.vector_log_scale, NORM_EPS,
+                                                None if train else norm.running_norm)
+    if train:
+        _update_running((norm.running_norm,), (mean_norm,))
+    return out
 
 
 def equivariant_norm(x: SVFeature, stats_mode: str, norm: NormParams) -> SVFeature:
     """Normalize a feature pair; scalar channels standardized, vector
-    channels divided by their batch-mean norm so directions are untouched."""
+    channels divided by their mean site norm so directions are untouched.
+
+    Training normalizes by the batch statistics and folds them into the
+    running ones; eval normalizes by the running statistics."""
     if stats_mode not in ("train", "eval"):
         raise ParameterError(f"stats_mode must be train or eval, got {stats_mode!r}")
-    s = _normalize_scalars(ad.as_tensor(x.scalars), norm, stats_mode)
-    v = _normalize_vectors(ad.as_tensor(x.vectors), norm, stats_mode)
+    train = stats_mode == "train"
+    s = _normalize_scalars(ad.as_tensor(x.scalars), norm, train)
+    v = _normalize_vectors(ad.as_tensor(x.vectors), norm, train)
     return SVFeature(scalars=s, vectors=v)
 
 

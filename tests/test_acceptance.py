@@ -316,6 +316,10 @@ def test_criterion_5_gradients(capsys):
     vlin = sv.LinearParams(weight=t(rng.standard_normal((3, 2))))
     logits = t(rng.standard_normal((3, 5)))
     labels = np.array([0, 2, 1, 1, 0])
+    # running statistics as eval passes them, held fixed; taken from `pos`
+    # so that the other cases keep their inputs
+    fixed_mv = (pos.data[:, 0] - 1.0, pos.data[:, 1].copy())
+    fixed_n = pos.data[:, 2].copy()
 
     cases = [
         ("add", weighted(ad.add, 1), (x34, y34)),
@@ -324,8 +328,12 @@ def test_criterion_5_gradients(capsys):
         ("div", weighted(ad.div, 4), (x34, y34)),
         ("relu", weighted(ad.relu, 5), (off0,)),
         ("sigmoid", weighted(ad.sigmoid, 6), (x34,)),
-        ("exp", weighted(ad.exp, 7), (x34,)),
-        ("sqrt", weighted(ad.sqrt, 8), (pos,)),
+        ("batch_norm_fixed",
+         weighted(lambda a, g, b: ad.batch_norm_train(a, g, b, 1e-5, stats=fixed_mv)[0], 7),
+         (x34, t(np.ones(3) - 0.2), t(np.full(3, 0.1)))),
+        ("vector_norm_scale_fixed",
+         weighted(lambda a, s: ad.vector_norm_scale_train(a, s, 1e-5, mean_norm=fixed_n)[0], 8),
+         (v3, t(np.full(3, 0.2)))),
         ("matmul", weighted(ad.matmul, 9), (x34, t(rng.standard_normal((4, 2))))),
         ("reshape", weighted(lambda a: ad.reshape(a, (4, 3)), 10), (x34,)),
         ("concat", weighted(lambda a, b: ad.concat([a, b], axis=0), 11), (x34, y34)),

@@ -183,8 +183,6 @@ def test_fd_elementwise_ops():
         (lambda a, b: (a * b).sum(), [x, y], 1e-7),
         (lambda a, b: (a / (b * b + 1.0)).sum(), [x, y], 1e-6),
         (lambda a: ad.sigmoid(a).sum(), [rand_t((5,), 12)], 1e-6),
-        (lambda a: ad.exp(a).sum(), [rand_t((5,), 13)], 1e-6),
-        (lambda a: ad.sqrt(a * a + 1.0).sum(), [rand_t((5,), 14)], 1e-6),
         (lambda a: ad.relu(a + 0.3).sum(), [rand_t((6,), 15)], 1e-6),
     ]
     for i, (op, inputs, tol) in enumerate(cases):

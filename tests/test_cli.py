@@ -193,6 +193,23 @@ def test_train_two_step_phases(ws, tmp_path, capsys):
     assert model.cfg.binarize == "two_step"
 
 
+def test_train_builds_neighbor_tables_once(ws, tmp_path, capsys, monkeypatch):
+    """An unrotated two-step run reuses one set of tables across both phases;
+    one epoch is all phase 2."""
+    calls = []
+    real = nb.neighbor_tables
+    monkeypatch.setattr(nb, "neighbor_tables", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for epochs, phases in (("2", ["1", "2"]), ("1", ["2"])):
+        calls.clear()
+        assert cli.main(["train", "--config", str(ws / "two_step.ini"), "--data",
+                         str(ws / "data"), "--protocol", "I/SO3", "--epochs", epochs,
+                         "--out", str(tmp_path / "ts.ckpt")]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch=")]
+        assert [EPOCH_LINE.match(l).group(2) for l in lines] == phases
+        assert len(calls) == 1
+        assert nb.load_checkpoint(tmp_path / "ts.ckpt").binarized
+
+
 def test_train_rejects_a_state_section(ws, tmp_path, capsys):
     # only checkpoints carry [state]; from a config it made unloadable checkpoints
     out = tmp_path / "state.ckpt"
@@ -385,6 +402,7 @@ def test_command_error_paths(ws, tmp_path, capsys):
         ["equiv-check", "--ckpt", str(tmp_path / "absent.ckpt"), "--trials", "0"],
         ["bench", "--n", "0"],
         ["bench", "--n", "64", "--trials", "0"],
+        ["bench", "--n", "abc"],
     ]
     for argv in cases:
         assert cli.main(argv) == 1, argv

@@ -129,6 +129,10 @@ def test_config_rejects_bad_input():
         nb.ModelConfig.from_text("[net]\nbackbone = pointnet_like\n")
     with pytest.raises(ConfigError):
         nb.ModelConfig.from_text("[model]\nk = three\n")
+    # an explicit empty plan once silently became the backbone's default
+    for empty in ("", " ", ","):
+        with pytest.raises(ConfigError, match="channels is empty"):
+            nb.ModelConfig.from_text(f"[model]\nchannels ={empty}\n")
     with pytest.raises(ConfigError):
         nb.ModelConfig.from_file("/no/such/file.ini")
     # a user [state] section once steered how checkpoints were read back
@@ -492,6 +496,14 @@ def test_checkpoint_rejects_damage(tmp_path):
     trailing.write_bytes(blob + b"garbage")
     with pytest.raises(CheckpointError, match=f"offset {len(blob)}"):
         nb.load_checkpoint(trailing)
+
+    # the config text starts at byte 12, after magic, version and its length
+    for offset in (12, blob.index(b"head.frame.weight") + 3):
+        garbled = tmp_path / "utf8.ckpt"
+        garbled.write_bytes(blob[:offset] + b"\xff" + blob[offset + 1:])
+        what = "config text" if offset == 12 else "tensor name"
+        with pytest.raises(CheckpointError, match=f"{what} is not UTF-8: byte 0xff at offset {offset}"):
+            nb.load_checkpoint(garbled)
 
     # a payload follows its name, dtype tag, rank and shape; poison its first entry
     arrays = dict(nb.build_model(small_cfg()).state_arrays())

@@ -322,6 +322,33 @@ def test_norm_eval_uses_running_stats():
         equivariant_norm(feat, "test", norm)
 
 
+def test_norm_eval_is_the_explicit_affine_bit_for_bit():
+    """Eval normalizes by the running statistics with the formulas written
+    out, operation for operation, at the size of the first block of a
+    pointnet batch (32 clouds of 256 points, k=16, width 64 split 34 + 3*10),
+    and leaves the running statistics alone."""
+    p, q, n = 34, 10, 32 * 256 * 16
+    rng = np.random.default_rng(16)
+    norm = NormParams.create(p, q)
+    norm.scalar_gain.data[...] = rng.standard_normal(p)
+    norm.scalar_bias.data[...] = rng.standard_normal(p)
+    norm.vector_log_scale.data[...] = rng.standard_normal(q) * 0.3
+    norm.running_mean[...] = rng.standard_normal(p)
+    norm.running_var[...] = rng.random(p) * 3
+    norm.running_norm[...] = rng.random(q) * 2
+    running = [a.copy() for a in (norm.running_mean, norm.running_var, norm.running_norm)]
+    s, v = rng.standard_normal((p, n)) * 4, rng.standard_normal((3, q, n))
+    out = equivariant_norm(SVFeature(scalars=s, vectors=v), "eval", norm)
+
+    gamma, beta = norm.scalar_gain.data[:, None], norm.scalar_bias.data[:, None]
+    inv = 1.0 / np.sqrt(running[1][:, None] + 1e-5)
+    assert np.array_equal(arr(out.scalars), (s - running[0][:, None]) * inv * gamma + beta)
+    coef = np.exp(norm.vector_log_scale.data) / (running[2] + 1e-5)
+    assert np.array_equal(arr(out.vectors), v * coef[None, :, None])
+    for kept, now in zip(running, (norm.running_mean, norm.running_var, norm.running_norm)):
+        assert np.array_equal(kept, now)
+
+
 # ---------------------------------------------------------------------------
 # the block
 
