@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import binkernel, netbuild
-from .errors import CheckpointError, ConfigError, ParameterError, StateError
+from .errors import CheckpointError, ConfigError, ParameterError, StateError, decode_utf8
 from .geometry import (SHAPE_NAMES, PointCloud, apply_rotation, random_rotation,
                        read_xyz, signed_permutation_rotation, synthesize_shapes,
                        write_xyz, z_rotation)
@@ -79,7 +79,7 @@ def _manifest(data_dir, split: str):
     manifest = Path(data_dir) / f"{split}.tsv"
     if not manifest.is_file():
         raise ParameterError(f"no manifest {manifest}; run gen-data first")
-    lines = manifest.read_text().splitlines()
+    lines = decode_utf8(manifest.read_bytes(), str(manifest), ParameterError).splitlines()
     if not any(line.strip() for line in lines):
         raise ParameterError(f"{manifest}: empty split")
     for lineno, line in enumerate(lines, 1):
@@ -160,7 +160,7 @@ def cmd_train(args) -> int:
     phase, best = 1, -1.0
     for epoch in range(args.epochs):
         if cfg.binarize == "two_step" and epoch == args.epochs // 2:
-            netbuild.binarize_plan(model, "two_step_phase2")
+            netbuild.binarize_plan(model)
             phase, best = 2, -1.0  # checkpoint selection restarts: modes changed
         lr = ad.lr_schedule(args.schedule, epoch, args.epochs, args.lr)
         order = aug_rng.permutation(n_train)

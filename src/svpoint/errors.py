@@ -15,3 +15,13 @@ class CheckpointError(RuntimeError):
 
 class StateError(RuntimeError):
     """An operation was called in an invalid state (e.g. double binarization)."""
+
+
+def decode_utf8(raw: bytes, what: str, error: type[Exception], base: int = 0) -> str:
+    """Decode text input, or raise `error` naming `what` and the file offset
+    of its first invalid byte (`raw` starts at offset `base`)."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8: byte {raw[exc.start]:#04x} "
+                    f"at offset {base + exc.start}") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ParameterError
+from .errors import ParameterError, decode_utf8
 from .svcore import SVFeature, _data, coordinate_frame, invariant_projection, regroup_edges
 
 # ---------------------------------------------------------------------------
@@ -306,18 +306,19 @@ def write_xyz(cloud: PointCloud, path) -> None:
 
 def read_xyz(path) -> PointCloud:
     pts = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParameterError(f"{path}:{lineno}: expected three coordinates")
-            try:
-                pts.append([float(p) for p in parts])
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: malformed real number") from None
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), str(path), ParameterError)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParameterError(f"{path}:{lineno}: expected three coordinates")
+        try:
+            pts.append([float(p) for p in parts])
+        except ValueError:
+            raise ParameterError(f"{path}:{lineno}: malformed real number") from None
     if not pts:
         raise ParameterError(f"{path}: no points")
     return PointCloud(np.array(pts))

@@ -1,8 +1,9 @@
 """Model assembly, operation accounting, and checkpoint persistence.
 
 A model is a stack of scalar-vector blocks over kNN edge features with a
-global pooling head. Configs come from INI-style text ([model] section)
-that is echoed into checkpoints so a file fully describes its weights.
+global pooling head. Configs come from INI-style text ([model] section);
+checkpoints store the config's canonical text so a file fully describes
+its weights.
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CheckpointError, ConfigError, ParameterError, StateError
+from .errors import CheckpointError, ConfigError, ParameterError, StateError, decode_utf8
 from .geometry import KnnGraph, PointCloud, batch_graph, extract_initial_features, knn_graphs
-from .svcore import (BlockToggles, LinearParams, NormParams, SVBlockParams,
-                     _run_mlp, aggregate, invariant_head, regroup_edges,
-                     svblock_forward)
+from .svcore import (LinearParams, NormParams, SVBlockParams, _run_mlp, aggregate,
+                     invariant_head, regroup_edges, svblock_forward)
 
 BACKBONES = ("pointnet_like", "dgcnn_like")
 BINARIZE_MODES = ("none", "vanilla", "two_step")
 DEFAULT_PLANS = {"pointnet_like": (64, 128, 256), "dgcnn_like": (64, 64, 128, 256)}
+# extract_initial_features gives each edge six scalars, and two vectors unless baseline
+EXTRACT_SCALARS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,6 @@ class ModelConfig:
     classes: int = 4
     head_dim: int = 512
     baseline: bool = False
-    raw_text: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.channel_plan:
@@ -68,6 +69,11 @@ class ModelConfig:
         if self.head_dim < 1:
             raise ConfigError(f"head_dim must be positive, got {self.head_dim}")
 
+    @staticmethod
+    def _key(name: str) -> str:
+        """The config text's name for a field: `channels` stands for channel_plan."""
+        return "channels" if name == "channel_plan" else name
+
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
         parser = configparser.ConfigParser()
@@ -82,66 +88,49 @@ class ModelConfig:
         if "model" not in parser:
             raise ConfigError("config needs a [model] section")
         sec = parser["model"]
-        known = {f.name for f in fields(cls)} - {"raw_text", "channel_plan"} | {"channels"}
+        keys = {cls._key(f.name): f for f in fields(cls)}
         for key in sec:
-            if key not in known:
+            if key not in keys:
                 raise ConfigError(f"unknown config key {key!r}")
+        kwargs = {}
         try:
-            kwargs = {}
-            if "backbone" in sec:
-                kwargs["backbone"] = sec["backbone"].strip()
-            if "k" in sec:
-                kwargs["k"] = sec.getint("k")
-            if "channels" in sec:
-                kwargs["channel_plan"] = tuple(
-                    int(c) for c in sec["channels"].replace(",", " ").split()
-                )
-            if "sv_ratio" in sec:
-                kwargs["sv_ratio"] = sec.getfloat("sv_ratio")
-            for flag in ("scalar_concat", "vector_reweight", "keep_first_last_fp", "baseline"):
-                if flag in sec:
-                    kwargs[flag] = sec.getboolean(flag)
-            if "binarize" in sec:
-                kwargs["binarize"] = sec["binarize"].strip()
-            if "classes" in sec:
-                kwargs["classes"] = sec.getint("classes")
-            if "head_dim" in sec:
-                kwargs["head_dim"] = sec.getint("head_dim")
+            for key, f in keys.items():
+                if key not in sec:
+                    continue
+                kind = type(f.default)
+                if kind is tuple:
+                    kwargs[f.name] = tuple(int(c) for c in sec[key].replace(",", " ").split())
+                elif kind is bool:
+                    kwargs[f.name] = sec.getboolean(key)
+                elif kind is str:
+                    kwargs[f.name] = sec[key].strip()
+                else:
+                    kwargs[f.name] = kind(sec[key])
         except ValueError as exc:
             raise ConfigError(f"config value error: {exc}") from None
         if kwargs.get("channel_plan") == ():  # () would mean the backbone's default plan
             raise ConfigError("channels is empty; list the block widths or drop the key")
-        cfg = cls(**kwargs)
-        cfg.raw_text = text
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "ModelConfig":
         try:
-            with open(path) as fh:
-                return cls.from_text(fh.read())
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
+        return cls.from_text(decode_utf8(raw, f"config {path}", ConfigError))
 
     def to_text(self) -> str:
-        lines = [
-            "[model]",
-            f"backbone = {self.backbone}",
-            f"k = {self.k}",
-            f"channels = {','.join(str(c) for c in self.channel_plan)}",
-            f"sv_ratio = {self.sv_ratio!r}",
-            f"scalar_concat = {str(self.scalar_concat).lower()}",
-            f"vector_reweight = {str(self.vector_reweight).lower()}",
-            f"binarize = {self.binarize}",
-            f"keep_first_last_fp = {str(self.keep_first_last_fp).lower()}",
-            f"classes = {self.classes}",
-            f"head_dim = {self.head_dim}",
-            f"baseline = {str(self.baseline).lower()}",
-        ]
+        lines = ["[model]"]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, tuple):
+                value = ",".join(str(c) for c in value)
+            lines.append(f"{self._key(f.name)} = {value}")
         return "\n".join(lines) + "\n"
-
-    def text_for_echo(self) -> str:
-        return self.raw_text if self.raw_text is not None else self.to_text()
 
 
 def split_channels(c: int, ratio: float) -> tuple[int, int]:
@@ -252,13 +241,13 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
     if not cfg.baseline:
         ctr.add_layer("extract.frame", **_linear_cost(model.extract_frame, n_edges, True))
         ctr.add_layer("extract.projection", macs=9 * 2 * n_edges)
-    sites = n_edges
+    sites, p = n_edges, EXTRACT_SCALARS
     for i, (blk, (regroup, pool)) in enumerate(zip(model.blocks, block_schedule(cfg))):
         if regroup:
-            sites = n_edges
+            sites, p = n_edges, 2 * p
         name = f"block{i}"
         q_in = blk.frame.in_dim
-        if q_in:
+        if q_in and blk.reads_projection(p, q_in):
             ctr.add_layer(f"{name}.frame", **_linear_cost(blk.frame, sites, True))
             ctr.add_layer(f"{name}.projection", macs=9 * q_in * sites)
         for j, (lin, _) in enumerate(blk.scalar_mlp):
@@ -269,6 +258,7 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
             ctr.add_layer(f"{name}.vector_map", **_linear_cost(blk.vector_map, sites, True))
         if pool:
             sites = n_points
+        p = blk.scalar_mlp[-1][0].out_dim
     q_last = model.head_frame.in_dim
     if q_last:
         ctr.add_layer("head.frame", **_linear_cost(model.head_frame, 1, True))
@@ -315,24 +305,20 @@ class Model:
         self.head_frame: LinearParams | None = None
         self.final_mlp: list[tuple[LinearParams, str]] = []
         self.binarized = False
-        self._running: list[tuple[str, np.ndarray]] = []
 
     # -- parameter bookkeeping
 
     def _param(self, name: str, data: np.ndarray) -> ad.Tensor:
         return self.store.add(name, ad.parameter(data))
 
-    def _register_running(self, prefix: str, norm: NormParams) -> None:
-        self._running.append((f"{prefix}.running_mean", norm.running_mean))
-        self._running.append((f"{prefix}.running_var", norm.running_var))
-        self._running.append((f"{prefix}.running_norm", norm.running_norm))
-
     def state_arrays(self):
-        """All persistent arrays in deterministic order: params then stats."""
+        """All persistent arrays in deterministic order: params, then each
+        block's running statistics."""
         for name, tensor in self.store.items():
             yield name, tensor.data
-        for name, arr in self._running:
-            yield name, arr
+        for i, blk in enumerate(self.blocks):
+            for key in ("running_mean", "running_var", "running_norm"):
+                yield f"block{i}.norm.{key}", getattr(blk.norm, key)
 
     # -- forward
 
@@ -388,21 +374,22 @@ def _build_linear(model: Model, name: str, rng, d_in: int, d_out: int,
 
 def _build_block(model: Model, idx: int, rng, p_in: int, q_in: int,
                  p_out: int, q_out: int, cfg: ModelConfig) -> SVBlockParams:
+    """The config's two interaction switches shape the layers: the first
+    scalar layer's rows take the projected vectors or not, and the gate
+    MLP exists or not. The block reads its wiring back from those shapes."""
     name = f"block{idx}"
-    toggles = BlockToggles(cfg.scalar_concat, cfg.vector_reweight)
     frame = _build_linear(model, f"{name}.frame", rng, q_in, 3, bias=False)
-    s_in = p_in + 3 * q_in if toggles.scalar_concat else p_in
+    s_in = p_in + 3 * q_in if cfg.scalar_concat else p_in
     scalar_mlp = [(_build_linear(model, f"{name}.scalar0", rng, s_in, p_out, bias=True), "relu")]
     vector_map = _build_linear(model, f"{name}.vector_map", rng, q_in, q_out, bias=False)
     gate_mlp = []
-    if toggles.vector_reweight and q_out:
+    if cfg.vector_reweight and q_out:
         gate_mlp = [(_build_linear(model, f"{name}.gate0", rng, p_in, q_out, bias=True), "sigmoid")]
     norm = NormParams.create(p_out, q_out)
     for key in ("scalar_gain", "scalar_bias", "vector_log_scale"):
         model.store.add(f"{name}.norm.{key}", getattr(norm, key))
-    model._register_running(f"{name}.norm", norm)
     return SVBlockParams(frame=frame, scalar_mlp=scalar_mlp, vector_map=vector_map,
-                         gate_mlp=gate_mlp, toggles=toggles, norm=norm)
+                         gate_mlp=gate_mlp, norm=norm)
 
 
 def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
@@ -411,7 +398,7 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
     rng = np.random.default_rng(rng_seed)
     model = Model(cfg)
 
-    p, q = (6, 0) if cfg.baseline else (6, 2)
+    p, q = EXTRACT_SCALARS, (0 if cfg.baseline else 2)
     if not cfg.baseline:
         model.extract_frame = _build_linear(model, "extract.frame", rng, 2, 3, bias=False)
 
@@ -433,7 +420,7 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
     ]
 
     if cfg.binarize == "vanilla":
-        binarize_plan(model, "vanilla")
+        binarize_plan(model)
     return model
 
 
@@ -463,16 +450,14 @@ def _eligible_layers(model: Model):
         yield f"final{len(model.final_mlp) - 1}", model.final_mlp[-1][0], "scalar"
 
 
-def binarize_plan(model: Model, scheme: str) -> Model:
-    """Switch eligible layers to their binary modes.
+def binarize_plan(model: Model) -> Model:
+    """Switch eligible layers to their binary modes, in place.
 
-    'vanilla' binarizes a fresh model in place; 'two_step_phase2' does
-    the same to a trained full-precision model and resets the optimizer
-    so the binary phase starts with clean moments. Weights are preserved;
-    beta starts at 0 and gamma at 1, both trainable.
+    Weights are preserved; beta starts at 0 and gamma at 1, both
+    trainable. The optimizer is reset, so a model binarized after
+    full-precision training (two-step) starts its binary phase with clean
+    moments; on a fresh model that is a no-op.
     """
-    if scheme not in ("vanilla", "two_step_phase2"):
-        raise ParameterError(f"unknown binarization scheme {scheme!r}")
     if model.binarized:
         raise StateError("model is already binarized")
     for name, lin, kind in _eligible_layers(model):
@@ -485,8 +470,7 @@ def binarize_plan(model: Model, scheme: str) -> Model:
             lin.mode = "binary_weight"
             lin.gamma = model._param(f"{name}.gamma", np.ones(lin.out_dim))
     model.binarized = True
-    if scheme == "two_step_phase2":
-        model.store.reset_optimizer()
+    model.store.reset_optimizer()
     return model
 
 
@@ -519,17 +503,13 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def text(self, count: int, what: str) -> str:
-        start, raw = self.pos, self.take(count)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{what} is not UTF-8: byte {raw[exc.start]:#04x} "
-                                  f"at offset {start + exc.start}") from None
+        return decode_utf8(self.take(count), what, CheckpointError, self.pos - count)
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Serialize config text and every persistent array, little-endian."""
-    cfg_text = model.cfg.text_for_echo()
+    """Serialize the canonical config text and every persistent array,
+    little-endian."""
+    cfg_text = model.cfg.to_text()
     if model.binarized and model.cfg.binarize != "vanilla":
         cfg_text += _BINARIZED_MARKER
     cfg_bytes = cfg_text.encode("utf-8")
@@ -585,7 +565,7 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
         )
     model = build_model(cfg, rng_seed=0)
     if phase2 and not model.binarized:
-        binarize_plan(model, "vanilla")
+        binarize_plan(model)
     registry = dict(model.state_arrays())
 
     (count,) = cur.unpack("<I")

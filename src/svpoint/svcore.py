@@ -11,7 +11,7 @@ Sites of one cloud are contiguous along N, so batched forwards pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,12 +94,6 @@ class LinearParams:
         return _data(self.weight).shape[1]
 
 
-@dataclass
-class BlockToggles:
-    scalar_concat: bool = True
-    vector_reweight: bool = True
-
-
 # each training batch moves the running statistics by this share
 NORM_MOMENTUM = 0.1
 NORM_EPS = 1e-5
@@ -130,12 +124,20 @@ class NormParams:
 
 @dataclass
 class SVBlockParams:
+    """One block's layers; their shapes are its wiring. The scalar path
+    reads the frame-projected vectors when its first layer has rows for
+    them, and the vector path is gated when `gate_mlp` is non-empty."""
+
     frame: LinearParams  # (q_in, 3)
     scalar_mlp: list[tuple[LinearParams, str]]  # (layer, nonlinearity tag)
     vector_map: LinearParams  # (q_in, q_out)
-    gate_mlp: list[tuple[LinearParams, str]]  # ends with a sigmoid tag
-    toggles: BlockToggles = field(default_factory=BlockToggles)
+    gate_mlp: list[tuple[LinearParams, str]]  # ends with a sigmoid tag; [] for no gating
     norm: NormParams | None = None
+
+    def reads_projection(self, p: int, q: int) -> bool:
+        """Whether the first scalar layer takes the 3q projected vector rows
+        after the p input scalars, rather than the scalars alone."""
+        return self.scalar_mlp[0][0].in_dim == p + 3 * q
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +237,11 @@ def _run_mlp(x, layers: list[tuple[LinearParams, str]], skip_nonlin_last: bool =
 
 
 def scalar_update(s, v_in, params: SVBlockParams) -> ad.Tensor:
-    """Scalar path up to the last linear: optional concat with the projected
-    vectors, then the MLP without its final nonlinearity. The block
-    normalizes the result before applying that nonlinearity."""
+    """Scalar path up to the last linear: concat with the projected vectors
+    unless v_in is None, then the MLP without its final nonlinearity. The
+    block normalizes the result before applying that nonlinearity."""
     s = ad.as_tensor(s)
-    x = ad.concat([s, ad.as_tensor(v_in)], axis=0) if params.toggles.scalar_concat else s
+    x = s if v_in is None else ad.concat([s, ad.as_tensor(v_in)], axis=0)
     return _run_mlp(x, params.scalar_mlp, skip_nonlin_last=True)
 
 
@@ -326,22 +328,25 @@ def svblock_forward(
 ) -> SVFeature:
     """One scalar-vector block.
 
-    Scalar path: frame projection, concat, linear, normalize, ReLU.
-    Vector path: channel map, norm-normalize, then gate by factors pooled
-    from the input scalars. Gating comes after normalization; the other
-    order would cancel the factors exactly (each channel's batch-mean
+    Scalar path: frame projection and concat (when the first scalar layer
+    reads them), linear, normalize, ReLU. Vector path: channel map,
+    norm-normalize, then gate by factors pooled from the input scalars
+    (when the block has a gate MLP). Gating comes after normalization; the
+    other order would cancel the factors exactly (each channel's batch-mean
     norm scales linearly with its gate).
     """
     s, v = ad.as_tensor(x.scalars), ad.as_tensor(x.vectors)
-    v_in = invariant_projection(coordinate_frame(v, params.frame), v)
+    v_in = None
+    if params.reads_projection(x.p, x.q):
+        v_in = invariant_projection(coordinate_frame(v, params.frame), v)
     out = SVFeature(scalars=scalar_update(s, v_in, params),
                     vectors=vector_mapping(v, params.vector_map))
     if params.norm is not None:
         out = equivariant_norm(out, stats_mode, params.norm)
-    s_out = _activate(out.scalars, params.scalar_mlp[-1][1] if params.scalar_mlp else "none")
+    s_out = _activate(out.scalars, params.scalar_mlp[-1][1])
     v_out = out.vectors
 
-    if params.toggles.vector_reweight and v_out.data.shape[1] > 0:
+    if params.gate_mlp:
         v_out = vector_update(v_out, reweighting_factors(s, params, groups=groups))
     return SVFeature(scalars=s_out, vectors=v_out)
 

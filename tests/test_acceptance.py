@@ -153,7 +153,6 @@ def test_criterion_2_equivariance_suite(capsys):
         vector_map=sv.LinearParams(weight=rng.standard_normal((3, 2))),
         gate_mlp=[(sv.LinearParams(weight=rng.standard_normal((2, 2)),
                                    bias=np.zeros(2)), "sigmoid")],
-        toggles=sv.BlockToggles(True, True),
         norm=sv.NormParams.create(4, 2),
     )
     feat = geo.SVFeature(scalars=rng.standard_normal((2, 8)),

@@ -436,6 +436,40 @@ def test_damaged_manifest_label_fails_in_one_line(ws, fp_ckpt, tmp_path, capsys,
     assert not (tmp_path / "x.ckpt").exists()
 
 
+def _one_error_line(argv, capsys) -> str:
+    assert cli.main(argv) == 1, argv
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1, captured.err
+    return err[0]
+
+
+def test_config_that_is_not_utf8_fails_in_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(TINY_CFG.encode() + b"# \xff\n")
+    err = _one_error_line(["count-ops", "--config", str(bad)], capsys)
+    assert err == f"error: config {bad} is not UTF-8: byte 0xff at offset {len(TINY_CFG) + 2}"
+
+
+def test_manifest_that_is_not_utf8_fails_in_one_line(ws, fp_ckpt, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(ws / "data", data)
+    manifest = data / "test.tsv"
+    size = manifest.stat().st_size
+    manifest.write_bytes(manifest.read_bytes() + b"\xff\t0\n")
+    err = _one_error_line(["eval", "--ckpt", str(fp_ckpt), "--data", str(data)], capsys)
+    assert err == f"error: {manifest} is not UTF-8: byte 0xff at offset {size}"
+
+
+def test_point_file_that_is_not_utf8_fails_in_one_line(ws, fp_ckpt, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(ws / "data", data)
+    cloud = data / (data / "test.tsv").read_text().splitlines()[1].split("\t")[0]
+    cloud.write_bytes(b"# \xff\n" + cloud.read_bytes())
+    err = _one_error_line(["eval", "--ckpt", str(fp_ckpt), "--data", str(data)], capsys)
+    assert err == f"error: {cloud} is not UTF-8: byte 0xff at offset 2"
+
+
 # ---------------------------------------------------------------------------
 # the README documents the surface that exists
 

@@ -109,7 +109,7 @@ def test_config_text_round_trip():
     cfg = small_cfg(sv_ratio=0.25, binarize="vanilla", scalar_concat=False)
     again = nb.ModelConfig.from_text(cfg.to_text())
     assert again == cfg
-    assert again.raw_text is not None
+    assert again.to_text() == cfg.to_text()
 
 
 def test_config_rejects_bad_input():
@@ -352,6 +352,32 @@ def test_count_model_ops_fp_vs_binary():
             nb.count_model_ops(fp, points)
 
 
+def test_blocks_without_projection_rows_skip_the_frame(monkeypatch):
+    """A block whose first scalar layer takes no projected vectors runs no
+    frame and no pair contraction, and count_model_ops charges neither."""
+    calls = []
+    pair_contract = ad.pair_contract
+    monkeypatch.setattr(ad, "pair_contract", lambda *a: calls.append(1) or pair_contract(*a))
+    clouds = random_clouds(2, 12, 3)
+    for concat in (True, False):
+        model = nb.build_model(small_cfg(scalar_concat=concat, vector_reweight=False))
+        calls.clear()
+        model.store.zero_grad()
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"),
+                                           np.array([0, 1]))
+        tape.backward(loss)
+        projecting = len(model.blocks) if concat else 0
+        assert len(calls) == 2 + projecting  # the extraction's and the head's, plus the blocks'
+        assert [blk.frame.weight.grad is not None
+                for blk in model.blocks] == [concat] * len(model.blocks)
+        names = [name for name, _ in nb.count_model_ops(model, 16).per_layer]
+        charged = [n for n in names if n.startswith("block") and n.split(".")[1]
+                   in ("frame", "projection")]
+        assert len(charged) == 2 * projecting
+        assert {"extract.frame", "head.frame"} <= set(names)
+
+
 def test_param_bits_exact():
     fp = nb.build_model(small_cfg())
     dense = sum(t.data.size for _, t in fp.store.items())
@@ -400,7 +426,7 @@ def test_two_step_phase_preserves_weights_and_resets_optimizer():
     ad.adam_step(model.store, lr=0.01)
     assert model.store.step_count == 1
 
-    nb.binarize_plan(model, "two_step_phase2")
+    nb.binarize_plan(model)
     assert model.binarized
     assert model.store.step_count == 0 and not model.store.moment1
     for name, old in before.items():
@@ -409,9 +435,7 @@ def test_two_step_phase_preserves_weights_and_resets_optimizer():
             assert np.abs(stepped - old).max() > 0  # the step happened
     assert model.blocks[0].scalar_mlp[0][0].mode == "binary_full"
     with pytest.raises(StateError):
-        nb.binarize_plan(model, "two_step_phase2")
-    with pytest.raises(ParameterError):
-        nb.binarize_plan(nb.build_model(small_cfg()), "one_shot")
+        nb.binarize_plan(model)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +539,38 @@ def test_checkpoint_rejects_damage(tmp_path):
             nb.load_checkpoint(poisoned)
 
 
+def test_checkpoint_echoes_the_canonical_config(tmp_path):
+    """A checkpoint stores cfg.to_text(), not the text the config was read
+    from, and that text reads back to an equal config."""
+    import struct
+
+    from fingerprint import BASE, CONFIGS
+
+    cases = [(name, nb.ModelConfig(**BASE, **kw)) for name, kw in CONFIGS.items()]
+    cases.append(("two_step", nb.ModelConfig(**BASE, binarize="two_step")))
+    for name, cfg in cases:
+        # the same keys as hand-written text: reordered, spaced, commented
+        lines = cfg.to_text().splitlines()[1:]
+        hand = "[model]\n# hand-written\n" + "\n".join(
+            line.replace("=", " =  ").replace(",", ", ") for line in reversed(lines)) + "\n"
+        read = nb.ModelConfig.from_text(hand)
+        assert read == cfg, name
+        model = nb.build_model(read)
+        if cfg.binarize == "two_step":
+            nb.binarize_plan(model)
+        path = tmp_path / f"{name}.ckpt"
+        nb.save_checkpoint(model, path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[8:12])
+        marker = "\n[state]\nbinarized = true\n" if cfg.binarize == "two_step" else ""
+        assert blob[12:12 + length].decode() == cfg.to_text() + marker, name
+        loaded = nb.load_checkpoint(path)
+        assert loaded.cfg == cfg and loaded.binarized == model.binarized, name
+
+
 def test_checkpoint_phase_two_state_flag(tmp_path):
     model = nb.build_model(small_cfg())
-    nb.binarize_plan(model, "two_step_phase2")
+    nb.binarize_plan(model)
     clouds = random_clouds(2, 12, 9)
     expect = model.forward(clouds).data
 

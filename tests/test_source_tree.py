@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "svpoint").glob("*.py"))
 # the FD harness and the group action are the test suite's own subjects
 TEST_ONLY = {"finite_difference_check", "rotate_feature"}
 
@@ -24,12 +25,32 @@ def _names_used(tree: ast.AST) -> set[str]:
     return used
 
 
-def test_every_module_function_has_a_caller():
-    modules = sorted((ROOT / "src" / "svpoint").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in modules}
+def _trees_and_names_used():
+    """Each package module's syntax tree, and the names that the package
+    and the benchmark read; the package's re-export list reads nothing."""
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
     used = set()
-    for path in modules + sorted((ROOT / "perfbench").glob("*.py")):
-        used |= _names_used(trees.get(path) or ast.parse(path.read_text()))
+    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _names_used(trees.get(path) or ast.parse(path.read_text()))
+    return trees, used | TEST_ONLY
+
+
+def test_every_module_function_has_a_caller():
+    trees, used = _trees_and_names_used()
     unused = [f"{path.name}:{node.name}" for path, tree in trees.items() for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name not in used | TEST_ONLY]
+              if isinstance(node, ast.FunctionDef) and node.name not in used]
     assert unused == [], f"functions that nothing in src/ or perfbench/ calls: {unused}"
+
+
+def test_every_class_and_public_method_has_a_reader():
+    trees, used = _trees_and_names_used()
+    unused = []
+    for path, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            if cls.name not in used:
+                unused.append(f"{path.name}:{cls.name}")
+            unused += [f"{path.name}:{cls.name}.{item.name}" for item in cls.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                       and item.name not in used]
+    assert unused == [], f"classes and methods that nothing in src/ or perfbench/ reads: {unused}"

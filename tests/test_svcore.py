@@ -8,7 +8,7 @@ from svpoint.errors import ParameterError
 from svpoint.geometry import (KnnGraph, SVFeature, random_rotation,
                               rotate_feature, rotate_vectors,
                               signed_permutation_rotation)
-from svpoint.svcore import (BlockToggles, LinearParams, NormParams,
+from svpoint.svcore import (LinearParams, NormParams,
                             SVBlockParams, aggregate, coordinate_frame,
                             equivariant_norm, invariant_head,
                             invariant_projection, regroup_edges,
@@ -22,6 +22,8 @@ def arr(x):
 
 def make_block(p_in, q_in, p_out, q_out, seed=0, concat=True, reweight=True,
                with_norm=True):
+    # the layer shapes are the wiring: concat widens the first scalar
+    # layer by the 3*q_in projected rows, reweight adds the gate MLP
     rng = np.random.default_rng(seed)
     s_in = p_in + 3 * q_in if concat else p_in
     return SVBlockParams(
@@ -30,8 +32,7 @@ def make_block(p_in, q_in, p_out, q_out, seed=0, concat=True, reweight=True,
                                   bias=np.zeros(p_out)), "relu")],
         vector_map=LinearParams(weight=rng.standard_normal((q_in, q_out))),
         gate_mlp=[(LinearParams(weight=rng.standard_normal((p_in, q_out)),
-                                bias=np.zeros(q_out)), "sigmoid")],
-        toggles=BlockToggles(scalar_concat=concat, vector_reweight=reweight),
+                                bias=np.zeros(q_out)), "sigmoid")] if reweight else [],
         norm=NormParams.create(p_out, q_out) if with_norm else None,
     )
 
@@ -168,7 +169,7 @@ def test_scalar_update_passthrough():
     params = make_block(3, 2, 3, 2, concat=False, with_norm=False)
     params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "relu")]
     s = np.array([[1.0, -2.0], [0.5, 3.0], [-0.1, 0.0]])
-    out = arr(scalar_update(s, np.zeros((6, 2)), params))
+    out = arr(scalar_update(s, None, params))
     assert np.array_equal(out, s)
     block = svblock_forward(SVFeature(scalars=s, vectors=np.zeros((3, 2, 2))), params)
     assert np.array_equal(arr(block.scalars), np.maximum(s, 0.0))
@@ -236,7 +237,7 @@ def test_vector_update_toggle_and_factors():
     pure = arr(vector_mapping(feat.vectors, params.vector_map))
     assert np.array_equal(arr(svblock_forward(feat, params).vectors), pure)
 
-    params.toggles.vector_reweight = True
+    params.gate_mlp = make_block(2, 2, 2, 3, with_norm=False).gate_mlp
     gated = vector_update(pure, reweighting_factors(feat.scalars, params))
     assert np.array_equal(arr(svblock_forward(feat, params).vectors), arr(gated))
     halved = arr(vector_update(pure, np.full(3, 0.5)))
