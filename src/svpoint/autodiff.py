@@ -279,7 +279,12 @@ def sigmoid(x) -> Tensor:
 def sign_ste(x) -> Tensor:
     """Elementwise Sign with the clipped straight-through backward rule."""
     x = as_tensor(x)
-    out = _sign_forward(x.data)
+    try:
+        out = _sign_forward(x.data)
+    except ParameterError:  # NaN has no sign: it stays NaN, so the loss shows the divergence
+        nan = np.isnan(x.data)
+        out = _sign_forward(np.where(nan, 0.0, x.data))
+        out[nan] = np.nan
     saved = x.data
 
     def bw(g):
@@ -332,10 +337,12 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data @ b.data
+    # BLAS rounds C and F order differently; C order makes the bits depend on values only
+    b_data = np.ascontiguousarray(b.data)
+    out = a.data @ b_data
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
+        _accumulate(a, g @ b_data.T)
         _accumulate(b, a.data.T @ g)
 
     return _make(out, (a, b), bw)

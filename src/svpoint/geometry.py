@@ -9,6 +9,7 @@ every derived scalar bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,9 +317,12 @@ def read_xyz(path) -> PointCloud:
         if len(parts) != 3:
             raise ParameterError(f"{path}:{lineno}: expected three coordinates")
         try:
-            pts.append([float(p) for p in parts])
+            xyz = [float(p) for p in parts]
         except ValueError:
             raise ParameterError(f"{path}:{lineno}: malformed real number") from None
+        if not all(map(math.isfinite, xyz)):
+            raise ParameterError(f"{path}:{lineno}: non-finite coordinate")
+        pts.append(xyz)
     if not pts:
         raise ParameterError(f"{path}: no points")
     return PointCloud(np.array(pts))

@@ -241,15 +241,14 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
     if not cfg.baseline:
         ctr.add_layer("extract.frame", **_linear_cost(model.extract_frame, n_edges, True))
         ctr.add_layer("extract.projection", macs=9 * 2 * n_edges)
-    sites, p = n_edges, EXTRACT_SCALARS
+    sites = n_edges
     for i, (blk, (regroup, pool)) in enumerate(zip(model.blocks, block_schedule(cfg))):
         if regroup:
-            sites, p = n_edges, 2 * p
+            sites = n_edges
         name = f"block{i}"
-        q_in = blk.frame.in_dim
-        if q_in and blk.reads_projection(p, q_in):
+        if blk.frame is not None:
             ctr.add_layer(f"{name}.frame", **_linear_cost(blk.frame, sites, True))
-            ctr.add_layer(f"{name}.projection", macs=9 * q_in * sites)
+            ctr.add_layer(f"{name}.projection", macs=9 * blk.frame.in_dim * sites)
         for j, (lin, _) in enumerate(blk.scalar_mlp):
             ctr.add_layer(f"{name}.scalar{j}", **_linear_cost(lin, sites, False))
         for j, (lin, _) in enumerate(blk.gate_mlp):
@@ -258,18 +257,17 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
             ctr.add_layer(f"{name}.vector_map", **_linear_cost(blk.vector_map, sites, True))
         if pool:
             sites = n_points
-        p = blk.scalar_mlp[-1][0].out_dim
-    q_last = model.head_frame.in_dim
-    if q_last:
+    if model.head_frame is not None:
         ctr.add_layer("head.frame", **_linear_cost(model.head_frame, 1, True))
-        ctr.add_layer("head.projection", macs=9 * q_last)
+        ctr.add_layer("head.projection", macs=9 * model.head_frame.in_dim)
     for j, (lin, _) in enumerate(model.final_mlp):
         ctr.add_layer(f"final{j}", **_linear_cost(lin, 1, False))
     return ctr
 
 
 def param_bits(model: "Model") -> int:
-    """Storage cost: 1 bit per binarized weight entry, 32 otherwise."""
+    """Storage cost of the parameter store, which holds exactly the tensors
+    the forward reads: 1 bit per binarized weight entry, 32 per other entry."""
     binary = {f"{name}.weight" for name, lin, _ in _eligible_layers(model)
               if lin.mode != "full_precision"}
     return sum(tensor.data.size * (1 if name in binary else 32)
@@ -374,12 +372,12 @@ def _build_linear(model: Model, name: str, rng, d_in: int, d_out: int,
 
 def _build_block(model: Model, idx: int, rng, p_in: int, q_in: int,
                  p_out: int, q_out: int, cfg: ModelConfig) -> SVBlockParams:
-    """The config's two interaction switches shape the layers: the first
-    scalar layer's rows take the projected vectors or not, and the gate
-    MLP exists or not. The block reads its wiring back from those shapes."""
+    """The config's two interaction switches decide which layers exist (the
+    frame, the gate MLP); the block reads its wiring back from those layers."""
     name = f"block{idx}"
-    frame = _build_linear(model, f"{name}.frame", rng, q_in, 3, bias=False)
-    s_in = p_in + 3 * q_in if cfg.scalar_concat else p_in
+    project = cfg.scalar_concat and q_in > 0
+    frame = _build_linear(model, f"{name}.frame", rng, q_in, 3, bias=False) if project else None
+    s_in = p_in + 3 * q_in if project else p_in
     scalar_mlp = [(_build_linear(model, f"{name}.scalar0", rng, s_in, p_out, bias=True), "relu")]
     vector_map = _build_linear(model, f"{name}.vector_map", rng, q_in, q_out, bias=False)
     gate_mlp = []
@@ -412,7 +410,8 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
         model.blocks.append(_build_block(model, i, rng, p, q, p_out, q_out, cfg))
         p, q = p_out, q_out
 
-    model.head_frame = _build_linear(model, "head.frame", rng, q, 3, bias=False)
+    if q:
+        model.head_frame = _build_linear(model, "head.frame", rng, q, 3, bias=False)
     head_in = p + 3 * q
     model.final_mlp = [
         (_build_linear(model, "final0", rng, head_in, cfg.head_dim, bias=True), "relu"),
@@ -439,11 +438,13 @@ def _eligible_layers(model: Model):
     if model.extract_frame is not None and not first_fp:
         yield "extract.frame", model.extract_frame, "vector"
     for i, blk in enumerate(model.blocks):
-        yield f"block{i}.frame", blk.frame, "vector"
+        if blk.frame is not None:
+            yield f"block{i}.frame", blk.frame, "vector"
         yield f"block{i}.vector_map", blk.vector_map, "vector"
         for j, (lin, _) in enumerate(blk.scalar_mlp):
             yield f"block{i}.scalar{j}", lin, "scalar"
-    yield "head.frame", model.head_frame, "vector"
+    if model.head_frame is not None:
+        yield "head.frame", model.head_frame, "vector"
     for j, (lin, _) in enumerate(model.final_mlp[:-1]):
         yield f"final{j}", lin, "scalar"
     if not first_fp:
@@ -454,15 +455,17 @@ def binarize_plan(model: Model) -> Model:
     """Switch eligible layers to their binary modes, in place.
 
     Weights are preserved; beta starts at 0 and gamma at 1, both
-    trainable. The optimizer is reset, so a model binarized after
-    full-precision training (two-step) starts its binary phase with clean
-    moments; on a fresh model that is a no-op.
+    trainable. A binarized scalar layer reads them instead of its bias, so
+    the bias leaves the store. The optimizer is reset, so a model binarized
+    after full-precision training (two-step) starts its binary phase with
+    clean moments; on a fresh model that is a no-op.
     """
     if model.binarized:
         raise StateError("model is already binarized")
     for name, lin, kind in _eligible_layers(model):
         if kind == "scalar":
             lin.mode = "binary_full"
+            del model.store.params[f"{name}.bias"]
             lin.bias = None
             lin.beta = model._param(f"{name}.beta", np.zeros(lin.in_dim))
             lin.gamma = model._param(f"{name}.gamma", np.ones(lin.out_dim))
@@ -478,7 +481,7 @@ def binarize_plan(model: Model) -> Model:
 # checkpoints
 
 MAGIC = b"SVNC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 _DTYPE_TAGS = {0: "<f8"}
 # ends the echoed config of a model that two-step training binarized later
 _BINARIZED_MARKER = "\n[state]\nbinarized = true\n"

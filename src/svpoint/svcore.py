@@ -46,14 +46,6 @@ class SVFeature:
             raise ParameterError("feature needs at least one scalar or vector channel")
 
     @property
-    def p(self) -> int:
-        return _data(self.scalars).shape[0]
-
-    @property
-    def q(self) -> int:
-        return _data(self.vectors).shape[1]
-
-    @property
     def n_sites(self) -> int:
         return _data(self.scalars).shape[1]
 
@@ -124,20 +116,14 @@ class NormParams:
 
 @dataclass
 class SVBlockParams:
-    """One block's layers; their shapes are its wiring. The scalar path
-    reads the frame-projected vectors when its first layer has rows for
-    them, and the vector path is gated when `gate_mlp` is non-empty."""
+    """One block's layers, which are its wiring: a frame only where the block
+    projects its input vectors, and a non-empty `gate_mlp` only where it gates."""
 
-    frame: LinearParams  # (q_in, 3)
+    frame: LinearParams | None  # (q_in, 3); None when the scalars read no projection
     scalar_mlp: list[tuple[LinearParams, str]]  # (layer, nonlinearity tag)
     vector_map: LinearParams  # (q_in, q_out)
     gate_mlp: list[tuple[LinearParams, str]]  # ends with a sigmoid tag; [] for no gating
     norm: NormParams | None = None
-
-    def reads_projection(self, p: int, q: int) -> bool:
-        """Whether the first scalar layer takes the 3q projected vector rows
-        after the p input scalars, rather than the scalars alone."""
-        return self.scalar_mlp[0][0].in_dim == p + 3 * q
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +314,8 @@ def svblock_forward(
 ) -> SVFeature:
     """One scalar-vector block.
 
-    Scalar path: frame projection and concat (when the first scalar layer
-    reads them), linear, normalize, ReLU. Vector path: channel map,
+    Scalar path: frame projection and concat (when the block has a
+    frame), linear, normalize, ReLU. Vector path: channel map,
     norm-normalize, then gate by factors pooled from the input scalars
     (when the block has a gate MLP). Gating comes after normalization; the
     other order would cancel the factors exactly (each channel's batch-mean
@@ -337,7 +323,7 @@ def svblock_forward(
     """
     s, v = ad.as_tensor(x.scalars), ad.as_tensor(x.vectors)
     v_in = None
-    if params.reads_projection(x.p, x.q):
+    if params.frame is not None:
         v_in = invariant_projection(coordinate_frame(v, params.frame), v)
     out = SVFeature(scalars=scalar_update(s, v_in, params),
                     vectors=vector_mapping(v, params.vector_map))
@@ -383,11 +369,10 @@ def regroup_edges(x_node: SVFeature, graph) -> SVFeature:
 # head
 
 
-def invariant_head(x: SVFeature, frame: LinearParams) -> ad.Tensor:
-    """Collapse a feature pair to pure invariants: concat(S, frame-projected V)."""
+def invariant_head(x: SVFeature, frame: LinearParams | None) -> ad.Tensor:
+    """Collapse a feature pair to pure invariants: concat(S, frame-projected V).
+    A model with no vectors left has no head frame and passes S through."""
     s, v = ad.as_tensor(x.scalars), ad.as_tensor(x.vectors)
-    if v.data.shape[1] == 0:
+    if frame is None:
         return s
-    vc = coordinate_frame(v, frame)
-    v_in = invariant_projection(vc, v)
-    return ad.concat([s, v_in], axis=0)
+    return ad.concat([s, invariant_projection(coordinate_frame(v, frame), v)], axis=0)

@@ -8,12 +8,15 @@ compare the outputs line by line.
     (cd ../other-tree && PYTHONPATH=src python tests/fingerprint.py) > old.txt
     diff old.txt new.txt
 
-Each digest covers three Adam steps (the loss, every gradient and the
-post-Adam parameters and running statistics of each step; the second
-step is fed precomputed `neighbor_tables`) and then the eval logits on the
-upright and on SO(3)-rotated clouds. The digests depend on the numpy and
-BLAS build, so compare two trees on one machine, never against stored
-values.
+Each config prints two digests. The first covers three Adam steps (the
+loss, every gradient and the post-Adam parameters and running statistics
+of each step; the second step is fed precomputed `neighbor_tables`) and
+then the eval logits on the upright and on SO(3)-rotated clouds. The
+second covers only the numbers a user sees: each step's training logits
+and loss, then the same eval logits. A change that only drops tensors
+(an unread weight, a zero-size gradient) changes the first digest and
+keeps the second. The digests depend on the numpy and BLAS build, so
+compare two trees on one machine, never against stored values.
 
     --save DIR   also write each trained model to DIR/<config>.svnc
     --load DIR   instead print one digest per checkpoint in DIR: its eval
@@ -68,22 +71,27 @@ def _feed(h, arr) -> None:
     h.update(arr.tobytes())
 
 
-def _eval_logits(h, model, clouds, rotated) -> None:
+def _eval_logits(hashes, model, clouds, rotated) -> None:
     for batch in (clouds, rotated):
-        _feed(h, model.forward(batch, stats_mode="eval").data)
+        logits = model.forward(batch, stats_mode="eval").data
+        for h in hashes:
+            _feed(h, logits)
 
 
 def train_digest(name: str, save_dir: Path | None) -> str:
+    """The full digest and the value digest, space-separated."""
     clouds, rotated = _clouds()
     labels = np.array([c.label for c in clouds])
     model = nb.build_model(nb.ModelConfig(**BASE, **CONFIGS[name]), rng_seed=3)
-    h = hashlib.sha256()
+    h, values = hashlib.sha256(), hashlib.sha256()
     for step in range(STEPS):
         graphs = nb.neighbor_tables(clouds, BASE["k"]) if step == 1 else None
         model.store.zero_grad()
         with ad.Tape() as tape:
             logits = model.forward(clouds, stats_mode="train", graphs=graphs)
             loss = ad.cross_entropy_logits(logits, labels)
+        _feed(values, logits.data)
+        _feed(values, loss.data)
         tape.backward(loss)
         _feed(h, loss.data)
         for _, tensor in model.store.items():
@@ -91,16 +99,16 @@ def train_digest(name: str, save_dir: Path | None) -> str:
         ad.adam_step(model.store, lr=LR)
         for _, arr in model.state_arrays():
             _feed(h, arr)
-    _eval_logits(h, model, clouds, rotated)
+    _eval_logits((h, values), model, clouds, rotated)
     if save_dir is not None:
         nb.save_checkpoint(model, save_dir / f"{name}.svnc")
-    return h.hexdigest()
+    return f"{h.hexdigest()} {values.hexdigest()}"
 
 
 def load_digest(name: str, load_dir: Path) -> str:
     clouds, rotated = _clouds()
     h = hashlib.sha256()
-    _eval_logits(h, nb.load_checkpoint(load_dir / f"{name}.svnc"), clouds, rotated)
+    _eval_logits((h,), nb.load_checkpoint(load_dir / f"{name}.svnc"), clouds, rotated)
     return h.hexdigest()
 
 

@@ -159,11 +159,14 @@ def test_sign_ste_band_exact():
 
 
 def test_sign_ste_outside_clip_blocks():
-    x = ad.parameter(np.array([2.0]))
+    # NaN has no sign: it stays NaN in the forward and passes no gradient
+    x = ad.parameter(np.array([2.0, np.nan]))
     with ad.Tape() as tape:
-        loss = ad.sign_ste(x).sum()
+        out = ad.sign_ste(x)
+        loss = out.sum()
     tape.backward(loss)
-    assert x.grad[0] == 0.0
+    assert out.data[0] == 1.0 and np.isnan(out.data[1])
+    assert x.grad.tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage on a tiny synthetic workspace."""
 
 import argparse
+import itertools
 import re
 import shutil
 from pathlib import Path
@@ -160,10 +161,12 @@ def test_train_mixed_point_counts_fails_cleanly(ws, tmp_path, capsys):
 def test_train_divergence_stops(ws, tmp_path, capsys):
     # at batch 2 the loss turns NaN mid-epoch; with the whole set in one
     # batch the weights turn finite but huge, and the test logits show it first
-    for batch, reason in (("2", r"loss nan at epoch \d+ step \d+"),
-                          ("32", r"non-finite test logits at epoch 0")):
+    # a binary run's sign of NaN stays NaN, so it diverges the same way
+    for config, (batch, reason) in itertools.product(
+            ("net.ini", "bin.ini"), (("2", r"loss nan at epoch \d+ step \d+"),
+                                     ("32", r"non-finite test logits at epoch 0"))):
         out = tmp_path / f"diverged{batch}.ckpt"
-        assert cli.main(["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
+        assert cli.main(["train", "--config", str(ws / config), "--data", str(ws / "data"),
                          "--epochs", "2", "--batch", batch, "--lr", "1e6",
                          "--out", str(out)]) == 1
         captured = capsys.readouterr()

@@ -1,5 +1,7 @@
 """Geometry layer: clouds, rotations, kNN, initial features, shapes, IO."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def test_feature_validation():
     with pytest.raises(ParameterError):
         SVFeature(scalars=np.zeros((0, 5)), vectors=np.zeros((3, 0, 5)))
     f = SVFeature(scalars=np.zeros((2, 5)), vectors=np.zeros((3, 0, 5)))
-    assert (f.p, f.q, f.n_sites) == (2, 0, 5)
+    assert (f.scalars.shape[0], f.vectors.shape[1], f.n_sites) == (2, 0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def test_extract_vector_columns():
     # edge (0, 1): columns o_0 and o_1 - o_0
     assert np.array_equal(vecs[:, 0, 0], [1.0, 0.0, 0.0])
     assert np.array_equal(vecs[:, 1, 0], [0.0, 1.0, 0.0])
-    assert (feat.p, feat.q, feat.n_sites) == (6, 2, 3)
+    assert (feat.scalars.data.shape[0], feat.vectors.data.shape[1], feat.n_sites) == (6, 2, 3)
 
 
 def test_extract_center_column_zero_at_origin():
@@ -324,7 +326,7 @@ def test_extract_raw_coordinates_without_frame():
     cloud = PointCloud([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [5.0, 5.0, 5.0]])
     graph = KnnGraph(k=1, neighbors=np.array([[1], [0], [0]]))
     feat = extract_one(cloud, graph, None)
-    assert (feat.p, feat.q, feat.n_sites) == (6, 0, 3)
+    assert (feat.scalars.data.shape[0], feat.vectors.data.shape[1], feat.n_sites) == (6, 0, 3)
     # edge (0, 1): o_0 then o_1 - o_0
     assert np.asarray(feat.scalars.data)[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
@@ -399,6 +401,11 @@ def test_xyz_comments_and_errors(tmp_path):
     path.write_text("1 2 x\n")
     with pytest.raises(ParameterError, match="malformed"):
         read_xyz(path)
+    for bad in ("nan", "inf", "-inf", "1e999"):
+        path.write_text(f"1 2 3\n0 {bad} 0\n")
+        message = f"^{re.escape(str(path))}:2: non-finite coordinate$"
+        with pytest.raises(ParameterError, match=message):
+            read_xyz(path)
     path.write_text("# only comments\n")
     with pytest.raises(ParameterError, match="no points"):
         read_xyz(path)

@@ -26,13 +26,15 @@ def iter_linears(model):
     if model.extract_frame is not None:
         yield model.extract_frame
     for blk in model.blocks:
-        yield blk.frame
+        if blk.frame is not None:
+            yield blk.frame
         yield blk.vector_map
         for lin, _ in blk.scalar_mlp:
             yield lin
         for lin, _ in blk.gate_mlp:
             yield lin
-    yield model.head_frame
+    if model.head_frame is not None:
+        yield model.head_frame
     for lin, _ in model.final_mlp:
         yield lin
 
@@ -175,9 +177,10 @@ def test_build_pure_scalar_and_pure_vector():
 
 def test_build_baseline_has_no_vector_path():
     model = nb.build_model(small_cfg(baseline=True))
-    assert model.extract_frame is None
+    assert model.extract_frame is None and model.head_frame is None
     for blk in model.blocks:
-        assert blk.frame.in_dim == 0 and blk.vector_map.out_dim == 0
+        assert blk.frame is None and blk.vector_map.out_dim == 0
+    assert not [name for name, _ in model.store.items() if "frame" in name]
     logits = model.forward(random_clouds(2, 12, 0))
     assert logits.data.shape == (3, 2)
 
@@ -353,29 +356,57 @@ def test_count_model_ops_fp_vs_binary():
 
 
 def test_blocks_without_projection_rows_skip_the_frame(monkeypatch):
-    """A block whose first scalar layer takes no projected vectors runs no
-    frame and no pair contraction, and count_model_ops charges neither."""
+    """A block that projects no input vectors (no scalar concat, or no
+    vectors at all) has no frame and runs no pair contraction, and
+    count_model_ops charges neither; a model with no vectors has no head frame."""
     calls = []
     pair_contract = ad.pair_contract
     monkeypatch.setattr(ad, "pair_contract", lambda *a: calls.append(1) or pair_contract(*a))
     clouds = random_clouds(2, 12, 3)
-    for concat in (True, False):
-        model = nb.build_model(small_cfg(scalar_concat=concat, vector_reweight=False))
+    for kw in (dict(scalar_concat=True), dict(scalar_concat=False), dict(baseline=True)):
+        model = nb.build_model(small_cfg(vector_reweight=False, **kw))
         calls.clear()
         model.store.zero_grad()
         with ad.Tape() as tape:
             loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"),
                                            np.array([0, 1]))
         tape.backward(loss)
-        projecting = len(model.blocks) if concat else 0
-        assert len(calls) == 2 + projecting  # the extraction's and the head's, plus the blocks'
-        assert [blk.frame.weight.grad is not None
-                for blk in model.blocks] == [concat] * len(model.blocks)
+        vectors = not model.cfg.baseline
+        projecting = len(model.blocks) if model.cfg.scalar_concat and vectors else 0
+        # the extraction's and the head's, plus the blocks'
+        assert len(calls) == 2 * vectors + projecting, kw
+        frames = [blk.frame is not None for blk in model.blocks]
+        assert frames == [projecting > 0] * len(model.blocks)
+        assert all(blk.frame.weight.grad is not None for blk in model.blocks if blk.frame)
         names = [name for name, _ in nb.count_model_ops(model, 16).per_layer]
         charged = [n for n in names if n.startswith("block") and n.split(".")[1]
                    in ("frame", "projection")]
         assert len(charged) == 2 * projecting
-        assert {"extract.frame", "head.frame"} <= set(names)
+        assert ({"extract.frame", "head.frame"} & set(names)) == (
+            {"extract.frame", "head.frame"} if vectors else set())
+
+
+def test_every_stored_tensor_gets_a_gradient():
+    """The store holds only tensors the forward reads: after one Adam step
+    on each fingerprint config, and on a two-step model after binarization,
+    every stored tensor of nonzero size has a gradient."""
+    from fingerprint import BASE, CONFIGS
+
+    cases = [(name, nb.build_model(nb.ModelConfig(**BASE, **kw)))
+             for name, kw in CONFIGS.items()]
+    two_step = nb.build_model(nb.ModelConfig(**BASE, binarize="two_step"))
+    nb.binarize_plan(two_step)
+    cases.append(("two_step", two_step))
+    clouds = random_clouds(4, 12, 4)
+    labels = np.array([c.label for c in clouds])
+    for name, model in cases:
+        model.store.zero_grad()
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"), labels)
+        tape.backward(loss)
+        ad.adam_step(model.store, lr=1e-3)
+        unread = [key for key, t in model.store.items() if t.data.size and t.grad is None]
+        assert not unread, (name, unread)
 
 
 def test_param_bits_exact():
@@ -389,6 +420,12 @@ def test_param_bits_exact():
                  if lin.mode != "full_precision")
     assert nb.param_bits(bi) == 32 * dense - 31 * packed
     assert packed > 0
+    # the store holds the layers' tensors and nothing else: no detached bias
+    held = sum(t.data.size for lin in iter_linears(bi)
+               for t in (lin.weight, lin.bias, lin.beta, lin.gamma) if t is not None)
+    held += sum(getattr(blk.norm, key).data.size for blk in bi.blocks
+                for key in ("scalar_gain", "scalar_bias", "vector_log_scale"))
+    assert held == dense
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +540,10 @@ def test_checkpoint_rejects_damage(tmp_path):
 
     import struct
     vers = tmp_path / "vers.ckpt"
-    vers.write_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
-    with pytest.raises(CheckpointError):
-        nb.load_checkpoint(vers)
+    for version in (1, 99):  # the previous format and an unknown one
+        vers.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}$"):
+            nb.load_checkpoint(vers)
 
     assert blob.count(b"head.frame.weight") == 1
     renamed = tmp_path / "name.ckpt"

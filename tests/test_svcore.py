@@ -22,12 +22,13 @@ def arr(x):
 
 def make_block(p_in, q_in, p_out, q_out, seed=0, concat=True, reweight=True,
                with_norm=True):
-    # the layer shapes are the wiring: concat widens the first scalar
-    # layer by the 3*q_in projected rows, reweight adds the gate MLP
+    # the layers are the wiring: concat adds the frame and widens the first
+    # scalar layer by the 3*q_in projected rows, reweight adds the gate MLP
     rng = np.random.default_rng(seed)
+    frame = LinearParams(weight=rng.standard_normal((q_in, 3)))
     s_in = p_in + 3 * q_in if concat else p_in
     return SVBlockParams(
-        frame=LinearParams(weight=rng.standard_normal((q_in, 3))),
+        frame=frame if concat else None,
         scalar_mlp=[(LinearParams(weight=rng.standard_normal((s_in, p_out)),
                                   bias=np.zeros(p_out)), "relu")],
         vector_map=LinearParams(weight=rng.standard_normal((q_in, q_out))),
@@ -463,7 +464,7 @@ def test_regroup_edges_formula():
     feat = rand_feature(2, 2, 4, 32)
     graph = KnnGraph(k=2, neighbors=np.array([[1, 2], [0, 3], [3, 0], [2, 1]]))
     out = regroup_edges(feat, graph)
-    assert (out.p, out.q, out.n_sites) == (4, 4, 8)
+    assert (arr(out.scalars).shape[0], arr(out.vectors).shape[1], out.n_sites) == (4, 4, 8)
     s = arr(feat.scalars)
     got = arr(out.scalars)
     for i in range(4):
