@@ -140,40 +140,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all routing through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
 
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
@@ -245,17 +211,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out, (a, b), bw)
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.data, 0.0)
@@ -321,18 +276,6 @@ def concat(parts, axis: int = 0) -> Tensor:
             _accumulate(p, g[tuple(sl)])
 
     return _make(out, tuple(parts), bw)
-
-
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
-
-    return _make(out, (x,), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -450,13 +393,13 @@ def edge_pairs(x, neighbors: np.ndarray) -> Tensor:
     return _make(out, (x,), bw)
 
 
-def transpose(x, axes=None) -> Tensor:
+def transpose(x) -> Tensor:
+    """Reverse the axes; a matrix's transpose."""
     x = as_tensor(x)
-    out = np.transpose(x.data, axes)
-    inverse = None if axes is None else np.argsort(axes)
+    out = np.transpose(x.data)
 
     def bw(g):
-        _accumulate(x, np.transpose(g, inverse))
+        _accumulate(x, np.transpose(g))
 
     return _make(out, (x,), bw)
 
@@ -675,47 +618,8 @@ def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def lr_schedule(kind: str, epoch: int, total: int, base_lr: float) -> float:
-    """Cosine annealing toward 0, or decay by 0.7 every 20 epochs."""
+def lr_schedule(epoch: int, total: int, base_lr: float) -> float:
+    """Cosine annealing from base_lr toward 0 over `total` epochs."""
     if epoch > total:
         raise ParameterError(f"epoch {epoch} past schedule total {total}")
-    if kind == "cosine":
-        return base_lr * (1.0 + math.cos(math.pi * epoch / total)) / 2.0
-    if kind == "multistep":
-        return base_lr * 0.7 ** (epoch // 20)
-    raise ParameterError(f"unknown schedule kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def finite_difference_check(op, inputs: list[Tensor], h: float = 1e-6) -> float:
-    """Max deviation between tape gradients and central differences.
-
-    `op` maps the input tensors to a scalar Tensor. The deviation is the
-    largest elementwise |ad - fd| normalized by the largest gradient
-    magnitude seen, so a 1e-4 bound means 4 matching leading digits on
-    unit-scale problems.
-    """
-    for t in inputs:
-        t.requires_grad = True
-        t.grad = None
-    with Tape() as tape:
-        loss = op(*inputs)
-    tape.backward(loss)
-    worst = 0.0
-    for t in inputs:
-        ad = t.grad if t.grad is not None else np.zeros_like(t.data)
-        fd = np.zeros_like(t.data)
-        for ix in np.ndindex(*t.data.shape):
-            orig = t.data[ix]
-            t.data[ix] = orig + h
-            hi = float(op(*inputs).data)
-            t.data[ix] = orig - h
-            lo = float(op(*inputs).data)
-            t.data[ix] = orig
-            fd[ix] = (hi - lo) / (2 * h)
-        scale = max(np.abs(ad).max(initial=0.0), np.abs(fd).max(initial=0.0), 1e-12)
-        worst = max(worst, float(np.abs(ad - fd).max(initial=0.0)) / scale)
-    return worst
+    return base_lr * (1.0 + math.cos(math.pi * epoch / total)) / 2.0

@@ -162,7 +162,7 @@ def cmd_train(args) -> int:
         if cfg.binarize == "two_step" and epoch == args.epochs // 2:
             netbuild.binarize_plan(model)
             phase, best = 2, -1.0  # checkpoint selection restarts: modes changed
-        lr = ad.lr_schedule(args.schedule, epoch, args.epochs, args.lr)
+        lr = ad.lr_schedule(epoch, args.epochs, args.lr)
         order = aug_rng.permutation(n_train)
         losses, hits = [], 0
         for step, lo in enumerate(range(0, n_train, args.batch)):
@@ -319,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--schedule", choices=("cosine", "multistep"), default="cosine")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

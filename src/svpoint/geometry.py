@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ParameterError, decode_utf8
-from .svcore import SVFeature, _data, coordinate_frame, invariant_projection, regroup_edges
+from .svcore import SVFeature, coordinate_frame, invariant_projection, regroup_edges
 
 # ---------------------------------------------------------------------------
 # containers
@@ -120,17 +120,6 @@ def signed_permutation_rotation(index: int) -> Rotation:
 
 def apply_rotation(cloud: PointCloud, rot: Rotation) -> PointCloud:
     return PointCloud(cloud.points @ rot.matrix.T, label=cloud.label)
-
-
-def rotate_vectors(vectors: np.ndarray, rot: Rotation) -> np.ndarray:
-    """Rotate a (3, q, N) vector tensor coordinate-wise: V -> R.V."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    return np.einsum("ij,jqn->iqn", rot.matrix, vectors)
-
-
-def rotate_feature(feat: SVFeature, rot: Rotation) -> SVFeature:
-    """The group action on a feature: scalars untouched, vectors rotated."""
-    return SVFeature(_data(feat.scalars), rotate_vectors(_data(feat.vectors), rot))
 
 
 # ---------------------------------------------------------------------------

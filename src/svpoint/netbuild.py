@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, field, fields
@@ -540,7 +541,7 @@ def save_checkpoint(model: Model, path) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
+def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint; bit-exact parameter restore."""
     try:
         with open(path, "rb") as fh:
@@ -560,12 +561,6 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
         cfg = ModelConfig.from_text(cfg_text)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: embedded config invalid: {exc}") from None
-    if expect_cfg is not None and cfg != expect_cfg:
-        raise CheckpointError(
-            f"{path}: checkpoint config ({cfg.backbone}, channels {cfg.channel_plan}) "
-            f"does not match the requested config ({expect_cfg.backbone}, "
-            f"channels {expect_cfg.channel_plan})"
-        )
     model = build_model(cfg, rng_seed=0)
     if phase2 and not model.binarized:
         binarize_plan(model)
@@ -576,19 +571,21 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> Model:
     for _ in range(count):
         (name_len,) = cur.unpack("<H")
         name = cur.text(name_len, f"{path}: tensor name")
+        if name in seen:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         tag, ndim = cur.unpack("<BB")
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")
         shape = cur.unpack(f"<{ndim}Q")
-        payload = cur.take(int(np.prod(shape, dtype=np.int64)) * 8 if ndim else 8)
-        arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[tag]).reshape(shape)
+        payload = cur.take(math.prod(shape) * 8)  # Python ints: a huge shape cannot wrap
         if name not in registry:
             raise CheckpointError(f"{path}: unknown tensor name {name!r}")
         target = registry[name]
-        if target.shape != arr.shape:
+        if target.shape != shape:  # checked before the reshape, which rejects huge empty shapes
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {arr.shape}, model wants {target.shape}"
+                f"{path}: tensor {name!r} has shape {shape}, model wants {target.shape}"
             )
+        arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[tag]).reshape(shape)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         target[...] = arr

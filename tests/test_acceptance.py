@@ -18,6 +18,7 @@ import svpoint.binkernel as bk
 import svpoint.cli as cli
 import svpoint.netbuild as nb
 import svpoint.svcore as sv
+from helpers import finite_difference_check, rotate_feature, rotate_vectors, weighted
 from svpoint import geometry as geo
 
 REPO = Path(__file__).resolve().parent.parent
@@ -134,16 +135,16 @@ def test_criterion_2_equivariance_suite(capsys):
     p_map = sv.LinearParams(weight=rng.standard_normal((3, 4)))
     base = vmap_base = sv.vector_mapping(v, p_map).data
     for rot in rots:
-        got = sv.vector_mapping(geo.rotate_vectors(v, rot), p_map).data
-        track("vector_mapping", np.abs(got - geo.rotate_vectors(vmap_base, rot)).max())
+        got = sv.vector_mapping(rotate_vectors(v, rot), p_map).data
+        track("vector_mapping", np.abs(got - rotate_vectors(vmap_base, rot)).max())
 
     frame = sv.LinearParams(weight=rng.standard_normal((3, 3)))
     frame_base = sv.coordinate_frame(v, frame).data
     proj_base = sv.invariant_projection(frame_base, v).data
     for rot in rots:
-        vr = geo.rotate_vectors(v, rot)
+        vr = rotate_vectors(v, rot)
         fr = sv.coordinate_frame(vr, frame).data
-        track("coordinate_frame", np.abs(fr - geo.rotate_vectors(frame_base, rot)).max())
+        track("coordinate_frame", np.abs(fr - rotate_vectors(frame_base, rot)).max())
         track("invariant_projection", np.abs(sv.invariant_projection(fr, vr).data - proj_base).max())
 
     blk = sv.SVBlockParams(
@@ -161,13 +162,13 @@ def test_criterion_2_equivariance_suite(capsys):
     upd_base = sv.vector_update(sv.vector_mapping(feat.vectors, blk.vector_map), factors).data
     blk_base = sv.svblock_forward(feat, blk, stats_mode="eval")
     for rot in rots:
-        rf = geo.rotate_feature(feat, rot)
+        rf = rotate_feature(feat, rot)
         got = sv.vector_update(sv.vector_mapping(rf.vectors, blk.vector_map), factors).data
-        track("vector_update", np.abs(got - geo.rotate_vectors(upd_base, rot)).max())
+        track("vector_update", np.abs(got - rotate_vectors(upd_base, rot)).max())
         out = sv.svblock_forward(rf, blk, stats_mode="eval")
         track("svblock.scalars", np.abs(out.scalars.data - blk_base.scalars.data).max())
         track("svblock.vectors", np.abs(
-            out.vectors.data - geo.rotate_vectors(blk_base.vectors.data, rot)).max())
+            out.vectors.data - rotate_vectors(blk_base.vectors.data, rot)).max())
 
     graph = geo.KnnGraph(k=2, neighbors=np.array([[1, 2], [0, 3], [3, 0], [2, 1]]))
     feat4 = geo.SVFeature(scalars=rng.standard_normal((2, 4)),
@@ -183,21 +184,21 @@ def test_criterion_2_equivariance_suite(capsys):
     ext_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))
     ext_base = geo.extract_initial_features([cloud], geo.batch_graph([cloud], g16, 4), ext_frame)
     for rot in rots:
-        rf = geo.rotate_feature(feat4, rot)
+        rf = rotate_feature(feat4, rot)
         track("aggregate", np.abs(
-            sv.aggregate(rf, 2).vectors.data - geo.rotate_vectors(agg_base, rot)).max())
+            sv.aggregate(rf, 2).vectors.data - rotate_vectors(agg_base, rot)).max())
         track("regroup_edges", np.abs(
-            sv.regroup_edges(rf, graph).vectors.data - geo.rotate_vectors(re_base, rot)).max())
+            sv.regroup_edges(rf, graph).vectors.data - rotate_vectors(re_base, rot)).max())
         track("equivariant_norm", np.abs(
             sv.equivariant_norm(rf, "eval", nrm).vectors.data
-            - geo.rotate_vectors(nrm_base, rot)).max())
+            - rotate_vectors(nrm_base, rot)).max())
         track("invariant_head", np.abs(sv.invariant_head(rf, head_frame).data - head_base).max())
         rc = [geo.apply_rotation(cloud, rot)]
         ext = geo.extract_initial_features(rc, geo.batch_graph(rc, geo.knn_graphs(rc, 4), 4),
                                            ext_frame)
         track("extract.scalars", np.abs(ext.scalars.data - ext_base.scalars.data).max())
         track("extract.vectors", np.abs(
-            ext.vectors.data - geo.rotate_vectors(ext_base.vectors.data, rot)).max())
+            ext.vectors.data - rotate_vectors(ext_base.vectors.data, rot)).max())
 
     per_op_worst = max(devs.values())
 
@@ -288,19 +289,6 @@ def test_criterion_4_kernel_exactness(capsys):
 # 5. gradient checks
 
 
-_FD_WEIGHTS = {}
-
-
-def weighted(op, seed=0):
-    def wrapped(*inputs):
-        out = op(*inputs)
-        key = (seed, out.data.shape)
-        if key not in _FD_WEIGHTS:
-            _FD_WEIGHTS[key] = np.random.default_rng(seed).standard_normal(out.data.shape)
-        return (out * ad.as_tensor(_FD_WEIGHTS[key])).sum()
-    return wrapped
-
-
 def test_criterion_5_gradients(capsys):
     rng = np.random.default_rng(6)
     t = lambda a: ad.parameter(np.asarray(a, dtype=np.float64))
@@ -315,6 +303,9 @@ def test_criterion_5_gradients(capsys):
     vlin = sv.LinearParams(weight=t(rng.standard_normal((3, 2))))
     logits = t(rng.standard_normal((3, 5)))
     labels = np.array([0, 2, 1, 1, 0])
+    # a repeated neighbor and a node paired with itself, as kNN tables of
+    # duplicate points give
+    edge_table = np.array([[1, 2], [0, 0], [3, 2], [2, 3]])
     # running statistics as eval passes them, held fixed; taken from `pos`
     # so that the other cases keep their inputs
     fixed_mv = (pos.data[:, 0] - 1.0, pos.data[:, 1].copy())
@@ -324,7 +315,6 @@ def test_criterion_5_gradients(capsys):
         ("add", weighted(ad.add, 1), (x34, y34)),
         ("sub", weighted(ad.sub, 2), (x34, y34)),
         ("mul", weighted(ad.mul, 3), (x34, y34)),
-        ("div", weighted(ad.div, 4), (x34, y34)),
         ("relu", weighted(ad.relu, 5), (off0,)),
         ("sigmoid", weighted(ad.sigmoid, 6), (x34,)),
         ("batch_norm_fixed",
@@ -337,11 +327,11 @@ def test_criterion_5_gradients(capsys):
         ("reshape", weighted(lambda a: ad.reshape(a, (4, 3)), 10), (x34,)),
         ("concat", weighted(lambda a, b: ad.concat([a, b], axis=0), 11), (x34, y34)),
         ("transpose", weighted(ad.transpose, 12), (x34,)),
-        ("tsum", ad.tsum, (x34,)),
         ("pool_mean", weighted(lambda a: ad.pool_groups(a, 2, "mean"), 14), (x34,)),
         ("pool_max", weighted(lambda a: ad.pool_groups(a, 2, "max"), 15), (off0,)),
         ("expand", weighted(lambda a: ad.expand_groups(a, 3), 16), (x34,)),
         ("take", weighted(lambda a: ad.take_sites(a, np.array([2, 0, 1, 3, 3])), 17), (x34,)),
+        ("edge_pairs", weighted(lambda a: ad.edge_pairs(a, edge_table), 25), (v3,)),
         ("vector_map", weighted(ad.vector_map_raw, 18), (v3, wmap)),
         ("pair_contract", weighted(ad.pair_contract, 19), (v3, t(rng.standard_normal((3, 3, 4))))),
         ("batch_norm", weighted(lambda a, g, b: ad.batch_norm_train(a, g, b, 1e-5)[0], 21),
@@ -357,7 +347,7 @@ def test_criterion_5_gradients(capsys):
     ]
     prim_rel = {}
     for name, op, inputs in cases:
-        prim_rel[name] = ad.finite_difference_check(op, inputs, h=1e-6)
+        prim_rel[name] = finite_difference_check(op, inputs, h=1e-6)
     worst_prim = max(prim_rel.values())
     worst_name = max(prim_rel, key=prim_rel.get)
 

@@ -1,25 +1,12 @@
-"""Reverse-mode engine: primitives, tape semantics, optimizer, FD harness."""
+"""Reverse-mode engine: primitives, tape semantics, optimizer, finite-difference checks."""
 
 import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
+from helpers import finite_difference_check, total, weighted, weighted_sum
 from svpoint.errors import ParameterError, StateError
 from svpoint.svcore import LinearParams, scalar_linear, vector_mapping
-
-
-def weighted(op, seed=0):
-    """Wrap an array-valued op into a scalar one with fixed random weights."""
-    rng = np.random.default_rng(seed)
-    cache = {}
-
-    def scalar_op(*inputs):
-        out = op(*inputs)
-        if "w" not in cache:
-            cache["w"] = ad.as_tensor(rng.standard_normal(out.data.shape))
-        return (out * cache["w"]).sum()
-
-    return scalar_op
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +43,7 @@ def test_backward_linear_gradient():
     w = ad.parameter(np.zeros((3, 2)))
     x = ad.as_tensor(np.random.default_rng(2).standard_normal((3, 5)))
     with ad.Tape() as tape:
-        loss = (ad.transpose(w) @ x).sum()
+        loss = total(ad.matmul(ad.transpose(w), x))
     tape.backward(loss)
     # d/dW of sum(W^T x) distributes each row sum of x across output columns
     expect = np.repeat(x.data.sum(axis=1)[:, None], 2, axis=1)
@@ -66,8 +53,7 @@ def test_backward_linear_gradient():
 def test_backward_fanout_accumulates():
     x = ad.parameter(np.array([3.0]))
     with ad.Tape() as tape:
-        y = x + x
-        loss = y.sum()
+        loss = total(ad.add(x, x))
     tape.backward(loss)
     assert x.grad[0] == 2.0
 
@@ -77,8 +63,8 @@ def test_backward_requires_recording():
         ad.Tape().backward(ad.as_tensor(1.0))
     x = ad.parameter(np.ones(2))
     with ad.Tape() as tape:
-        _ = x + 1.0
-    loose = ad.as_tensor(np.ones(2)) + 0.0  # built outside any tape
+        _ = ad.add(x, 1.0)
+    loose = ad.add(np.ones(2), 0.0)  # built outside any tape
     with pytest.raises(StateError):
         tape.backward(loose)
 
@@ -86,7 +72,7 @@ def test_backward_requires_recording():
 def test_tape_is_single_use():
     x = ad.parameter(np.array([3.0]))
     with ad.Tape() as tape:
-        loss = (x * x).sum()
+        loss = total(ad.mul(x, x))
     tape.backward(loss)
     assert x.grad[0] == 6.0
     with pytest.raises(StateError, match="backward already ran on this tape"):
@@ -102,10 +88,10 @@ def test_backward_releases_every_node():
     b = ad.parameter(rng.standard_normal(5))
     x = ad.as_tensor(rng.standard_normal(5))
     with ad.Tape() as tape:
-        y = w * x + b
-        loss = (y * y + w).sum()
+        y = ad.add(ad.mul(w, x), b)
+        loss = total(ad.add(ad.mul(y, y), w))
     tape.backward(loss)
-    assert len(tape.nodes) == 5
+    assert len(tape.nodes) == 8  # four elementwise ops, then total's reshape, two matmuls, reshape
     assert all(node.grad is None and node._grad_fn is None for node in tape.nodes)
     y_ref = w.data * x.data + b.data
     assert np.abs(w.grad - (2.0 * y_ref * x.data + 1.0)).max() < 1e-12
@@ -120,8 +106,8 @@ def test_backward_peak_memory_frees_consumed_gradients():
     with ad.Tape() as tape:
         y = p
         for _ in range(12):
-            y = y * 1.001
-        loss = y.sum()
+            y = ad.mul(y, 1.001)
+        loss = total(y)
     tracemalloc.start()
     try:
         tape.backward(loss)
@@ -134,14 +120,14 @@ def test_backward_peak_memory_frees_consumed_gradients():
 
 def test_no_tape_means_no_recording():
     x = ad.parameter(np.ones(3))
-    y = (x * 2.0).sum()
+    y = total(ad.mul(x, 2.0))
     assert y._grad_fn is None and not y.requires_grad
 
 
 def test_relu_zero_subgradient():
     x = ad.parameter(np.array([-1.0, 0.0, 2.0]))
     with ad.Tape() as tape:
-        loss = ad.relu(x).sum()
+        loss = total(ad.relu(x))
     tape.backward(loss)
     assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
@@ -151,7 +137,7 @@ def test_sign_ste_band_exact():
     g = np.random.default_rng(3).standard_normal(x.data.shape)
     with ad.Tape() as tape:
         out = ad.sign_ste(x)
-        loss = (out * ad.as_tensor(g)).sum()
+        loss = weighted_sum(out, g)
     tape.backward(loss)
     expect = np.where((x.data > -1.2) & (x.data < 1.2), g, 0.0)
     assert np.array_equal(x.grad, expect)
@@ -163,7 +149,7 @@ def test_sign_ste_outside_clip_blocks():
     x = ad.parameter(np.array([2.0, np.nan]))
     with ad.Tape() as tape:
         out = ad.sign_ste(x)
-        loss = out.sum()
+        loss = total(out)
     tape.backward(loss)
     assert out.data[0] == 1.0 and np.isnan(out.data[1])
     assert x.grad.tolist() == [0.0, 0.0]
@@ -181,15 +167,14 @@ def test_fd_elementwise_ops():
     x = rand_t((4, 6), 10)
     y = rand_t((4, 6), 11)
     cases = [
-        (lambda a, b: (a + b).sum(), [x, y], 1e-8),
-        (lambda a, b: (a - b).sum(), [x, y], 1e-8),
-        (lambda a, b: (a * b).sum(), [x, y], 1e-7),
-        (lambda a, b: (a / (b * b + 1.0)).sum(), [x, y], 1e-6),
-        (lambda a: ad.sigmoid(a).sum(), [rand_t((5,), 12)], 1e-6),
-        (lambda a: ad.relu(a + 0.3).sum(), [rand_t((6,), 15)], 1e-6),
+        (lambda a, b: total(ad.add(a, b)), [x, y], 1e-8),
+        (lambda a, b: total(ad.sub(a, b)), [x, y], 1e-8),
+        (lambda a, b: total(ad.mul(a, b)), [x, y], 1e-7),
+        (lambda a: total(ad.sigmoid(a)), [rand_t((5,), 12)], 1e-6),
+        (lambda a: total(ad.relu(ad.add(a, 0.3))), [rand_t((6,), 15)], 1e-6),
     ]
     for i, (op, inputs, tol) in enumerate(cases):
-        rel = ad.finite_difference_check(op, inputs)
+        rel = finite_difference_check(op, inputs)
         assert rel <= tol, f"case {i}: {rel}"
 
 
@@ -197,37 +182,36 @@ def test_fd_linear_is_tight():
     # linearity admits a much tighter bound than the smooth-op 1e-4
     w = rand_t((3, 4), 16)
     x = rand_t((3, 7), 17)
-    rel = ad.finite_difference_check(lambda w, x: (ad.transpose(w) @ x).sum(), [w, x])
+    rel = finite_difference_check(lambda w, x: total(ad.matmul(ad.transpose(w), x)), [w, x])
     assert rel <= 1e-9
 
 
 def test_fd_structural_ops():
     x = rand_t((4, 6), 20)
     cases = [
-        lambda a: ad.reshape(a, (2, 12)).sum(),
-        lambda a: ad.concat([a, a * 2.0], axis=0).sum(),
+        lambda a: total(ad.reshape(a, (2, 12))),
+        lambda a: total(ad.concat([a, ad.mul(a, 2.0)], axis=0)),
         weighted(ad.transpose, 26),
-        lambda a: (ad.tsum(a, axis=1) * ad.as_tensor(np.arange(4.0))).sum(),
     ]
     for i, op in enumerate(cases):
-        rel = ad.finite_difference_check(op, [x])
+        rel = finite_difference_check(op, [x])
         assert rel <= 1e-8, f"case {i}: {rel}"
 
 
 def test_fd_pooling_ops():
     x = rand_t((3, 12), 21)
-    w6 = ad.as_tensor(np.random.default_rng(22).standard_normal((3, 6)))
-    w12 = ad.as_tensor(np.random.default_rng(23).standard_normal((3, 12)))
-    rel = ad.finite_difference_check(lambda a: (ad.pool_groups(a, 2, "mean") * w6).sum(), [x])
+    w6 = np.random.default_rng(22).standard_normal((3, 6))
+    w12 = np.random.default_rng(23).standard_normal((3, 12))
+    rel = finite_difference_check(lambda a: weighted_sum(ad.pool_groups(a, 2, "mean"), w6), [x])
     assert rel <= 1e-8
-    rel = ad.finite_difference_check(lambda a: (ad.pool_groups(a, 2, "max") * w6).sum(), [x])
+    rel = finite_difference_check(lambda a: weighted_sum(ad.pool_groups(a, 2, "max"), w6), [x])
     assert rel <= 1e-6
     y = rand_t((3, 4), 24)
-    rel = ad.finite_difference_check(lambda a: (ad.expand_groups(a, 3) * w12).sum(), [y])
+    rel = finite_difference_check(lambda a: weighted_sum(ad.expand_groups(a, 3), w12), [y])
     assert rel <= 1e-8
     idx = np.array([5, 0, 0, 7, 2, 11])
-    wt = ad.as_tensor(np.random.default_rng(25).standard_normal((3, 6)))
-    rel = ad.finite_difference_check(lambda a: (ad.take_sites(a, idx) * wt).sum(), [x])
+    wt = np.random.default_rng(25).standard_normal((3, 6))
+    rel = finite_difference_check(lambda a: weighted_sum(ad.take_sites(a, idx), wt), [x])
     assert rel <= 1e-8
 
 
@@ -244,8 +228,7 @@ def test_take_sites_backward_matches_add_at():
         x = ad.parameter(rng.standard_normal(shape))
         g = rng.standard_normal(shape[:-1] + (idx.size,))
         with ad.Tape() as tape:
-            out = ad.take_sites(x, idx)
-            loss = (out * ad.as_tensor(g)).sum()
+            loss = weighted_sum(ad.take_sites(x, idx), g)
         tape.backward(loss)
         ref = np.zeros(shape)
         np.add.at(ref, (..., idx), g)
@@ -278,11 +261,11 @@ def test_edge_pairs_matches_unfused_composition():
         g = rng.standard_normal(data.shape[:-2] + (2 * q, n * k))
         with ad.Tape() as tape:
             fused = ad.edge_pairs(x_fused, neighbors)
-            loss = (fused * ad.as_tensor(g)).sum()
+            loss = weighted_sum(fused, g)
         tape.backward(loss)
         with ad.Tape() as tape:
             ref = edge_pairs_unfused(x_ref, neighbors, axis)
-            loss = (ref * ad.as_tensor(g)).sum()
+            loss = weighted_sum(ref, g)
         tape.backward(loss)
         assert np.array_equal(fused.data, ref.data)
         assert fused.data.strides == ref.data.strides
@@ -292,7 +275,7 @@ def test_edge_pairs_matches_unfused_composition():
 def test_fd_edge_pairs():
     x = rand_t((3, 2, 6), 61)
     neighbors = np.array([[1, 1], [0, 5], [2, 3], [5, 0], [4, 4], [3, 1]])
-    rel = ad.finite_difference_check(weighted(lambda a: ad.edge_pairs(a, neighbors), 62), [x])
+    rel = finite_difference_check(weighted(lambda a: ad.edge_pairs(a, neighbors), 62), [x])
     assert rel <= 1e-8
 
 
@@ -384,10 +367,10 @@ def test_fused_primitive_peak_allocations():
 def test_fd_vector_feature_ops():
     v = rand_t((3, 4, 9), 30)
     w = rand_t((4, 5), 31)
-    rel = ad.finite_difference_check(weighted(ad.vector_map_raw, 32), [v, w])
+    rel = finite_difference_check(weighted(ad.vector_map_raw, 32), [v, w])
     assert rel <= 1e-7
     a = rand_t((3, 3, 9), 33)
-    rel = ad.finite_difference_check(weighted(ad.pair_contract, 34), [a, v])
+    rel = finite_difference_check(weighted(ad.pair_contract, 34), [a, v])
     assert rel <= 1e-7
 
 
@@ -395,14 +378,14 @@ def test_fd_fused_normalization():
     x = rand_t((5, 40), 40)
     gain = ad.parameter(np.random.default_rng(41).standard_normal(5) * 0.3 + 1.0)
     bias = ad.parameter(np.random.default_rng(42).standard_normal(5) * 0.2)
-    rel = ad.finite_difference_check(
+    rel = finite_difference_check(
         weighted(lambda x, g, b: ad.batch_norm_train(x, g, b, 1e-5)[0], 43),
         [x, gain, bias],
     )
     assert rel <= 1e-6
     v = rand_t((3, 4, 30), 44)
     ls = ad.parameter(np.random.default_rng(45).standard_normal(4) * 0.1)
-    rel = ad.finite_difference_check(
+    rel = finite_difference_check(
         weighted(lambda v, s: ad.vector_norm_scale_train(v, s, 1e-5)[0], 46),
         [v, ls],
     )
@@ -413,14 +396,14 @@ def test_fd_mode_aware_linears():
     params = LinearParams(weight=ad.parameter(np.random.default_rng(50).standard_normal((4, 3))),
                           bias=ad.parameter(np.zeros(3)))
     x = rand_t((4, 8), 51)
-    rel = ad.finite_difference_check(
+    rel = finite_difference_check(
         weighted(lambda x, *_: scalar_linear(x, params), 52),
         [x, params.weight, params.bias],
     )
     assert rel <= 1e-7
     vparams = LinearParams(weight=ad.parameter(np.random.default_rng(53).standard_normal((4, 2))))
     v = rand_t((3, 4, 8), 54)
-    rel = ad.finite_difference_check(
+    rel = finite_difference_check(
         weighted(lambda v, *_: vector_mapping(v, vparams), 55), [v, vparams.weight]
     )
     assert rel <= 1e-7
@@ -429,7 +412,7 @@ def test_fd_mode_aware_linears():
 def test_fd_cross_entropy():
     logits = rand_t((4, 6), 60)
     labels = np.array([0, 1, 2, 3, 1, 2])
-    rel = ad.finite_difference_check(lambda z: ad.cross_entropy_logits(z, labels), [logits])
+    rel = finite_difference_check(lambda z: ad.cross_entropy_logits(z, labels), [logits])
     assert rel <= 1e-6
 
 
@@ -502,7 +485,7 @@ def test_adam_matches_hand_recursion():
 def test_adam_uses_tape_grads_and_checks_shapes():
     store = make_store([1.0])
     with ad.Tape() as tape:
-        loss = (store.params["w"] * 3.0).sum()
+        loss = total(ad.mul(store.params["w"], 3.0))
     tape.backward(loss)
     ad.adam_step(store, lr=0.1)
     assert store.params["w"].data[0] != 1.0
@@ -523,23 +506,15 @@ def test_param_store_unique_names():
 
 
 def test_lr_schedule_cosine_endpoints():
-    assert ad.lr_schedule("cosine", 0, 60, 1e-3) == 1e-3
-    assert ad.lr_schedule("cosine", 60, 60, 1e-3) == 0.0
-    mid = ad.lr_schedule("cosine", 30, 60, 1e-3)
+    assert ad.lr_schedule(0, 60, 1e-3) == 1e-3
+    assert ad.lr_schedule(60, 60, 1e-3) == 0.0
+    mid = ad.lr_schedule(30, 60, 1e-3)
     assert abs(mid - 5e-4) < 1e-18
 
 
-def test_lr_schedule_multistep():
-    got = ad.lr_schedule("multistep", 40, 100, 0.001)
-    assert abs(got - 0.00049) < 1e-15
-    assert ad.lr_schedule("multistep", 19, 100, 0.001) == 0.001
-
-
 def test_lr_schedule_validation():
-    with pytest.raises(ParameterError):
-        ad.lr_schedule("cosine", 61, 60, 1e-3)
-    with pytest.raises(ParameterError):
-        ad.lr_schedule("linear", 0, 60, 1e-3)
+    with pytest.raises(ParameterError, match="epoch 61 past schedule total 60"):
+        ad.lr_schedule(61, 60, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +533,7 @@ def test_training_deterministic_bitwise():
         for _ in range(5):
             store.zero_grad()
             with ad.Tape() as tape:
-                z = ad.add(ad.transpose(w) @ x, ad.reshape(b, (3, 1)))
+                z = ad.add(ad.matmul(ad.transpose(w), x), ad.reshape(b, (3, 1)))
                 loss = ad.cross_entropy_logits(z, labels)
             tape.backward(loss)
             ad.adam_step(store, lr=1e-2)

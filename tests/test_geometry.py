@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from helpers import rotate_feature, rotate_vectors
 from svpoint.errors import ParameterError
 from svpoint.geometry import (KnnGraph, PointCloud, Rotation, SVFeature,
                               apply_rotation, batch_graph, extract_initial_features,
                               knn_graphs, random_rotation, read_xyz,
-                              rotate_feature, rotate_vectors,
                               signed_permutation_rotation, synthesize_shapes,
                               write_xyz, z_rotation)
 from svpoint.svcore import LinearParams

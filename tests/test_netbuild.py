@@ -504,15 +504,6 @@ def test_checkpoint_round_trip_binary(tmp_path):
     assert np.array_equal(loaded.forward(clouds).data, expect)
 
 
-def test_checkpoint_expect_cfg(tmp_path):
-    cfg = small_cfg()
-    path = tmp_path / "m.ckpt"
-    nb.save_checkpoint(nb.build_model(cfg), path)
-    nb.load_checkpoint(path, expect_cfg=small_cfg())
-    with pytest.raises(CheckpointError):
-        nb.load_checkpoint(path, expect_cfg=small_cfg(channel_plan=(16, 32)))
-
-
 def test_save_checkpoint_refuses_non_finite(tmp_path):
     model = nb.build_model(small_cfg())
     model.store.params["block0.scalar0.weight"].data[0, 0] = np.nan
@@ -575,6 +566,31 @@ def test_checkpoint_rejects_damage(tmp_path):
         poisoned.write_bytes(blob[:start] + struct.pack("<d", np.nan) + blob[start + 8:])
         with pytest.raises(CheckpointError, match=name):
             nb.load_checkpoint(poisoned)
+
+    # a shape whose element count passes 2**63 asks for more bytes than the file has
+    name = "extract.frame.weight"
+    assert arrays[name].ndim == 2
+    start = blob.index(name.encode()) + len(name) + 2
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(blob[:start] + struct.pack("<2Q", 2**62, 4) + blob[start + 16:])
+    with pytest.raises(CheckpointError, match=f"truncated checkpoint: wanted {2**67} bytes"):
+        nb.load_checkpoint(huge)
+    # an empty shape with a huge axis needs no bytes, and numpy cannot make it
+    huge.write_bytes(blob[:start] + struct.pack("<2Q", 0, 2**62) + blob[start + 16:])
+    with pytest.raises(CheckpointError, match=rf"{name}' has shape \(0, {2**62}\), model wants"):
+        nb.load_checkpoint(huge)
+
+    # one tensor entry written twice, the tensor count raised to match
+    name = "block0.norm.running_var"
+    start = blob.index(name.encode()) - 2
+    end = start + 4 + len(name) + 8 * arrays[name].ndim + arrays[name].nbytes
+    (cfg_len,) = struct.unpack("<I", blob[8:12])
+    (count,) = struct.unpack("<I", blob[12 + cfg_len: 16 + cfg_len])
+    twice = tmp_path / "twice.ckpt"
+    twice.write_bytes(blob[:12 + cfg_len] + struct.pack("<I", count + 1) + blob[16 + cfg_len:]
+                      + blob[start:end])
+    with pytest.raises(CheckpointError, match=f"tensor '{name}' appears twice"):
+        nb.load_checkpoint(twice)
 
 
 def test_checkpoint_echoes_the_canonical_config(tmp_path):

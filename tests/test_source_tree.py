@@ -5,8 +5,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "svpoint").glob("*.py"))
-# the FD harness and the group action are the test suite's own subjects
-TEST_ONLY = {"finite_difference_check", "rotate_feature"}
 
 
 def _names_used(tree: ast.AST) -> set[str]:
@@ -33,7 +31,7 @@ def _trees_and_names_used():
     for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
         if path.name != "__init__.py":
             used |= _names_used(trees.get(path) or ast.parse(path.read_text()))
-    return trees, used | TEST_ONLY
+    return trees, used
 
 
 def test_every_module_function_has_a_caller():
@@ -54,3 +52,22 @@ def test_every_class_and_public_method_has_a_reader():
                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                        and item.name not in used]
     assert unused == [], f"classes and methods that nothing in src/ or perfbench/ reads: {unused}"
+
+
+def test_benchmark_tracer_installs(monkeypatch):
+    """Every name the benchmark's tracer wraps exists, and uninstall puts
+    each original back."""
+    from svpoint import autodiff
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    import workloads
+
+    originals = {name: getattr(autodiff, name) for name in tracing.AUTODIFF_PRIMS}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(workloads)
+        assert all(getattr(autodiff, name) is not fn for name, fn in originals.items())
+    finally:
+        tracer.uninstall()
+    assert all(getattr(autodiff, name) is fn for name, fn in originals.items())

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
+from helpers import rotate_feature, rotate_vectors
 from svpoint.errors import ParameterError
-from svpoint.geometry import (KnnGraph, SVFeature, random_rotation,
-                              rotate_feature, rotate_vectors,
-                              signed_permutation_rotation)
+from svpoint.geometry import KnnGraph, SVFeature, random_rotation, signed_permutation_rotation
 from svpoint.svcore import (LinearParams, NormParams,
                             SVBlockParams, aggregate, coordinate_frame,
                             equivariant_norm, invariant_head,
