@@ -8,8 +8,7 @@ from .netbuild import (Model, ModelConfig, OpCounter, binarize_plan,
                        build_model, count_block_ops, count_model_ops,
                        load_checkpoint, save_checkpoint, split_channels)
 from .svcore import (LinearParams, NormParams, SVBlockParams, SVFeature, aggregate,
-                     coordinate_frame, equivariant_norm, invariant_head,
-                     invariant_projection, regroup_edges, reweighting_factors,
-                     scalar_update, svblock_forward, vector_mapping, vector_update)
+                     invariant_head, invariant_projection, regroup_edges, svblock_forward,
+                     vector_mapping)
 
 __version__ = "0.1.0"

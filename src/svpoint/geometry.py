@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ParameterError, decode_utf8
-from .svcore import SVFeature, coordinate_frame, invariant_projection, regroup_edges
+from .svcore import SVFeature, invariant_projection, regroup_edges
 
 # ---------------------------------------------------------------------------
 # containers
@@ -200,7 +200,7 @@ def extract_initial_features(clouds, graph: KnnGraph, frame_params) -> SVFeature
         # raw coordinates as scalars: deliberately rotation-sensitive
         return regroup_edges(SVFeature(pts, np.zeros((3, 0, pts.shape[1]))), graph)
     v = regroup_edges(SVFeature(np.zeros((0, pts.shape[1])), pts[:, None, :]), graph).vectors
-    return SVFeature(scalars=invariant_projection(coordinate_frame(v, frame_params), v), vectors=v)
+    return SVFeature(scalars=invariant_projection(v, frame_params), vectors=v)
 
 
 # ---------------------------------------------------------------------------

@@ -331,13 +331,16 @@ class Model:
         Each table must have one row per point, the model's k columns and
         indices in [0, n).
         """
+        if stats_mode not in ("train", "eval"):
+            raise ParameterError(f"stats_mode must be train or eval, got {stats_mode!r}")
+        train = stats_mode == "train"
         k = self.cfg.k
         graph = batch_graph(clouds, knn_graphs(clouds, k) if graphs is None else graphs, k)
         x = extract_initial_features(clouds, graph, self.extract_frame)
         for blk, (regroup, pool) in zip(self.blocks, block_schedule(self.cfg)):
             if regroup:
                 x = regroup_edges(x, graph)
-            x = svblock_forward(x, blk, stats_mode, groups=len(clouds))
+            x = svblock_forward(x, blk, train, len(clouds))
             if pool:
                 x = aggregate(x, k)
         x = aggregate(x, clouds[0].n)  # global pooling, one site per cloud
@@ -489,14 +492,17 @@ _BINARIZED_MARKER = "\n[state]\nbinarized = true\n"
 
 
 class _Cursor:
-    def __init__(self, blob: bytes):
+    """Reads a checkpoint's bytes in order; its errors name the file."""
+
+    def __init__(self, blob: bytes, path):
         self.blob = blob
+        self.path = path
         self.pos = 0
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.blob):
             raise CheckpointError(
-                f"truncated checkpoint: wanted {count} bytes at offset {self.pos}, "
+                f"{self.path}: truncated checkpoint: wanted {count} bytes at offset {self.pos}, "
                 f"file has {len(self.blob)}"
             )
         out = self.blob[self.pos: self.pos + count]
@@ -507,7 +513,8 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def text(self, count: int, what: str) -> str:
-        return decode_utf8(self.take(count), what, CheckpointError, self.pos - count)
+        return decode_utf8(self.take(count), f"{self.path}: {what}", CheckpointError,
+                           self.pos - count)
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -545,16 +552,16 @@ def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint; bit-exact parameter restore."""
     try:
         with open(path, "rb") as fh:
-            cur = _Cursor(fh.read())
+            cur = _Cursor(fh.read(), path)
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from None
     if cur.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
     (version,) = cur.unpack("<I")
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = cur.unpack("<I")
-    cfg_text = cur.text(cfg_len, f"{path}: config text")
+    cfg_text = cur.text(cfg_len, "config text")
     phase2 = cfg_text.endswith(_BINARIZED_MARKER)
     cfg_text = cfg_text.removesuffix(_BINARIZED_MARKER)
     try:
@@ -570,7 +577,7 @@ def load_checkpoint(path) -> Model:
     seen = set()
     for _ in range(count):
         (name_len,) = cur.unpack("<H")
-        name = cur.text(name_len, f"{path}: tensor name")
+        name = cur.text(name_len, "tensor name")
         if name in seen:
             raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         tag, ndim = cur.unpack("<BB")

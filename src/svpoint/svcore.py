@@ -180,26 +180,20 @@ def vector_mapping(v, params: LinearParams) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# core equivariant ops
+# the block
 
 
-def coordinate_frame(v, frame: LinearParams) -> ad.Tensor:
-    """Generate the per-site equivariant frame (3, 3, N) from vector features."""
-    if frame.out_dim != 3:
-        raise ParameterError(f"frame weight must map to 3 columns, got {frame.out_dim}")
-    return vector_mapping(v, frame)
-
-
-def invariant_projection(v_c, v) -> ad.Tensor:
-    """Project vectors onto a frame: (3,3,N) x (3,q,N) -> (3q, N) scalars.
+def invariant_projection(v, frame: LinearParams) -> ad.Tensor:
+    """Project vectors (3,q,N) onto the frame they generate through `frame`
+    (q, 3): (3q, N) scalars.
 
     Row-major in the frame axis: output row a*q + j is frame column a
     against vector channel j. Invariant because the frame co-rotates.
     """
-    v_c, v = ad.as_tensor(v_c), ad.as_tensor(v)
-    if v_c.data.ndim != 3 or v_c.data.shape[1] != 3:
-        raise ParameterError(f"frame tensor must be (3, 3, N), got {v_c.data.shape}")
-    prod = ad.pair_contract(v_c, v)  # (3, q, N)
+    if frame.out_dim != 3:
+        raise ParameterError(f"frame weight must map to 3 columns, got {frame.out_dim}")
+    v = ad.as_tensor(v)
+    prod = ad.pair_contract(vector_mapping(v, frame), v)  # (3, q, N)
     q, n = prod.data.shape[1], prod.data.shape[2]
     return ad.reshape(prod, (3 * q, n))
 
@@ -214,53 +208,10 @@ def _activate(x, tag: str):
     return x
 
 
-def _run_mlp(x, layers: list[tuple[LinearParams, str]], skip_nonlin_last: bool = False):
-    for i, (lin, tag) in enumerate(layers):
-        x = scalar_linear(x, lin)
-        if not (skip_nonlin_last and i == len(layers) - 1):
-            x = _activate(x, tag)
+def _run_mlp(x, layers: list[tuple[LinearParams, str]]):
+    for lin, tag in layers:
+        x = _activate(scalar_linear(x, lin), tag)
     return x
-
-
-def scalar_update(s, v_in, params: SVBlockParams) -> ad.Tensor:
-    """Scalar path up to the last linear: concat with the projected vectors
-    unless v_in is None, then the MLP without its final nonlinearity. The
-    block normalizes the result before applying that nonlinearity."""
-    s = ad.as_tensor(s)
-    x = s if v_in is None else ad.concat([s, ad.as_tensor(v_in)], axis=0)
-    return _run_mlp(x, params.scalar_mlp, skip_nonlin_last=True)
-
-
-def reweighting_factors(s, params: SVBlockParams, groups: int = 1) -> ad.Tensor:
-    """Per-cloud gating factors in (0,1): average-pool scalars over sites,
-    then the small MLP ending in a sigmoid. Returns (q_out, groups)."""
-    s = ad.as_tensor(s)
-    n = s.data.shape[-1]
-    if groups < 1 or n % groups != 0:
-        raise ParameterError(f"{n} sites do not split into {groups} groups")
-    s_com = ad.pool_groups(s, n // groups, "mean")  # (p, groups)
-    return _run_mlp(s_com, params.gate_mlp)
-
-
-def vector_update(v, factors) -> ad.Tensor:
-    """Vector path gating: scale each channel by its factor in (0, 1).
-
-    factors may be (q,) or (q, groups); sites split evenly across groups.
-    """
-    v, factors = ad.as_tensor(v), ad.as_tensor(factors)
-    f = factors if factors.data.ndim == 2 else ad.reshape(factors, (-1, 1))
-    q, n = v.data.shape[1], v.data.shape[2]
-    if f.data.shape[0] != q:
-        raise ParameterError(f"{f.data.shape[0]} factors for {q} vector channels")
-    groups = f.data.shape[1]
-    if n % groups != 0:
-        raise ParameterError(f"{n} sites do not split into {groups} groups")
-    per_site = ad.expand_groups(f, n // groups)  # (q, N)
-    return ad.mul(v, ad.reshape(per_site, (1, q, n)))
-
-
-# ---------------------------------------------------------------------------
-# normalization
 
 
 def _update_running(running: tuple[np.ndarray, ...], batch: tuple[np.ndarray, ...]) -> None:
@@ -270,70 +221,53 @@ def _update_running(running: tuple[np.ndarray, ...], batch: tuple[np.ndarray, ..
         run += NORM_MOMENTUM * stat
 
 
-def _normalize_scalars(s: ad.Tensor, norm: NormParams, train: bool) -> ad.Tensor:
-    if s.data.shape[0] == 0:
-        return s
-    running = (norm.running_mean, norm.running_var)
-    out, *batch = ad.batch_norm_train(s, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
-                                      None if train else running)
-    if train:
-        _update_running(running, batch)
-    return out
-
-
-def _normalize_vectors(v: ad.Tensor, norm: NormParams, train: bool) -> ad.Tensor:
-    if v.data.shape[1] == 0:
-        return v
-    out, mean_norm = ad.vector_norm_scale_train(v, norm.vector_log_scale, NORM_EPS,
-                                                None if train else norm.running_norm)
-    if train:
-        _update_running((norm.running_norm,), (mean_norm,))
-    return out
-
-
-def equivariant_norm(x: SVFeature, stats_mode: str, norm: NormParams) -> SVFeature:
-    """Normalize a feature pair; scalar channels standardized, vector
-    channels divided by their mean site norm so directions are untouched.
-
-    Training normalizes by the batch statistics and folds them into the
-    running ones; eval normalizes by the running statistics."""
-    if stats_mode not in ("train", "eval"):
-        raise ParameterError(f"stats_mode must be train or eval, got {stats_mode!r}")
-    train = stats_mode == "train"
-    s = _normalize_scalars(ad.as_tensor(x.scalars), norm, train)
-    v = _normalize_vectors(ad.as_tensor(x.vectors), norm, train)
-    return SVFeature(scalars=s, vectors=v)
-
-
-# ---------------------------------------------------------------------------
-# the block
-
-
-def svblock_forward(
-    x: SVFeature, params: SVBlockParams, stats_mode: str = "train", groups: int = 1
-) -> SVFeature:
-    """One scalar-vector block.
+def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: int) -> SVFeature:
+    """One scalar-vector block over `groups` clouds of equal site count.
 
     Scalar path: frame projection and concat (when the block has a
-    frame), linear, normalize, ReLU. Vector path: channel map,
-    norm-normalize, then gate by factors pooled from the input scalars
-    (when the block has a gate MLP). Gating comes after normalization; the
-    other order would cancel the factors exactly (each channel's batch-mean
-    norm scales linearly with its gate).
+    frame), the scalar layers, normalize, then the last layer's
+    nonlinearity. Vector path: channel map, divide each channel by its
+    mean site norm so directions are untouched, then gate by per-cloud
+    factors in (0, 1): the input scalars mean-pooled per cloud through the
+    gate MLP (when the block has one). Gating comes after normalization;
+    the other order would cancel the factors exactly (each channel's
+    batch-mean norm scales linearly with its gate).
+
+    Training normalizes by the batch statistics and folds them into the
+    running ones; eval normalizes by the running statistics.
     """
     s, v = ad.as_tensor(x.scalars), ad.as_tensor(x.vectors)
-    v_in = None
-    if params.frame is not None:
-        v_in = invariant_projection(coordinate_frame(v, params.frame), v)
-    out = SVFeature(scalars=scalar_update(s, v_in, params),
-                    vectors=vector_mapping(v, params.vector_map))
-    if params.norm is not None:
-        out = equivariant_norm(out, stats_mode, params.norm)
-    s_out = _activate(out.scalars, params.scalar_mlp[-1][1])
-    v_out = out.vectors
+    n = s.data.shape[1]
+    if groups < 1 or n % groups != 0:
+        raise ParameterError(f"{n} sites do not split into {groups} groups")
+    # v_in lives to the end of the block: freed before the scalar layers, it
+    # raises glibc's dynamic mmap threshold early, and the binary pointnet
+    # eval benchmark's peak RSS went from 245 to 271 MB
+    v_in = None if params.frame is None else invariant_projection(v, params.frame)
+    s_out = s if v_in is None else ad.concat([s, v_in], axis=0)
+    *hidden, (last, last_tag) = params.scalar_mlp
+    s_out = scalar_linear(_run_mlp(s_out, hidden), last)
+    v_out = vector_mapping(v, params.vector_map)
+
+    norm = params.norm
+    if norm is not None and s_out.data.shape[0]:
+        running = (norm.running_mean, norm.running_var)
+        s_out, *batch = ad.batch_norm_train(s_out, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
+                                            None if train else running)
+        if train:
+            _update_running(running, batch)
+    if norm is not None and v_out.data.shape[1]:
+        v_out, mean_norm = ad.vector_norm_scale_train(v_out, norm.vector_log_scale, NORM_EPS,
+                                                      None if train else norm.running_norm)
+        if train:
+            _update_running((norm.running_norm,), (mean_norm,))
+    s_out = _activate(s_out, last_tag)
 
     if params.gate_mlp:
-        v_out = vector_update(v_out, reweighting_factors(s, params, groups=groups))
+        size = n // groups
+        factors = _run_mlp(ad.pool_groups(s, size, "mean"), params.gate_mlp)  # (q_out, groups)
+        q = v_out.data.shape[1]
+        v_out = ad.mul(v_out, ad.reshape(ad.expand_groups(factors, size), (1, q, n)))
     return SVFeature(scalars=s_out, vectors=v_out)
 
 
@@ -372,7 +306,7 @@ def regroup_edges(x_node: SVFeature, graph) -> SVFeature:
 def invariant_head(x: SVFeature, frame: LinearParams | None) -> ad.Tensor:
     """Collapse a feature pair to pure invariants: concat(S, frame-projected V).
     A model with no vectors left has no head frame and passes S through."""
-    s, v = ad.as_tensor(x.scalars), ad.as_tensor(x.vectors)
+    s = ad.as_tensor(x.scalars)
     if frame is None:
         return s
-    return ad.concat([s, invariant_projection(coordinate_frame(v, frame), v)], axis=0)
+    return ad.concat([s, invariant_projection(x.vectors, frame)], axis=0)

@@ -4,6 +4,7 @@ Run plainly with pytest; the [PASS]/[FAIL] lines bypass output capture so
 the verdicts always show. Tolerances live next to each check.
 """
 
+import dataclasses
 import io
 import re
 import time
@@ -138,14 +139,16 @@ def test_criterion_2_equivariance_suite(capsys):
         got = sv.vector_mapping(rotate_vectors(v, rot), p_map).data
         track("vector_mapping", np.abs(got - rotate_vectors(vmap_base, rot)).max())
 
+    # a coordinate frame is a vector mapping onto 3 channels
     frame = sv.LinearParams(weight=rng.standard_normal((3, 3)))
-    frame_base = sv.coordinate_frame(v, frame).data
-    proj_base = sv.invariant_projection(frame_base, v).data
+    frame_base = sv.vector_mapping(v, frame).data
+    proj_base = sv.invariant_projection(v, frame).data
     for rot in rots:
         vr = rotate_vectors(v, rot)
-        fr = sv.coordinate_frame(vr, frame).data
+        fr = sv.vector_mapping(vr, frame).data
         track("coordinate_frame", np.abs(fr - rotate_vectors(frame_base, rot)).max())
-        track("invariant_projection", np.abs(sv.invariant_projection(fr, vr).data - proj_base).max())
+        track("invariant_projection", np.abs(sv.invariant_projection(vr, frame).data
+                                             - proj_base).max())
 
     blk = sv.SVBlockParams(
         frame=sv.LinearParams(weight=rng.standard_normal((3, 3))),
@@ -158,14 +161,15 @@ def test_criterion_2_equivariance_suite(capsys):
     )
     feat = geo.SVFeature(scalars=rng.standard_normal((2, 8)),
                          vectors=rng.standard_normal((3, 3, 8)))
-    factors = rng.uniform(0.2, 0.8, 2)
-    upd_base = sv.vector_update(sv.vector_mapping(feat.vectors, blk.vector_map), factors).data
-    blk_base = sv.svblock_forward(feat, blk, stats_mode="eval")
+    # the vector update is the vectors of the gated block without its norm
+    gated = dataclasses.replace(blk, norm=None)
+    upd_base = sv.svblock_forward(feat, gated, False, 1).vectors.data
+    blk_base = sv.svblock_forward(feat, blk, False, 1)
     for rot in rots:
         rf = rotate_feature(feat, rot)
-        got = sv.vector_update(sv.vector_mapping(rf.vectors, blk.vector_map), factors).data
+        got = sv.svblock_forward(rf, gated, False, 1).vectors.data
         track("vector_update", np.abs(got - rotate_vectors(upd_base, rot)).max())
-        out = sv.svblock_forward(rf, blk, stats_mode="eval")
+        out = sv.svblock_forward(rf, blk, False, 1)
         track("svblock.scalars", np.abs(out.scalars.data - blk_base.scalars.data).max())
         track("svblock.vectors", np.abs(
             out.vectors.data - rotate_vectors(blk_base.vectors.data, rot)).max())
@@ -175,8 +179,12 @@ def test_criterion_2_equivariance_suite(capsys):
                           vectors=rng.standard_normal((3, 2, 4)))
     agg_base = sv.aggregate(feat4, 2).vectors.data
     re_base = sv.regroup_edges(feat4, graph).vectors.data
-    nrm = sv.NormParams.create(2, 2)
-    nrm_base = sv.equivariant_norm(feat4, "eval", nrm).vectors.data
+    # the equivariant norm is the vectors of an eval-mode block with identity
+    # maps and no gate
+    nrm = sv.SVBlockParams(frame=None, scalar_mlp=[(sv.LinearParams(weight=np.eye(2)), "none")],
+                           vector_map=sv.LinearParams(weight=np.eye(2)), gate_mlp=[],
+                           norm=sv.NormParams.create(2, 2))
+    nrm_base = sv.svblock_forward(feat4, nrm, False, 1).vectors.data
     head_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))
     head_base = sv.invariant_head(feat4, head_frame).data
     cloud = geo.PointCloud(rng.standard_normal((16, 3)))
@@ -190,7 +198,7 @@ def test_criterion_2_equivariance_suite(capsys):
         track("regroup_edges", np.abs(
             sv.regroup_edges(rf, graph).vectors.data - rotate_vectors(re_base, rot)).max())
         track("equivariant_norm", np.abs(
-            sv.equivariant_norm(rf, "eval", nrm).vectors.data
+            sv.svblock_forward(rf, nrm, False, 1).vectors.data
             - rotate_vectors(nrm_base, rot)).max())
         track("invariant_head", np.abs(sv.invariant_head(rf, head_frame).data - head_base).max())
         rc = [geo.apply_rotation(cloud, rot)]

@@ -206,8 +206,16 @@ def test_forward_batch_matches_single():
         assert np.abs(batch[:, i] - single).max() < 1e-12
 
 
-def test_forward_input_validation():
+def test_forward_input_validation(monkeypatch):
     model = nb.build_model(small_cfg())
+    clouds = random_clouds(2, 12, 3)
+    built = []
+    monkeypatch.setattr(nb, "knn_graphs", lambda *args: built.append(args))
+    # the mode is checked first, before any neighbor table is built
+    with pytest.raises(ParameterError, match="^stats_mode must be train or eval, got 'test'$"):
+        model.forward(clouds, stats_mode="test")
+    assert built == []
+    monkeypatch.undo()
     with pytest.raises(ParameterError):
         model.forward([])
     mixed = [PointCloud(points=np.zeros((12, 3))), PointCloud(points=np.zeros((10, 3)))]
@@ -518,45 +526,44 @@ def test_checkpoint_rejects_damage(tmp_path):
     nb.save_checkpoint(nb.build_model(small_cfg()), path)
     blob = path.read_bytes()
 
+    def rejects(damaged, match=None):
+        # every message leads with the file it is about
+        with pytest.raises(CheckpointError, match=match) as info:
+            nb.load_checkpoint(damaged)
+        assert str(info.value).startswith(f"{damaged}: "), info.value
+
     for cut in (2, len(blob) // 3, len(blob) - 5):
         short = tmp_path / "cut.ckpt"
         short.write_bytes(blob[:cut])
-        with pytest.raises(CheckpointError):
-            nb.load_checkpoint(short)
+        rejects(short)
 
     wrong = tmp_path / "magic.ckpt"
     wrong.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(CheckpointError):
-        nb.load_checkpoint(wrong)
+    rejects(wrong)
 
     import struct
     vers = tmp_path / "vers.ckpt"
     for version in (1, 99):  # the previous format and an unknown one
         vers.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
-        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}$"):
-            nb.load_checkpoint(vers)
+        rejects(vers, f"unsupported checkpoint version {version}$")
 
     assert blob.count(b"head.frame.weight") == 1
     renamed = tmp_path / "name.ckpt"
     renamed.write_bytes(blob.replace(b"head.frame.weight", b"head.frame.wei__t"))
-    with pytest.raises(CheckpointError):
-        nb.load_checkpoint(renamed)
+    rejects(renamed)
 
-    with pytest.raises(CheckpointError):
-        nb.load_checkpoint(tmp_path / "absent.ckpt")
+    rejects(tmp_path / "absent.ckpt")
 
     trailing = tmp_path / "trailing.ckpt"
     trailing.write_bytes(blob + b"garbage")
-    with pytest.raises(CheckpointError, match=f"offset {len(blob)}"):
-        nb.load_checkpoint(trailing)
+    rejects(trailing, f"offset {len(blob)}")
 
     # the config text starts at byte 12, after magic, version and its length
     for offset in (12, blob.index(b"head.frame.weight") + 3):
         garbled = tmp_path / "utf8.ckpt"
         garbled.write_bytes(blob[:offset] + b"\xff" + blob[offset + 1:])
         what = "config text" if offset == 12 else "tensor name"
-        with pytest.raises(CheckpointError, match=f"{what} is not UTF-8: byte 0xff at offset {offset}"):
-            nb.load_checkpoint(garbled)
+        rejects(garbled, f"{what} is not UTF-8: byte 0xff at offset {offset}")
 
     # a payload follows its name, dtype tag, rank and shape; poison its first entry
     arrays = dict(nb.build_model(small_cfg()).state_arrays())
@@ -564,8 +571,7 @@ def test_checkpoint_rejects_damage(tmp_path):
         start = blob.index(name.encode()) + len(name) + 2 + 8 * arrays[name].ndim
         poisoned = tmp_path / "nan.ckpt"
         poisoned.write_bytes(blob[:start] + struct.pack("<d", np.nan) + blob[start + 8:])
-        with pytest.raises(CheckpointError, match=name):
-            nb.load_checkpoint(poisoned)
+        rejects(poisoned, name)
 
     # a shape whose element count passes 2**63 asks for more bytes than the file has
     name = "extract.frame.weight"
@@ -573,12 +579,10 @@ def test_checkpoint_rejects_damage(tmp_path):
     start = blob.index(name.encode()) + len(name) + 2
     huge = tmp_path / "huge.ckpt"
     huge.write_bytes(blob[:start] + struct.pack("<2Q", 2**62, 4) + blob[start + 16:])
-    with pytest.raises(CheckpointError, match=f"truncated checkpoint: wanted {2**67} bytes"):
-        nb.load_checkpoint(huge)
+    rejects(huge, f"truncated checkpoint: wanted {2**67} bytes")
     # an empty shape with a huge axis needs no bytes, and numpy cannot make it
     huge.write_bytes(blob[:start] + struct.pack("<2Q", 0, 2**62) + blob[start + 16:])
-    with pytest.raises(CheckpointError, match=rf"{name}' has shape \(0, {2**62}\), model wants"):
-        nb.load_checkpoint(huge)
+    rejects(huge, rf"{name}' has shape \(0, {2**62}\), model wants")
 
     # one tensor entry written twice, the tensor count raised to match
     name = "block0.norm.running_var"
@@ -589,8 +593,7 @@ def test_checkpoint_rejects_damage(tmp_path):
     twice = tmp_path / "twice.ckpt"
     twice.write_bytes(blob[:12 + cfg_len] + struct.pack("<I", count + 1) + blob[16 + cfg_len:]
                       + blob[start:end])
-    with pytest.raises(CheckpointError, match=f"tensor '{name}' appears twice"):
-        nb.load_checkpoint(twice)
+    rejects(twice, f"tensor '{name}' appears twice")
 
 
 def test_checkpoint_echoes_the_canonical_config(tmp_path):

@@ -7,12 +7,9 @@ import svpoint.autodiff as ad
 from helpers import rotate_feature, rotate_vectors
 from svpoint.errors import ParameterError
 from svpoint.geometry import KnnGraph, SVFeature, random_rotation, signed_permutation_rotation
-from svpoint.svcore import (LinearParams, NormParams,
-                            SVBlockParams, aggregate, coordinate_frame,
-                            equivariant_norm, invariant_head,
-                            invariant_projection, regroup_edges,
-                            reweighting_factors, scalar_update, svblock_forward,
-                            vector_mapping, vector_update)
+from svpoint.svcore import (LinearParams, NormParams, SVBlockParams, aggregate,
+                            invariant_head, invariant_projection, regroup_edges,
+                            svblock_forward, vector_mapping)
 
 
 def arr(x):
@@ -96,23 +93,25 @@ def test_vector_mapping_shape_errors():
 
 
 def test_coordinate_frame_cases():
+    # a frame is a vector mapping onto 3 channels, which the projection checks
     eye = np.eye(3).reshape(3, 3, 1)
-    out = coordinate_frame(eye, LinearParams(weight=np.eye(3)))
-    assert np.array_equal(arr(out), eye)
-    zero = coordinate_frame(np.zeros((3, 2, 4)), LinearParams(weight=np.ones((2, 3))))
-    assert (arr(zero) == 0.0).all()
-    with pytest.raises(ParameterError):
-        coordinate_frame(np.ones((3, 2, 4)), LinearParams(weight=np.ones((2, 2))))
+    assert np.array_equal(arr(vector_mapping(eye, LinearParams(weight=np.eye(3)))), eye)
+    zero = np.zeros((3, 2, 4))
+    assert (arr(vector_mapping(zero, LinearParams(weight=np.ones((2, 3))))) == 0.0).all()
+    assert (arr(invariant_projection(zero, LinearParams(weight=np.ones((2, 3))))) == 0.0).all()
+    with pytest.raises(ParameterError, match="frame weight must map to 3 columns, got 2"):
+        invariant_projection(np.ones((3, 2, 4)), LinearParams(weight=np.ones((2, 2))))
 
 
 def test_coordinate_frame_equivariant():
+    # a block's frame is a vector mapping onto 3 channels
     rng = np.random.default_rng(3)
     frame = LinearParams(weight=rng.standard_normal((5, 3)))
     v = rng.standard_normal((3, 5, 7))
-    base = arr(coordinate_frame(v, frame))
+    base = arr(vector_mapping(v, frame))
     for seed in range(100):
         rot = random_rotation(seed)
-        got = arr(coordinate_frame(rotate_vectors(v, rot), frame))
+        got = arr(vector_mapping(rotate_vectors(v, rot), frame))
         assert np.abs(got - rotate_vectors(base, rot)).max() < 1e-12
 
 
@@ -122,18 +121,18 @@ def test_coordinate_frame_equivariant():
 
 def test_projection_identity_case():
     eye = np.eye(3).reshape(3, 3, 1)
-    out = arr(invariant_projection(eye, eye))
+    out = arr(invariant_projection(eye, LinearParams(weight=np.eye(3))))
     assert np.array_equal(out[:, 0], np.eye(3).reshape(-1))
 
 
 def test_projection_rotation_cancels():
     rng = np.random.default_rng(4)
-    vc = rng.standard_normal((3, 3, 6))
+    frame = LinearParams(weight=rng.standard_normal((4, 3)))
     v = rng.standard_normal((3, 4, 6))
-    base = arr(invariant_projection(vc, v))
+    base = arr(invariant_projection(v, frame))
     for seed in range(100):
         rot = random_rotation(seed)
-        got = arr(invariant_projection(rotate_vectors(vc, rot), rotate_vectors(v, rot)))
+        got = arr(invariant_projection(rotate_vectors(v, rot), frame))
         assert np.abs(got - base).max() < 1e-11
 
 
@@ -142,8 +141,7 @@ def test_projection_factorization_identity():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((4, 3))
     v = rng.standard_normal((3, 4, 5))
-    vc = arr(coordinate_frame(v, LinearParams(weight=w)))
-    got = arr(invariant_projection(vc, v))
+    got = arr(invariant_projection(v, LinearParams(weight=w)))
     for site in range(5):
         gram = v[:, :, site].T @ v[:, :, site]  # (q, q)
         expect = (w.T @ gram)  # (3, q)
@@ -151,28 +149,29 @@ def test_projection_factorization_identity():
 
 
 def test_projection_flatten_is_frame_axis_major():
-    vc = np.zeros((3, 3, 1))
     v = np.zeros((3, 2, 1))
-    vc[0, 1, 0] = 1.0  # frame column 1 = e_x
     v[0, 0, 0] = 7.0  # vector channel 0 = 7 e_x
-    out = arr(invariant_projection(vc, v))[:, 0]
+    w = np.zeros((2, 3))
+    w[0, 1] = 1.0  # frame column 1 = channel 0
+    out = arr(invariant_projection(v, LinearParams(weight=w)))[:, 0]
     # row a*q + j: frame 1 against channel 0 lands at 1*2 + 0
-    assert out.tolist() == [0.0, 0.0, 7.0, 0.0, 0.0, 0.0]
+    assert out.tolist() == [0.0, 0.0, 49.0, 0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
-# scalar path, gate, vector path
+# scalar path
 
 
 def test_scalar_update_passthrough():
-    # the last layer's ReLU belongs to the block, after normalization
+    # the last layer's nonlinearity belongs to the block, after normalization
     params = make_block(3, 2, 3, 2, concat=False, with_norm=False)
-    params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "relu")]
     s = np.array([[1.0, -2.0], [0.5, 3.0], [-0.1, 0.0]])
-    out = arr(scalar_update(s, None, params))
-    assert np.array_equal(out, s)
-    block = svblock_forward(SVFeature(scalars=s, vectors=np.zeros((3, 2, 2))), params)
-    assert np.array_equal(arr(block.scalars), np.maximum(s, 0.0))
+    feat = SVFeature(scalars=s, vectors=np.zeros((3, 2, 2)))
+    params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "none")]
+    assert np.array_equal(arr(svblock_forward(feat, params, True, 1).scalars), s)
+    params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "relu")]
+    assert np.array_equal(arr(svblock_forward(feat, params, True, 1).scalars),
+                          np.maximum(s, 0.0))
 
 
 def test_block_rejects_unknown_last_scalar_tag():
@@ -181,85 +180,99 @@ def test_block_rejects_unknown_last_scalar_tag():
     params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "tanh")]
     feat = SVFeature(scalars=np.ones((3, 4)), vectors=np.ones((3, 2, 4)))
     with pytest.raises(ParameterError, match="unknown nonlinearity tag 'tanh'"):
-        svblock_forward(feat, params)
+        svblock_forward(feat, params, True, 1)
 
 
 def test_scalar_update_zero_weights():
     params = make_block(3, 2, 4, 2, with_norm=False)
     params.scalar_mlp = [(LinearParams(weight=np.zeros((9, 4)), bias=np.zeros(4)), "relu")]
-    out = arr(scalar_update(np.ones((3, 5)), np.ones((6, 5)), params))
-    assert (out == 0.0).all()
+    feat = SVFeature(scalars=np.ones((3, 5)), vectors=np.ones((3, 2, 5)))
+    assert (arr(svblock_forward(feat, params, True, 1).scalars) == 0.0).all()
 
 
 def test_scalar_update_standard_split_dims():
     # a 256-channel block splits 130 scalar + 42 vector, so concat input
     # is exactly 130 + 3*42 = 256 rows
     params = make_block(130, 42, 130, 42, with_norm=False)
-    out = arr(scalar_update(np.ones((130, 4)), np.ones((126, 4)), params))
+    feat = SVFeature(scalars=np.ones((130, 4)), vectors=np.ones((3, 42, 4)))
+    out = arr(svblock_forward(feat, params, True, 1).scalars)
     assert params.scalar_mlp[0][0].in_dim == 256
     assert out.shape == (130, 4)
 
 
+# ---------------------------------------------------------------------------
+# gate
+
+
+def gate_probe(params, scalars, groups):
+    """The gate factors (q_out, N) a block applies at each site: with an
+    identity vector map and unit vectors its output vectors are the factors."""
+    (p, n), q = np.shape(scalars), params.vector_map.out_dim
+    probe = SVBlockParams(frame=None, scalar_mlp=[(LinearParams(weight=np.eye(p)), "none")],
+                          vector_map=LinearParams(weight=np.eye(q)),
+                          gate_mlp=params.gate_mlp, norm=None)
+    feat = SVFeature(scalars=scalars, vectors=np.ones((3, q, n)))
+    return arr(svblock_forward(feat, probe, False, groups).vectors)[0]
+
+
 def test_reweighting_factors_values():
-    params = make_block(3, 2, 3, 2)
+    params = make_block(3, 2, 3, 2, concat=False)
     params.gate_mlp = [(LinearParams(weight=np.zeros((3, 2)), bias=np.zeros(2)), "sigmoid")]
-    out = arr(reweighting_factors(np.random.default_rng(6).standard_normal((3, 9)), params))
-    assert np.array_equal(out, np.full((2, 1), 0.5))
+    out = gate_probe(params, np.random.default_rng(6).standard_normal((3, 9)), 1)
+    assert np.array_equal(out, np.full((2, 9), 0.5))
 
     rng = np.random.default_rng(7)
     w = rng.standard_normal((3, 2))
     params.gate_mlp = [(LinearParams(weight=w, bias=np.zeros(2)), "sigmoid")]
     s = rng.standard_normal((3, 9))
     expect = 1.0 / (1.0 + np.exp(-(w.T @ s.mean(axis=1, keepdims=True))))
-    assert np.abs(arr(reweighting_factors(s, params)) - expect).max() < 1e-12
-    assert ((arr(reweighting_factors(s, params)) > 0)
-            & (arr(reweighting_factors(s, params)) < 1)).all()
+    factors = gate_probe(params, s, 1)
+    assert np.abs(factors - expect).max() < 1e-12
+    assert ((factors > 0) & (factors < 1)).all()
 
 
 def test_reweighting_factors_groups_and_errors():
-    params = make_block(2, 2, 2, 2)
+    params = make_block(2, 2, 2, 2, concat=False)
     s = np.random.default_rng(8).standard_normal((2, 6))
-    per_cloud = arr(reweighting_factors(s, params, groups=3))
-    assert per_cloud.shape == (2, 3)
+    per_cloud = gate_probe(params, s, 3).reshape(2, 3, 2)
+    assert (per_cloud == per_cloud[:, :, :1]).all()  # one factor per cloud and channel
     w = arr(params.gate_mlp[0][0].weight)
     expect = 1.0 / (1.0 + np.exp(-(w.T @ s.reshape(2, 3, 2).mean(axis=2))))
-    assert np.abs(per_cloud - expect).max() < 1e-12
+    assert np.abs(per_cloud[:, :, 0] - expect).max() < 1e-12
+    feat = SVFeature(scalars=s, vectors=np.ones((3, 2, 6)))
+    with pytest.raises(ParameterError, match="6 sites do not split into 4 groups"):
+        svblock_forward(feat, params, False, 4)
+    empty = SVFeature(scalars=np.zeros((2, 0)), vectors=np.zeros((3, 2, 0)))
     with pytest.raises(ParameterError):
-        reweighting_factors(s, params, groups=4)
-    with pytest.raises(ParameterError):
-        reweighting_factors(np.zeros((2, 0)), params)
+        svblock_forward(empty, params, False, 1)
 
 
 def test_vector_update_toggle_and_factors():
-    rng = np.random.default_rng(9)
     feat = rand_feature(2, 2, 5, 9)
     params = make_block(2, 2, 2, 3, reweight=False, with_norm=False)
     pure = arr(vector_mapping(feat.vectors, params.vector_map))
-    assert np.array_equal(arr(svblock_forward(feat, params).vectors), pure)
+    assert np.array_equal(arr(svblock_forward(feat, params, True, 1).vectors), pure)
 
     params.gate_mlp = make_block(2, 2, 2, 3, with_norm=False).gate_mlp
-    gated = vector_update(pure, reweighting_factors(feat.scalars, params))
-    assert np.array_equal(arr(svblock_forward(feat, params).vectors), arr(gated))
-    halved = arr(vector_update(pure, np.full(3, 0.5)))
+    for groups in (1, 5):  # one cloud, then one cloud per site
+        factors = gate_probe(params, feat.scalars, groups)
+        gated = arr(svblock_forward(feat, params, True, groups).vectors)
+        assert np.array_equal(gated, pure * factors[None])
+    params.gate_mlp = [(LinearParams(weight=np.zeros((2, 3)), bias=np.zeros(3)), "sigmoid")]
+    halved = arr(svblock_forward(feat, params, True, 1).vectors)
     assert np.abs(halved - 0.5 * pure).max() < 1e-15
-    per_group = rng.uniform(0.1, 0.9, (3, 5))  # one group per site
-    assert np.array_equal(arr(vector_update(pure, per_group)), pure * per_group[None])
     with pytest.raises(ParameterError):
-        vector_update(pure, np.ones(4))
-    with pytest.raises(ParameterError):
-        vector_update(pure, np.ones((3, 2)))
+        svblock_forward(feat, params, True, 2)
 
 
 def test_vector_update_equivariant():
     rng = np.random.default_rng(10)
-    params = make_block(2, 3, 2, 2)
-    v = rng.standard_normal((3, 3, 6))
-    factors = rng.uniform(0.1, 0.9, 2)
-    base = arr(vector_update(vector_mapping(v, params.vector_map), factors))
+    params = make_block(2, 3, 2, 2, concat=False, with_norm=False)
+    feat = SVFeature(scalars=rng.standard_normal((2, 6)), vectors=rng.standard_normal((3, 3, 6)))
+    base = arr(svblock_forward(feat, params, True, 1).vectors)
     for seed in range(100):
         rot = random_rotation(seed)
-        got = arr(vector_update(vector_mapping(rotate_vectors(v, rot), params.vector_map),
-                                factors))
+        got = arr(svblock_forward(rotate_feature(feat, rot), params, True, 1).vectors)
         assert np.abs(got - rotate_vectors(base, rot)).max() < 1e-12
 
 
@@ -267,33 +280,37 @@ def test_vector_update_equivariant():
 # normalization
 
 
+def norm_block(norm):
+    """A block that only normalizes: identity maps, no frame, no gate, and
+    no nonlinearity after the norm."""
+    p, q = len(norm.running_mean), len(norm.running_norm)
+    return SVBlockParams(frame=None, scalar_mlp=[(LinearParams(weight=np.eye(p)), "none")],
+                         vector_map=LinearParams(weight=np.eye(q)), gate_mlp=[], norm=norm)
+
+
 def test_norm_identity_when_stats_are_neutral():
     q = 3
-    norm = NormParams.create(0, q)
     rng = np.random.default_rng(11)
     v = rng.standard_normal((3, q, 40))
     norms = np.linalg.norm(v, axis=0)
     v = v / norms.mean(axis=1)[None, :, None]  # unit batch-mean norm per channel
     feat = SVFeature(scalars=np.zeros((0, 40)), vectors=v)
-    out = equivariant_norm(feat, "train", norm)
+    out = svblock_forward(feat, norm_block(NormParams.create(0, q)), True, 1)
     assert np.abs(arr(out.vectors) - v).max() < 1e-4  # eps in the denominator
 
 
 def test_norm_absorbs_vector_scale():
-    norm_a = NormParams.create(2, 2)
-    norm_b = NormParams.create(2, 2)
     feat = rand_feature(2, 2, 30, 12)
-    out_a = equivariant_norm(feat, "train", norm_a)
+    out_a = svblock_forward(feat, norm_block(NormParams.create(2, 2)), True, 1)
     scaled = SVFeature(scalars=arr(feat.scalars), vectors=10.0 * arr(feat.vectors))
-    out_b = equivariant_norm(scaled, "train", norm_b)
+    out_b = svblock_forward(scaled, norm_block(NormParams.create(2, 2)), True, 1)
     assert np.abs(arr(out_b.vectors) - arr(out_a.vectors)).max() < 1e-4
 
 
 def test_norm_scalar_standardizes():
-    norm = NormParams.create(2, 0)
     feat = SVFeature(scalars=np.random.default_rng(13).standard_normal((2, 200)) * 5 + 3,
                      vectors=np.zeros((3, 0, 200)))
-    out = arr(equivariant_norm(feat, "train", norm).scalars)
+    out = arr(svblock_forward(feat, norm_block(NormParams.create(2, 0)), True, 1).scalars)
     assert np.abs(out.mean(axis=1)).max() < 1e-12
     assert np.abs(out.std(axis=1) - 1.0).max() < 1e-4
 
@@ -302,25 +319,23 @@ def test_norm_rotation_commutes():
     feat = rand_feature(2, 3, 25, 14)
     for seed in range(30):
         rot = random_rotation(seed)
-        na, nb = NormParams.create(2, 3), NormParams.create(2, 3)
-        base = equivariant_norm(feat, "train", na)
-        rotated = equivariant_norm(rotate_feature(feat, rot), "train", nb)
+        base = svblock_forward(feat, norm_block(NormParams.create(2, 3)), True, 1)
+        rotated = svblock_forward(rotate_feature(feat, rot),
+                                  norm_block(NormParams.create(2, 3)), True, 1)
         assert np.array_equal(arr(rotated.scalars), arr(base.scalars))
         assert np.abs(arr(rotated.vectors) - rotate_vectors(arr(base.vectors), rot)).max() < 1e-12
 
 
 def test_norm_eval_uses_running_stats():
-    norm = NormParams.create(2, 2)
+    block = norm_block(NormParams.create(2, 2))
     feat = rand_feature(2, 2, 50, 15)
     for _ in range(200):
-        equivariant_norm(feat, "train", norm)
-    train_out = equivariant_norm(feat, "train", norm)
-    eval_out = equivariant_norm(feat, "eval", norm)
+        svblock_forward(feat, block, True, 1)
+    train_out = svblock_forward(feat, block, True, 1)
+    eval_out = svblock_forward(feat, block, False, 1)
     # after convergence of the running stats both paths agree closely
     assert np.abs(arr(eval_out.scalars) - arr(train_out.scalars)).max() < 1e-4
     assert np.abs(arr(eval_out.vectors) - arr(train_out.vectors)).max() < 1e-4
-    with pytest.raises(ParameterError):
-        equivariant_norm(feat, "test", norm)
 
 
 def test_norm_eval_is_the_explicit_affine_bit_for_bit():
@@ -339,7 +354,7 @@ def test_norm_eval_is_the_explicit_affine_bit_for_bit():
     norm.running_norm[...] = rng.random(q) * 2
     running = [a.copy() for a in (norm.running_mean, norm.running_var, norm.running_norm)]
     s, v = rng.standard_normal((p, n)) * 4, rng.standard_normal((3, q, n))
-    out = equivariant_norm(SVFeature(scalars=s, vectors=v), "eval", norm)
+    out = svblock_forward(SVFeature(scalars=s, vectors=v), norm_block(norm), False, 32)
 
     gamma, beta = norm.scalar_gain.data[:, None], norm.scalar_bias.data[:, None]
     inv = 1.0 / np.sqrt(running[1][:, None] + 1e-5)
@@ -358,18 +373,18 @@ def test_block_zero_vectors_stay_zero():
     params = make_block(2, 2, 3, 2)
     feat = SVFeature(scalars=np.random.default_rng(16).standard_normal((2, 8)),
                      vectors=np.zeros((3, 2, 8)))
-    out = svblock_forward(feat, params, stats_mode="train")
+    out = svblock_forward(feat, params, True, 1)
     assert (arr(out.vectors) == 0.0).all()
 
 
 def test_block_equivariance_fp():
     params = make_block(2, 3, 4, 3, seed=17)
     feat = rand_feature(2, 3, 12, 18)
-    base = svblock_forward(feat, params, stats_mode="eval")
+    base = svblock_forward(feat, params, False, 1)
     worst_s = worst_v = 0.0
     for seed in range(100):
         rot = random_rotation(seed)
-        got = svblock_forward(rotate_feature(feat, rot), params, stats_mode="eval")
+        got = svblock_forward(rotate_feature(feat, rot), params, False, 1)
         worst_s = max(worst_s, np.abs(arr(got.scalars) - arr(base.scalars)).max())
         worst_v = max(worst_v, np.abs(
             arr(got.vectors) - rotate_vectors(arr(base.vectors), rot)).max())
@@ -380,10 +395,10 @@ def test_block_equivariance_fp():
 def test_block_bit_exact_under_signed_perms():
     params = make_block(2, 3, 4, 3, seed=19)
     feat = rand_feature(2, 3, 12, 20)
-    base = svblock_forward(feat, params, stats_mode="eval")
+    base = svblock_forward(feat, params, False, 1)
     for i in range(24):
         rot = signed_permutation_rotation(i)
-        got = svblock_forward(rotate_feature(feat, rot), params, stats_mode="eval")
+        got = svblock_forward(rotate_feature(feat, rot), params, False, 1)
         assert np.array_equal(arr(got.scalars), arr(base.scalars)), f"rotation {i}"
         assert np.array_equal(arr(got.vectors),
                               rotate_vectors(arr(base.vectors), rot)), f"rotation {i}"
@@ -396,7 +411,7 @@ def test_block_stack_equivariance():
 
     def run(f):
         for b in blocks:
-            f = svblock_forward(f, b, stats_mode="eval")
+            f = svblock_forward(f, b, False, 1)
         return f
 
     base = run(feat)
@@ -410,11 +425,11 @@ def test_block_stack_equivariance():
 def test_block_permutation_equivariance():
     params = make_block(2, 2, 3, 2, seed=24)
     feat = rand_feature(2, 2, 9, 25)
-    base = svblock_forward(feat, params, stats_mode="eval")
+    base = svblock_forward(feat, params, False, 1)
     perm = np.random.default_rng(26).permutation(9)
     shuffled = SVFeature(scalars=arr(feat.scalars)[:, perm],
                          vectors=arr(feat.vectors)[:, :, perm])
-    got = svblock_forward(shuffled, params, stats_mode="eval")
+    got = svblock_forward(shuffled, params, False, 1)
     assert np.abs(arr(got.scalars) - arr(base.scalars)[:, perm]).max() < 1e-12
     assert np.abs(arr(got.vectors) - arr(base.vectors)[:, :, perm]).max() < 1e-12
 
@@ -422,12 +437,12 @@ def test_block_permutation_equivariance():
 def test_block_gate_uses_input_scalars_per_group():
     params = make_block(2, 2, 3, 2, seed=27)
     feat = rand_feature(2, 2, 12, 28)
-    grouped = svblock_forward(feat, params, stats_mode="eval", groups=3)
-    whole = svblock_forward(feat, params, stats_mode="eval", groups=1)
+    grouped = svblock_forward(feat, params, False, 3)
+    whole = svblock_forward(feat, params, False, 1)
     # different pooling extents must change the gating
     assert not np.allclose(arr(grouped.vectors), arr(whole.vectors))
     with pytest.raises(ParameterError):
-        svblock_forward(feat, params, stats_mode="eval", groups=5)
+        svblock_forward(feat, params, False, 5)
 
 
 # ---------------------------------------------------------------------------
