@@ -1,8 +1,8 @@
 """SO(3)-equivariant, binarizable scalar-vector networks for point clouds."""
 
 from .errors import CheckpointError, ConfigError, ParameterError, StateError
-from .geometry import (KnnGraph, PointCloud, Rotation, apply_rotation, batch_graph,
-                       extract_initial_features, knn_graphs, random_rotation,
+from .geometry import (PointCloud, Rotation, apply_rotation, batch_graph,
+                       extract_initial_features, neighbor_tables, random_rotation,
                        signed_permutation_rotation, synthesize_shapes)
 from .netbuild import (Model, ModelConfig, OpCounter, binarize_plan,
                        build_model, count_block_ops, count_model_ops,

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ParameterError
 
 WORD_BITS = 64
+GEMM_BLOCK = 512  # left-operand rows per step, bounding the XNOR temporary
 STE_CLIP = 1.2  # the straight-through gradient passes for |x| < STE_CLIP
 
 
@@ -84,9 +85,7 @@ def _tail_mask(cols: int, n_words: int) -> np.ndarray:
     return mask
 
 
-def xnor_popcount_gemm(
-    a: PackedSignMatrix, b: PackedSignMatrix, block: int = 512
-) -> np.ndarray:
+def xnor_popcount_gemm(a: PackedSignMatrix, b: PackedSignMatrix) -> np.ndarray:
     """All-pairs ±1 dot products via XNOR and popcount.
 
     Both operands pack the shared reduction axis, so for a logical
@@ -99,8 +98,8 @@ def xnor_popcount_gemm(
     mask = _tail_mask(a.cols, a.words.shape[1])
     out = np.empty((a.rows, b.rows), dtype=np.int64)
     n = np.int64(a.cols)
-    for lo in range(0, a.rows, block):
-        hi = min(lo + block, a.rows)
+    for lo in range(0, a.rows, GEMM_BLOCK):
+        hi = min(lo + GEMM_BLOCK, a.rows)
         x = np.bitwise_xor(a.words[lo:hi, None, :], b.words[None, :, :])
         np.invert(x, out=x)
         np.bitwise_and(x, mask, out=x)

@@ -139,6 +139,8 @@ def _accuracy(model: netbuild.Model, clouds: list[PointCloud], batch: int = 32) 
 def cmd_train(args) -> int:
     if args.epochs < 1 or args.batch < 1:
         raise ParameterError("epochs and batch must be >= 1")
+    if not 0 < args.lr < np.inf:  # also false for NaN
+        raise ParameterError(f"--lr must be finite and > 0, got {args.lr}")
     cfg = netbuild.ModelConfig.from_file(args.config)
     protocol = EvalProtocol.from_string(args.protocol)
     for split in ("train", "test"):

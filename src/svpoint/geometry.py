@@ -1,4 +1,4 @@
-"""Point clouds, rotations, kNN graphs, initial features, synthetic shapes.
+"""Point clouds, rotations, kNN tables, initial features, synthetic shapes.
 
 Vector data is laid out coordinate-axis first: V has shape (3, q, N).
 Distance and projection sums over the 3 coordinates go through
@@ -51,21 +51,6 @@ class Rotation:
             raise ParameterError("rotation matrix is not orthogonal")
         if abs(np.linalg.det(self.matrix) - 1.0) > 1e-12:
             raise ParameterError("rotation matrix must have determinant +1")
-
-
-@dataclass
-class KnnGraph:
-    k: int
-    neighbors: np.ndarray  # (n, k) indices into the same cloud
-
-    def __post_init__(self):
-        self.neighbors = np.asarray(self.neighbors, dtype=np.intp)
-        if self.neighbors.ndim != 2 or self.neighbors.shape[1] != self.k:
-            raise ParameterError(f"neighbor table must be (n, {self.k})")
-
-    @property
-    def n(self) -> int:
-        return self.neighbors.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +108,7 @@ def apply_rotation(cloud: PointCloud, rot: Rotation) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# kNN graph
+# kNN tables
 
 
 def _equal_point_count(clouds) -> int:
@@ -142,64 +127,78 @@ def _check_k(k: int, n: int) -> None:
         raise ParameterError(f"k={k} must be in [1, {n - 1}]")
 
 
-def knn_graphs(clouds, k: int) -> list[KnnGraph]:
+def neighbor_tables(clouds, k: int, chunk: int = 32) -> list[np.ndarray]:
     """Exact Euclidean k nearest neighbors of each cloud, self excluded,
-    ties by index. The clouds must share a point count n > k.
+    ties by index: one (n, k) intp table per cloud. The clouds must share
+    a point count n > k.
 
-    One distance tensor serves the whole batch. Squared distances go
+    One distance tensor serves each chunk of clouds, so `chunk` bounds
+    memory; any chunk size gives the same tables. Squared distances go
     through the order-insensitive coordinate sum, so a signed permutation
     of a cloud leaves its table unchanged.
     """
+    if chunk < 1:
+        raise ParameterError(f"chunk must be >= 1, got {chunk}")
     n = _equal_point_count(clouds)
     _check_k(k, n)
-    pts = np.stack([c.points for c in clouds]).transpose(2, 0, 1).copy()  # (3, B, n)
-    diff = pts[:, :, :, None] - pts[:, :, None, :]  # (3, B, n, n), coordinate first
-    diff *= diff
-    d2 = ad.sorted_coord_sum(diff, axis=0)
-    idx = np.arange(n)
-    d2[:, idx, idx] = np.inf
-    order = np.argsort(d2, axis=2, kind="stable")[:, :, :k]  # stable: equal distances by index
-    return [KnnGraph(k=k, neighbors=order[i]) for i in range(len(clouds))]
+    tables: list[np.ndarray] = []
+    for lo in range(0, len(clouds), chunk):
+        part = clouds[lo: lo + chunk]
+        pts = np.stack([c.points for c in part]).transpose(2, 0, 1).copy()  # (3, B, n)
+        diff = pts[:, :, :, None] - pts[:, :, None, :]  # (3, B, n, n), coordinate first
+        diff *= diff
+        d2 = ad.sorted_coord_sum(diff, axis=0)
+        idx = np.arange(n)
+        d2[:, idx, idx] = np.inf
+        order = np.argsort(d2, axis=2, kind="stable")[:, :, :k]  # stable: equal distances by index
+        tables.extend(order[i] for i in range(len(part)))
+        del pts, diff, d2  # freed before the next chunk allocates its own
+    return tables
 
 
 # ---------------------------------------------------------------------------
 # batch graph and initial features
 
 
-def batch_graph(clouds, graphs, k: int) -> KnnGraph:
-    """One graph over the B*n sites of a batch, cloud i's sites at
-    [i*n, (i+1)*n), from its per-cloud table. Each table must have one row
-    per point, k columns (1 <= k <= n-1) and indices in [0, n): any other
-    index would reach into another cloud's sites.
+def batch_graph(clouds, tables, k: int) -> np.ndarray:
+    """The (B*n, k) neighbor table over the B*n sites of a batch, cloud i's
+    sites at [i*n, (i+1)*n), from its per-cloud table. Each table must be a
+    2-D integer array with one row per point, k columns (1 <= k <= n-1) and
+    indices in [0, n): any other index would reach into another cloud's
+    sites. Tables a caller passes in are checked here and nowhere else.
     """
     n = _equal_point_count(clouds)
-    if len(graphs) != len(clouds):
-        raise ParameterError(f"{len(graphs)} graphs for {len(clouds)} clouds")
+    if len(tables) != len(clouds):
+        raise ParameterError(f"{len(tables)} neighbor tables for {len(clouds)} clouds")
     _check_k(k, n)
-    for g in graphs:
-        if g.n != n or g.k != k:
-            raise ParameterError(f"graph of {g.n} nodes x {g.k} neighbors for clouds of {n} "
+    tables = [np.asarray(t) for t in tables]
+    for t in tables:
+        if t.ndim != 2 or t.dtype.kind not in "iu":
+            raise ParameterError(f"a neighbor table must be a 2-D integer array, "
+                                 f"got {t.ndim}-D {t.dtype}")
+        if t.shape != (n, k):
+            raise ParameterError(f"neighbor table of shape {t.shape} for clouds of {n} "
                                  f"points and k={k}")
-        if not 0 <= g.neighbors.min() <= g.neighbors.max() < n:
+        if not 0 <= t.min() <= t.max() < n:
             raise ParameterError(f"neighbor indices must lie in [0, {n})")
-    return KnnGraph(k=k, neighbors=np.vstack([g.neighbors + i * n for i, g in enumerate(graphs)]))
+    return np.vstack([t.astype(np.intp, copy=False) + i * n for i, t in enumerate(tables)])
 
 
-def extract_initial_features(clouds, graph: KnnGraph, frame_params) -> SVFeature:
+def extract_initial_features(clouds, neighbors: np.ndarray, frame_params) -> SVFeature:
     """Edge features for the first block, all clouds on one site axis.
 
-    The points, node features over the B*n sites of `graph` (from
-    `batch_graph`), go through `regroup_edges`: edge (i, j) carries o_i
-    and o_j - o_i, N = B*n*k. As one vector channel they give q=2 and
-    p=6 scalars, their projection onto the learned equivariant frame
-    they generate. With frame_params None (the baseline model) they are
+    The points, node features over the B*n sites of `neighbors` (the
+    table from `batch_graph`), go through `regroup_edges`: edge (i, j)
+    carries o_i and o_j - o_i, N = B*n*k. As one vector channel they give
+    q=2 and p=6 scalars, their projection onto the learned equivariant
+    frame they generate. With frame_params None (the baseline model) they are
     three scalar channels: six raw-coordinate scalars, no vectors.
     """
     pts = np.concatenate([c.points for c in clouds], axis=0).T  # (3, B*n)
     if frame_params is None:
         # raw coordinates as scalars: deliberately rotation-sensitive
-        return regroup_edges(SVFeature(pts, np.zeros((3, 0, pts.shape[1]))), graph)
-    v = regroup_edges(SVFeature(np.zeros((0, pts.shape[1])), pts[:, None, :]), graph).vectors
+        return regroup_edges(SVFeature(pts, np.zeros((3, 0, pts.shape[1]))), neighbors)
+    v = regroup_edges(SVFeature(np.zeros((0, pts.shape[1])), pts[:, None, :]), neighbors).vectors
     return SVFeature(scalars=invariant_projection(v, frame_params), vectors=v)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CheckpointError, ConfigError, ParameterError, StateError, decode_utf8
-from .geometry import KnnGraph, PointCloud, batch_graph, extract_initial_features, knn_graphs
+from .geometry import PointCloud, batch_graph, extract_initial_features, neighbor_tables
 from .svcore import (LinearParams, NormParams, SVBlockParams, _run_mlp, aggregate,
                      invariant_head, regroup_edges, svblock_forward)
 
@@ -279,20 +279,6 @@ def param_bits(model: "Model") -> int:
 # model
 
 
-def neighbor_tables(clouds, k: int, chunk: int = 32) -> list[KnnGraph]:
-    """Per-cloud kNN tables, batched in chunks to bound memory.
-
-    Useful when the same clouds are fed repeatedly (e.g. un-augmented
-    training): the tables depend only on geometry, never on parameters.
-    """
-    if chunk < 1:
-        raise ParameterError(f"chunk must be >= 1, got {chunk}")
-    out: list[KnnGraph] = []
-    for lo in range(0, len(clouds), chunk):
-        out.extend(knn_graphs(clouds[lo: lo + chunk], k))
-    return out
-
-
 class Model:
     """A built network: parameter store plus the layer structure."""
 
@@ -322,24 +308,26 @@ class Model:
     # -- forward
 
     def forward(self, clouds: list[PointCloud], stats_mode: str = "eval",
-                graphs: list[KnnGraph] | None = None) -> ad.Tensor:
+                graphs: list[np.ndarray] | None = None) -> ad.Tensor:
         """Class logits (classes, B) for a batch of equal-size clouds.
 
-        `graphs` may carry precomputed neighbor tables (one per cloud, same
+        `graphs` may carry precomputed `neighbor_tables` (one per cloud, same
         order); callers that reuse fixed clouds across epochs can build the
         tables once since kNN depends only on geometry, not on parameters.
-        Each table must have one row per point, the model's k columns and
+        Each table must be an integer (n, k) array for the model's k, with
         indices in [0, n).
         """
         if stats_mode not in ("train", "eval"):
             raise ParameterError(f"stats_mode must be train or eval, got {stats_mode!r}")
         train = stats_mode == "train"
         k = self.cfg.k
-        graph = batch_graph(clouds, knn_graphs(clouds, k) if graphs is None else graphs, k)
-        x = extract_initial_features(clouds, graph, self.extract_frame)
+        if graphs is None:
+            graphs = neighbor_tables(clouds, k)
+        neighbors = batch_graph(clouds, graphs, k)
+        x = extract_initial_features(clouds, neighbors, self.extract_frame)
         for blk, (regroup, pool) in zip(self.blocks, block_schedule(self.cfg)):
             if regroup:
-                x = regroup_edges(x, graph)
+                x = regroup_edges(x, neighbors)
             x = svblock_forward(x, blk, train, len(clouds))
             if pool:
                 x = aggregate(x, k)

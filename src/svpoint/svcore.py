@@ -45,10 +45,6 @@ class SVFeature:
         if s.shape[0] == 0 and v.shape[1] == 0:
             raise ParameterError("feature needs at least one scalar or vector channel")
 
-    @property
-    def n_sites(self) -> int:
-        return _data(self.scalars).shape[1]
-
 
 @dataclass
 class LinearParams:
@@ -286,17 +282,15 @@ def aggregate(x: SVFeature, k: int) -> SVFeature:
     return SVFeature(scalars=s, vectors=v)
 
 
-def regroup_edges(x_node: SVFeature, graph) -> SVFeature:
+def regroup_edges(x_node: SVFeature, neighbors: np.ndarray) -> SVFeature:
     """Expand per-node features back to per-edge pairs.
 
     Edge (i, j) carries [f_i ; f_j - f_i] for both scalars and vectors,
     doubling the channel counts; N goes from n to k*n with node i's edges
-    contiguous. Requires node features over the graph's base sites.
+    contiguous. `neighbors` is the (n, k) table over the node sites.
     """
-    if x_node.n_sites != graph.n:
-        raise ParameterError(f"{x_node.n_sites} node sites for a graph of {graph.n} nodes")
-    return SVFeature(scalars=ad.edge_pairs(x_node.scalars, graph.neighbors),
-                     vectors=ad.edge_pairs(x_node.vectors, graph.neighbors))
+    return SVFeature(scalars=ad.edge_pairs(x_node.scalars, neighbors),
+                     vectors=ad.edge_pairs(x_node.vectors, neighbors))
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,11 @@ def test_criterion_2_equivariance_suite(capsys):
         track("svblock.vectors", np.abs(
             out.vectors.data - rotate_vectors(blk_base.vectors.data, rot)).max())
 
-    graph = geo.KnnGraph(k=2, neighbors=np.array([[1, 2], [0, 3], [3, 0], [2, 1]]))
+    neighbors = np.array([[1, 2], [0, 3], [3, 0], [2, 1]])
     feat4 = geo.SVFeature(scalars=rng.standard_normal((2, 4)),
                           vectors=rng.standard_normal((3, 2, 4)))
     agg_base = sv.aggregate(feat4, 2).vectors.data
-    re_base = sv.regroup_edges(feat4, graph).vectors.data
+    re_base = sv.regroup_edges(feat4, neighbors).vectors.data
     # the equivariant norm is the vectors of an eval-mode block with identity
     # maps and no gate
     nrm = sv.SVBlockParams(frame=None, scalar_mlp=[(sv.LinearParams(weight=np.eye(2)), "none")],
@@ -188,21 +188,21 @@ def test_criterion_2_equivariance_suite(capsys):
     head_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))
     head_base = sv.invariant_head(feat4, head_frame).data
     cloud = geo.PointCloud(rng.standard_normal((16, 3)))
-    g16 = geo.knn_graphs([cloud], 4)
+    t16 = geo.neighbor_tables([cloud], 4)
     ext_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))
-    ext_base = geo.extract_initial_features([cloud], geo.batch_graph([cloud], g16, 4), ext_frame)
+    ext_base = geo.extract_initial_features([cloud], geo.batch_graph([cloud], t16, 4), ext_frame)
     for rot in rots:
         rf = rotate_feature(feat4, rot)
         track("aggregate", np.abs(
             sv.aggregate(rf, 2).vectors.data - rotate_vectors(agg_base, rot)).max())
         track("regroup_edges", np.abs(
-            sv.regroup_edges(rf, graph).vectors.data - rotate_vectors(re_base, rot)).max())
+            sv.regroup_edges(rf, neighbors).vectors.data - rotate_vectors(re_base, rot)).max())
         track("equivariant_norm", np.abs(
             sv.svblock_forward(rf, nrm, False, 1).vectors.data
             - rotate_vectors(nrm_base, rot)).max())
         track("invariant_head", np.abs(sv.invariant_head(rf, head_frame).data - head_base).max())
         rc = [geo.apply_rotation(cloud, rot)]
-        ext = geo.extract_initial_features(rc, geo.batch_graph(rc, geo.knn_graphs(rc, 4), 4),
+        ext = geo.extract_initial_features(rc, geo.batch_graph(rc, geo.neighbor_tables(rc, 4), 4),
                                            ext_frame)
         track("extract.scalars", np.abs(ext.scalars.data - ext_base.scalars.data).max())
         track("extract.vectors", np.abs(

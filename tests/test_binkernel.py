@@ -127,10 +127,11 @@ def test_gemm_matches_naive_odd_dims():
 
 
 def test_gemm_small_block_path():
+    # a left operand of more rows than one block spans a full and a partial block
     rng = np.random.default_rng(6)
-    a = bk.sign(rng.standard_normal((40, 65)))
+    a = bk.sign(rng.standard_normal((bk.GEMM_BLOCK + 77, 65)))
     b = bk.sign(rng.standard_normal((30, 65)))
-    got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b), block=7)
+    got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
     assert np.array_equal(got, naive_pm1_gemm(a, b))
 
 

@@ -197,11 +197,19 @@ def test_train_two_step_phases(ws, tmp_path, capsys):
 
 
 def test_train_builds_neighbor_tables_once(ws, tmp_path, capsys, monkeypatch):
-    """An unrotated two-step run reuses one set of tables across both phases;
-    one epoch is all phase 2."""
+    """An unrotated two-step run reuses one set of training-split tables
+    across both phases; one epoch is all phase 2. The test-accuracy forwards
+    build their own tables, which are not counted."""
+    train = [c.points.tobytes() for c in cli.load_split(ws / "data", "train")]
     calls = []
     real = nb.neighbor_tables
-    monkeypatch.setattr(nb, "neighbor_tables", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+
+    def spy(clouds, *args, **kw):
+        if [c.points.tobytes() for c in clouds] == train:
+            calls.append(1)
+        return real(clouds, *args, **kw)
+
+    monkeypatch.setattr(nb, "neighbor_tables", spy)
     for epochs, phases in (("2", ["1", "2"]), ("1", ["2"])):
         calls.clear()
         assert cli.main(["train", "--config", str(ws / "two_step.ini"), "--data",
@@ -406,7 +414,9 @@ def test_command_error_paths(ws, tmp_path, capsys):
         ["bench", "--n", "0"],
         ["bench", "--n", "64", "--trials", "0"],
         ["bench", "--n", "abc"],
-    ]
+    ] + [["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
+          "--lr", lr, "--epochs", "1", "--out", str(tmp_path / "x.ckpt")]
+         for lr in ("nan", "inf", "-1", "0")]
     for argv in cases:
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()

@@ -7,10 +7,9 @@ import pytest
 
 from helpers import rotate_feature, rotate_vectors
 from svpoint.errors import ParameterError
-from svpoint.geometry import (KnnGraph, PointCloud, Rotation, SVFeature,
-                              apply_rotation, batch_graph, extract_initial_features,
-                              knn_graphs, random_rotation, read_xyz,
-                              signed_permutation_rotation, synthesize_shapes,
+from svpoint.geometry import (PointCloud, Rotation, SVFeature, apply_rotation, batch_graph,
+                              extract_initial_features, neighbor_tables, random_rotation,
+                              read_xyz, signed_permutation_rotation, synthesize_shapes,
                               write_xyz, z_rotation)
 from svpoint.svcore import LinearParams
 
@@ -21,11 +20,12 @@ def frame22():
 
 
 def knn_one(cloud, k):
-    return knn_graphs([cloud], k)[0]
+    return neighbor_tables([cloud], k)[0]
 
 
-def extract_one(cloud, graph, frame_params):
-    return extract_initial_features([cloud], batch_graph([cloud], [graph], graph.k), frame_params)
+def extract_one(cloud, table, frame_params):
+    return extract_initial_features([cloud], batch_graph([cloud], [table], table.shape[1]),
+                                    frame_params)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_feature_validation():
     with pytest.raises(ParameterError):
         SVFeature(scalars=np.zeros((0, 5)), vectors=np.zeros((3, 0, 5)))
     f = SVFeature(scalars=np.zeros((2, 5)), vectors=np.zeros((3, 0, 5)))
-    assert (f.scalars.shape[0], f.vectors.shape[1], f.n_sites) == (2, 0, 5)
+    assert (f.scalars.shape, f.vectors.shape) == ((2, 5), (3, 0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +138,17 @@ def test_apply_rotation():
 
 def test_knn_collinear():
     cloud = PointCloud([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-    assert knn_one(cloud, 1).neighbors.tolist() == [[1], [0], [1]]
+    table = knn_one(cloud, 1)
+    assert table.dtype == np.intp and table.tolist() == [[1], [0], [1]]
 
 
 def test_knn_exhaustive_rows():
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.standard_normal((12, 3)))
-    graph = knn_one(cloud, 11)
+    table = knn_one(cloud, 11)
     for i in range(12):
-        assert sorted(graph.neighbors[i]) == [j for j in range(12) if j != i]
-        d = np.linalg.norm(cloud.points[graph.neighbors[i]] - cloud.points[i], axis=1)
+        assert sorted(table[i]) == [j for j in range(12) if j != i]
+        d = np.linalg.norm(cloud.points[table[i]] - cloud.points[i], axis=1)
         assert (np.diff(d) >= -1e-15).all()
 
 
@@ -155,11 +156,11 @@ def test_knn_matches_brute_force():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((64, 3))
-        graph = knn_one(PointCloud(pts), 8)
+        table = knn_one(PointCloud(pts), 8)
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         oracle = np.argsort(d2, axis=1, kind="stable")[:, :8]
-        assert np.array_equal(graph.neighbors, oracle)
+        assert np.array_equal(table, oracle)
 
 
 def test_knn_k_range():
@@ -173,16 +174,16 @@ def test_knn_graphs_batch_input_checks():
     rng = np.random.default_rng(3)
     mixed = [PointCloud(rng.standard_normal((6, 3))), PointCloud(rng.standard_normal((7, 3)))]
     with pytest.raises(ParameterError, match="equal point counts"):
-        knn_graphs(mixed, 2)
-    with pytest.raises(ParameterError):
-        knn_graphs([], 2)
+        neighbor_tables(mixed, 2)
+    with pytest.raises(ParameterError, match="no clouds given"):
+        neighbor_tables([], 2)
 
 
 def test_knn_graphs_batch_matches_single_clouds():
     rng = np.random.default_rng(4)
     clouds = [PointCloud(rng.standard_normal((20, 3))) for _ in range(3)]
-    for cloud, graph in zip(clouds, knn_graphs(clouds, 5)):
-        assert np.array_equal(graph.neighbors, knn_one(cloud, 5).neighbors)
+    for cloud, table in zip(clouds, neighbor_tables(clouds, 5)):
+        assert np.array_equal(table, knn_one(cloud, 5))
 
 
 def test_knn_tables_match_last_axis_network_with_ties():
@@ -199,25 +200,33 @@ def test_knn_tables_match_last_axis_network_with_ties():
     d2[:, np.arange(27), np.arange(27)] = np.inf
     tables = np.argsort(d2, axis=2, kind="stable")
     for k in (6, 26):
-        for graph, table in zip(knn_graphs(clouds, k), tables):
-            assert np.array_equal(graph.neighbors, table[:, :k])
+        for got, table in zip(neighbor_tables(clouds, k), tables):
+            assert np.array_equal(got, table[:, :k])
 
 
 def test_knn_permutation_consistent():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((30, 3))
-    graph = knn_one(PointCloud(pts), 6)
+    table = knn_one(PointCloud(pts), 6)
     perm = rng.permutation(30)
-    inv = np.argsort(perm)
     shuffled = knn_one(PointCloud(pts[perm]), 6)
     for new_i in range(30):
         old_i = perm[new_i]
-        assert set(perm[shuffled.neighbors[new_i]]) == set(graph.neighbors[old_i])
+        assert set(perm[shuffled[new_i]]) == set(table[old_i])
 
 
-def test_knn_graph_type_checks():
-    with pytest.raises(ParameterError):
-        KnnGraph(k=3, neighbors=np.zeros((4, 2), dtype=int))
+def test_batch_graph_rejects_malformed_tables():
+    clouds = [PointCloud(np.random.default_rng(0).standard_normal((4, 3)))]
+    good = neighbor_tables(clouds, 2)[0]
+    cases = [
+        (good.astype(np.float64), "must be a 2-D integer array, got 2-D float64"),
+        (good.ravel(), "must be a 2-D integer array, got 1-D int64"),
+        (good[:, :1], r"neighbor table of shape \(4, 1\) for clouds of 4 points and k=2"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            batch_graph(clouds, [table], 2)
+    assert np.array_equal(batch_graph(clouds, [good.astype(np.int32)], 2), good)
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +235,17 @@ def test_knn_graph_type_checks():
 
 def test_extract_vector_columns():
     cloud = PointCloud([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [5.0, 5.0, 5.0]])
-    graph = KnnGraph(k=1, neighbors=np.array([[1], [0], [0]]))
-    feat = extract_one(cloud, graph, frame22())
+    feat = extract_one(cloud, np.array([[1], [0], [0]]), frame22())
     vecs = np.asarray(feat.vectors.data)
     # edge (0, 1): columns o_0 and o_1 - o_0
     assert np.array_equal(vecs[:, 0, 0], [1.0, 0.0, 0.0])
     assert np.array_equal(vecs[:, 1, 0], [0.0, 1.0, 0.0])
-    assert (feat.scalars.data.shape[0], feat.vectors.data.shape[1], feat.n_sites) == (6, 2, 3)
+    assert (feat.scalars.data.shape, feat.vectors.data.shape) == ((6, 3), (3, 2, 3))
 
 
 def test_extract_center_column_zero_at_origin():
     cloud = PointCloud([[0.0, 0, 0], [0.0, 0, 1], [0.0, 1, 0]])
-    graph = knn_one(cloud, 2)
-    feat = extract_one(cloud, graph, frame22())
+    feat = extract_one(cloud, knn_one(cloud, 2), frame22())
     vecs = np.asarray(feat.vectors.data)
     assert np.array_equal(vecs[:, 0, :2], np.zeros((3, 2)))  # o_0 = origin
 
@@ -248,10 +255,10 @@ def test_extract_equivariance():
     rng = np.random.default_rng(5)
     for seed in range(30):
         cloud = PointCloud(rng.standard_normal((20, 3)))
-        graph = knn_one(cloud, 4)
-        feat = extract_one(cloud, graph, params)
+        table = knn_one(cloud, 4)
+        feat = extract_one(cloud, table, params)
         rot = random_rotation(seed)
-        feat_rot = extract_one(apply_rotation(cloud, rot), graph, params)
+        feat_rot = extract_one(apply_rotation(cloud, rot), table, params)
         assert np.abs(
             np.asarray(feat_rot.vectors.data)
             - rotate_vectors(np.asarray(feat.vectors.data), rot)
@@ -264,35 +271,35 @@ def test_extract_equivariance():
 def test_extract_bit_exact_under_signed_perms():
     params = frame22()
     cloud = PointCloud(np.random.default_rng(2).standard_normal((16, 3)))
-    graph = knn_one(cloud, 3)
-    base = np.asarray(extract_one(cloud, graph, params).scalars.data)
+    table = knn_one(cloud, 3)
+    base = np.asarray(extract_one(cloud, table, params).scalars.data)
     for i in range(24):
         rot = signed_permutation_rotation(i)
-        rotated = extract_one(apply_rotation(cloud, rot), graph, params)
+        rotated = extract_one(apply_rotation(cloud, rot), table, params)
         assert np.array_equal(np.asarray(rotated.scalars.data), base), f"rotation {i}"
 
 
 def test_extract_mismatch_errors():
     cloud = PointCloud(np.random.default_rng(0).standard_normal((8, 3)))
-    graph = knn_one(cloud, 2)
+    table = knn_one(cloud, 2)
     with pytest.raises(ParameterError):
-        extract_one(PointCloud(np.zeros((3, 3)) + np.eye(3)), graph, frame22())
+        extract_one(PointCloud(np.zeros((3, 3)) + np.eye(3)), table, frame22())
     with pytest.raises(ParameterError):
-        extract_one(cloud, graph, LinearParams(weight=np.zeros((3, 3))))
-    with pytest.raises(ParameterError):
-        batch_graph([cloud, cloud], [graph], 2)
-    with pytest.raises(ParameterError, match="16 node sites for a graph of 8 nodes"):
-        extract_initial_features([cloud, cloud], batch_graph([cloud], [graph], 2), frame22())
+        extract_one(cloud, table, LinearParams(weight=np.zeros((3, 3))))
+    with pytest.raises(ParameterError, match="1 neighbor tables for 2 clouds"):
+        batch_graph([cloud, cloud], [table], 2)
+    with pytest.raises(ParameterError, match=r"neighbor table of shape \(8, 2\) for 16 nodes"):
+        extract_initial_features([cloud, cloud], batch_graph([cloud], [table], 2), frame22())
     # indices outside [0, n) would read another cloud's points in a batch
     for bad in (8, -1):
-        table = graph.neighbors.copy()
-        table[3, 1] = bad
+        damaged = table.copy()
+        damaged[3, 1] = bad
         with pytest.raises(ParameterError, match="neighbor indices"):
-            extract_one(cloud, KnnGraph(k=2, neighbors=table), frame22())
+            extract_one(cloud, damaged, frame22())
     # a hand-made table may hold in-range indices yet have k >= n
     tiny = PointCloud(np.eye(3))
     for k in (3, 4):
-        full = KnnGraph(k=k, neighbors=np.arange(3 * k).reshape(3, k) % 3)
+        full = np.arange(3 * k).reshape(3, k) % 3
         with pytest.raises(ParameterError, match=r"k=\d must be in \[1, 2\]"):
             extract_one(tiny, full, frame22())
 
@@ -300,22 +307,23 @@ def test_extract_mismatch_errors():
 def test_batch_graph_offsets_each_table():
     rng = np.random.default_rng(8)
     clouds = [PointCloud(rng.standard_normal((10, 3))) for _ in range(3)]
-    graphs = knn_graphs(clouds, 3)
-    graph = batch_graph(clouds, graphs, 3)
-    assert (graph.n, graph.k) == (30, 3)
-    for i, g in enumerate(graphs):
-        assert np.array_equal(graph.neighbors[10 * i: 10 * (i + 1)], g.neighbors + 10 * i)
+    tables = neighbor_tables(clouds, 3)
+    joined = batch_graph(clouds, tables, 3)
+    assert joined.shape == (30, 3) and joined.dtype == np.intp
+    for i, table in enumerate(tables):
+        assert np.array_equal(joined[10 * i: 10 * (i + 1)], table + 10 * i)
     # tables of another k than the model's
-    with pytest.raises(ParameterError, match="graph of 10 nodes x 3 neighbors"):
-        batch_graph(clouds, graphs, 4)
+    with pytest.raises(ParameterError, match=r"neighbor table of shape \(10, 3\) for clouds "
+                                             r"of 10 points and k=4"):
+        batch_graph(clouds, tables, 4)
 
 
 def test_extract_batch_concatenates_clouds():
     rng = np.random.default_rng(6)
     clouds = [PointCloud(rng.standard_normal((10, 3))) for _ in range(3)]
-    graphs = knn_graphs(clouds, 3)
-    batch = extract_initial_features(clouds, batch_graph(clouds, graphs, 3), frame22())
-    singles = [extract_one(c, g, frame22()) for c, g in zip(clouds, graphs)]
+    tables = neighbor_tables(clouds, 3)
+    batch = extract_initial_features(clouds, batch_graph(clouds, tables, 3), frame22())
+    singles = [extract_one(c, t, frame22()) for c, t in zip(clouds, tables)]
     assert np.array_equal(batch.scalars.data,
                           np.concatenate([f.scalars.data for f in singles], axis=1))
     assert np.array_equal(batch.vectors.data,
@@ -324,9 +332,8 @@ def test_extract_batch_concatenates_clouds():
 
 def test_extract_raw_coordinates_without_frame():
     cloud = PointCloud([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [5.0, 5.0, 5.0]])
-    graph = KnnGraph(k=1, neighbors=np.array([[1], [0], [0]]))
-    feat = extract_one(cloud, graph, None)
-    assert (feat.scalars.data.shape[0], feat.vectors.data.shape[1], feat.n_sites) == (6, 0, 3)
+    feat = extract_one(cloud, np.array([[1], [0], [0]]), None)
+    assert (feat.scalars.data.shape, feat.vectors.data.shape) == ((6, 3), (3, 0, 3))
     # edge (0, 1): o_0 then o_1 - o_0
     assert np.asarray(feat.scalars.data)[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 

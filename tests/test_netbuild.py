@@ -6,7 +6,7 @@ import pytest
 import svpoint.autodiff as ad
 import svpoint.netbuild as nb
 from svpoint.errors import CheckpointError, ConfigError, ParameterError, StateError
-from svpoint.geometry import KnnGraph, PointCloud, knn_graphs
+from svpoint.geometry import PointCloud
 
 
 def small_cfg(**kw):
@@ -210,7 +210,7 @@ def test_forward_input_validation(monkeypatch):
     model = nb.build_model(small_cfg())
     clouds = random_clouds(2, 12, 3)
     built = []
-    monkeypatch.setattr(nb, "knn_graphs", lambda *args: built.append(args))
+    monkeypatch.setattr(nb, "neighbor_tables", lambda *args: built.append(args))
     # the mode is checked first, before any neighbor table is built
     with pytest.raises(ParameterError, match="^stats_mode must be train or eval, got 'test'$"):
         model.forward(clouds, stats_mode="test")
@@ -226,15 +226,18 @@ def test_forward_input_validation(monkeypatch):
 
 
 def test_precomputed_graphs_match_default_path():
-    model = nb.build_model(small_cfg())
     clouds = random_clouds(5, 14, 3)
-    tables = nb.neighbor_tables(clouds, model.cfg.k, chunk=2)
-    assert np.array_equal(model.forward(clouds, graphs=tables).data,
-                          model.forward(clouds).data)
-    with pytest.raises(ParameterError):
+    for backbone, plan in (("pointnet_like", (16, 24)), ("dgcnn_like", (12, 18, 24))):
+        for binarize in ("none", "vanilla"):
+            model = nb.build_model(small_cfg(backbone=backbone, channel_plan=plan,
+                                             binarize=binarize), rng_seed=4)
+            tables = nb.neighbor_tables(clouds, model.cfg.k, chunk=2)
+            assert np.array_equal(model.forward(clouds, graphs=tables).data,
+                                  model.forward(clouds).data), (backbone, binarize)
+    with pytest.raises(ParameterError, match="4 neighbor tables for 5 clouds"):
         model.forward(clouds, graphs=tables[:-1])
     bad_k = nb.neighbor_tables(clouds, model.cfg.k + 1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="neighbor table of shape"):
         model.forward(clouds, graphs=bad_k)
 
 
@@ -246,8 +249,8 @@ def test_neighbor_tables_match_per_cloud_search():
         tables = nb.neighbor_tables(clouds, 5, chunk=chunk)
         assert len(tables) == len(clouds)
         for cloud, table, ref in zip(clouds, tables, whole):
-            assert np.array_equal(table.neighbors, ref.neighbors)
-            assert np.array_equal(table.neighbors, knn_graphs([cloud], 5)[0].neighbors)
+            assert np.array_equal(table, ref)
+            assert np.array_equal(table, nb.neighbor_tables([cloud], 5)[0])
 
 
 def test_neighbor_tables_reject_bad_requests():
@@ -272,15 +275,14 @@ def test_precomputed_graphs_validated(backbone):
     # an out-of-range index used to read the next (or, for -1, the
     # previous) cloud's points without complaint
     for bad in (16, 17, -1):
-        table = tables[0].neighbors.copy()
+        table = tables[0].copy()
         table[5, 2] = bad
-        graphs = [KnnGraph(k=4, neighbors=table)] + tables[1:]
+        graphs = [table] + tables[1:]
         with pytest.raises(ParameterError, match="neighbor indices"):
             model.forward(clouds, graphs=graphs)
     for rows in (15, 17):
-        table = np.resize(tables[1].neighbors, (rows, 4))
-        graphs = [tables[0], KnnGraph(k=4, neighbors=table), tables[2]]
-        with pytest.raises(ParameterError, match="graph of"):
+        graphs = [tables[0], np.resize(tables[1], (rows, 4)), tables[2]]
+        with pytest.raises(ParameterError, match="neighbor table of shape"):
             model.forward(clouds, graphs=graphs)
 
 
@@ -297,7 +299,7 @@ def test_block_sites_follow_the_counted_schedule(backbone, baseline, monkeypatch
     block = nb.svblock_forward
 
     def spy(x, params, *args, **kw):
-        received.append(x.n_sites)
+        received.append(ad.as_tensor(x.scalars).data.shape[1])
         return block(x, params, *args, **kw)
 
     monkeypatch.setattr(nb, "svblock_forward", spy)

@@ -6,7 +6,7 @@ import pytest
 import svpoint.autodiff as ad
 from helpers import rotate_feature, rotate_vectors
 from svpoint.errors import ParameterError
-from svpoint.geometry import KnnGraph, SVFeature, random_rotation, signed_permutation_rotation
+from svpoint.geometry import SVFeature, random_rotation, signed_permutation_rotation
 from svpoint.svcore import (LinearParams, NormParams, SVBlockParams, aggregate,
                             invariant_head, invariant_projection, regroup_edges,
                             svblock_forward, vector_mapping)
@@ -476,38 +476,37 @@ def test_aggregate_commutes_with_rotation():
 def test_regroup_edges_formula():
     rng = np.random.default_rng(31)
     feat = rand_feature(2, 2, 4, 32)
-    graph = KnnGraph(k=2, neighbors=np.array([[1, 2], [0, 3], [3, 0], [2, 1]]))
-    out = regroup_edges(feat, graph)
-    assert (arr(out.scalars).shape[0], arr(out.vectors).shape[1], out.n_sites) == (4, 4, 8)
+    neighbors = np.array([[1, 2], [0, 3], [3, 0], [2, 1]])
+    out = regroup_edges(feat, neighbors)
+    assert (arr(out.scalars).shape, arr(out.vectors).shape) == ((4, 8), (3, 4, 8))
     s = arr(feat.scalars)
     got = arr(out.scalars)
     for i in range(4):
         for slot in range(2):
-            j = graph.neighbors[i, slot]
+            j = neighbors[i, slot]
             edge = i * 2 + slot
             assert np.array_equal(got[:2, edge], s[:, i])
             assert np.array_equal(got[2:, edge], s[:, j] - s[:, i])
-    # node features of another site count than the graph's (a one-cloud
+    # node features of another site count than the table's (a one-cloud
     # table given a batch) would gather silently misaligned edges
-    with pytest.raises(ParameterError, match="5 node sites for a graph of 4 nodes"):
-        regroup_edges(rand_feature(2, 2, 5, 32), graph)
+    with pytest.raises(ParameterError, match=r"neighbor table of shape \(4, 2\) for 5 nodes"):
+        regroup_edges(rand_feature(2, 2, 5, 32), neighbors)
 
 
 def test_regroup_same_features_zero_difference():
     feat = SVFeature(scalars=np.ones((2, 3)), vectors=np.ones((3, 1, 3)))
-    graph = KnnGraph(k=1, neighbors=np.array([[1], [2], [0]]))
-    out = regroup_edges(feat, graph)
+    out = regroup_edges(feat, np.array([[1], [2], [0]]))
     assert (arr(out.scalars)[2:] == 0.0).all()
     assert (arr(out.vectors)[:, 1:] == 0.0).all()
 
 
 def test_regroup_equivariant():
     feat = rand_feature(2, 2, 5, 33)
-    graph = KnnGraph(k=2, neighbors=np.array([[1, 2], [0, 3], [4, 0], [2, 1], [3, 0]]))
-    base = regroup_edges(feat, graph)
+    neighbors = np.array([[1, 2], [0, 3], [4, 0], [2, 1], [3, 0]])
+    base = regroup_edges(feat, neighbors)
     for seed in range(20):
         rot = random_rotation(seed)
-        got = regroup_edges(rotate_feature(feat, rot), graph)
+        got = regroup_edges(rotate_feature(feat, rot), neighbors)
         assert np.abs(arr(got.vectors) - rotate_vectors(arr(base.vectors), rot)).max() < 1e-12
 
 
