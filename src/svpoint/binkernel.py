@@ -3,8 +3,8 @@
 Everything here works on plain float64/uint64 numpy arrays; the
 differentiable wrappers live one layer up. Sign matrices are packed one
 bit per element (bit set means +1), little-endian within each 64-bit
-word, rows padded with zero bits that are masked out of every dot
-product.
+word, rows padded with zero bits, which never differ between two rows
+and so drop out of every dot product.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ class PackedSignMatrix:
         expect = (self.rows, (self.cols + WORD_BITS - 1) // WORD_BITS)
         if self.words.shape != expect or self.words.dtype != np.uint64:
             raise ParameterError(f"packed words must be uint64 of shape {expect}")
+        rem = self.cols % WORD_BITS
+        if rem and (self.words[:, -1] >> np.uint64(rem)).any():
+            raise ParameterError("padding bits past the last column must be zero")
 
 
 def bitpack(signs: np.ndarray) -> PackedSignMatrix:
@@ -77,34 +80,23 @@ def bitpack(signs: np.ndarray) -> PackedSignMatrix:
     return PackedSignMatrix(rows=rows, cols=cols, words=np.ascontiguousarray(words))
 
 
-def _tail_mask(cols: int, n_words: int) -> np.ndarray:
-    mask = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    rem = cols % WORD_BITS
-    if rem:
-        mask[-1] = np.uint64((1 << rem) - 1)
-    return mask
-
-
 def xnor_popcount_gemm(a: PackedSignMatrix, b: PackedSignMatrix) -> np.ndarray:
-    """All-pairs ±1 dot products via XNOR and popcount.
+    """All-pairs ±1 dot products via XOR and popcount.
 
     Both operands pack the shared reduction axis, so for a logical
     product (m×n)·(n×p) the right operand is packed from its transpose.
-    Entry [i, j] = 2*popcount(XNOR(row_i(a), row_j(b))) - n, which equals
-    the exact integer dot product of the two ±1 rows.
+    Entry [i, j] = n - 2*popcount(XOR(row_i(a), row_j(b))), which equals
+    2*popcount(XNOR) - n, the exact integer dot product of the two ±1
+    rows: the zero padding bits never differ.
     """
     if a.cols != b.cols:
         raise ParameterError(f"inner dimensions differ: {a.cols} vs {b.cols}")
-    mask = _tail_mask(a.cols, a.words.shape[1])
     out = np.empty((a.rows, b.rows), dtype=np.int64)
     n = np.int64(a.cols)
     for lo in range(0, a.rows, GEMM_BLOCK):
         hi = min(lo + GEMM_BLOCK, a.rows)
         x = np.bitwise_xor(a.words[lo:hi, None, :], b.words[None, :, :])
-        np.invert(x, out=x)
-        np.bitwise_and(x, mask, out=x)
-        counts = np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
-        out[lo:hi] = 2 * counts - n
+        out[lo:hi] = n - 2 * np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
     return out
 
 
@@ -122,8 +114,7 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
         raise ParameterError(f"binary_linear_full needs mode binary_full, got {params.mode!r}")
     if x.ndim != 2 or w.ndim != 2 or x.shape[0] != w.shape[0]:
         raise ParameterError(f"shape mismatch: x {x.shape} vs weight {w.shape}")
-    beta = np.zeros(x.shape[0]) if params.beta is None else _arr(params.beta)
-    gamma = np.ones(w.shape[1]) if params.gamma is None else _arr(params.gamma)
+    beta, gamma = _arr(params.beta), _arr(params.gamma)
     if beta.shape != (x.shape[0],) or gamma.shape != (w.shape[1],):
         raise ParameterError("beta must be per input channel, gamma per output channel")
     sx = sign(x - beta[:, None])

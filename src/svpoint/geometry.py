@@ -150,7 +150,8 @@ def neighbor_tables(clouds, k: int, chunk: int = 32) -> list[np.ndarray]:
         d2 = ad.sorted_coord_sum(diff, axis=0)
         idx = np.arange(n)
         d2[:, idx, idx] = np.inf
-        order = np.argsort(d2, axis=2, kind="stable")[:, :, :k]  # stable: equal distances by index
+        # stable: equal distances by index; the copy lets the (chunk, n, n) argsort go
+        order = np.argsort(d2, axis=2, kind="stable")[:, :, :k].copy()
         tables.extend(order[i] for i in range(len(part)))
         del pts, diff, d2  # freed before the next chunk allocates its own
     return tables

@@ -218,18 +218,9 @@ def count_block_ops(c1: int, c2: int, n: int, mode: str) -> OpCounter:
     return ctr
 
 
-def _linear_cost(lin: LinearParams, n_sites: int, vector: bool) -> dict[str, int]:
-    per_site = lin.in_dim * lin.out_dim * (3 if vector else 1)
-    total = per_site * n_sites
-    if lin.mode == "binary_full":
-        return {"bops": total}
-    if lin.mode == "binary_weight":
-        return {"adds": total}
-    return {"macs": total}
-
-
 def count_model_ops(model: "Model", n_points: int) -> OpCounter:
-    """Per-layer cost of one single-cloud forward pass at the built dims.
+    """Per-layer cost of one single-cloud forward pass at the built dims,
+    in build order; each frame is followed by its `.projection`.
 
     Pooling, normalization, and nonlinearities are omitted as negligible
     next to the linear maps, matching the five-term accounting.
@@ -237,39 +228,24 @@ def count_model_ops(model: "Model", n_points: int) -> OpCounter:
     cfg = model.cfg
     if n_points < cfg.k + 1:
         raise ParameterError(f"k={cfg.k} neighbors need {cfg.k + 1} points, got {n_points}")
+    per_cloud = {"edge": n_points * cfg.k, "node": n_points, "cloud": 1}
     ctr = OpCounter()
-    n_edges = n_points * cfg.k
-    if not cfg.baseline:
-        ctr.add_layer("extract.frame", **_linear_cost(model.extract_frame, n_edges, True))
-        ctr.add_layer("extract.projection", macs=9 * 2 * n_edges)
-    sites = n_edges
-    for i, (blk, (regroup, pool)) in enumerate(zip(model.blocks, block_schedule(cfg))):
-        if regroup:
-            sites = n_edges
-        name = f"block{i}"
-        if blk.frame is not None:
-            ctr.add_layer(f"{name}.frame", **_linear_cost(blk.frame, sites, True))
-            ctr.add_layer(f"{name}.projection", macs=9 * blk.frame.in_dim * sites)
-        for j, (lin, _) in enumerate(blk.scalar_mlp):
-            ctr.add_layer(f"{name}.scalar{j}", **_linear_cost(lin, sites, False))
-        for j, (lin, _) in enumerate(blk.gate_mlp):
-            ctr.add_layer(f"{name}.gate{j}", **_linear_cost(lin, 1, False))
-        if blk.vector_map.out_dim:
-            ctr.add_layer(f"{name}.vector_map", **_linear_cost(blk.vector_map, sites, True))
-        if pool:
-            sites = n_points
-    if model.head_frame is not None:
-        ctr.add_layer("head.frame", **_linear_cost(model.head_frame, 1, True))
-        ctr.add_layer("head.projection", macs=9 * model.head_frame.in_dim)
-    for j, (lin, _) in enumerate(model.final_mlp):
-        ctr.add_layer(f"final{j}", **_linear_cost(lin, 1, False))
+    for name, lin, kind, sites in model.layers:
+        if kind == "vector" and not lin.out_dim:
+            continue
+        n = per_cloud[sites]
+        total = lin.in_dim * lin.out_dim * n * (1 if kind in ("scalar", "gate") else 3)
+        unit = {"binary_full": "bops", "binary_weight": "adds"}.get(lin.mode, "macs")
+        ctr.add_layer(name, **{unit: total})
+        if kind == "frame":
+            ctr.add_layer(f"{name.removesuffix('.frame')}.projection", macs=9 * lin.in_dim * n)
     return ctr
 
 
 def param_bits(model: "Model") -> int:
     """Storage cost of the parameter store, which holds exactly the tensors
     the forward reads: 1 bit per binarized weight entry, 32 per other entry."""
-    binary = {f"{name}.weight" for name, lin, _ in _eligible_layers(model)
+    binary = {f"{name}.weight" for name, lin, _, _ in model.layers
               if lin.mode != "full_precision"}
     return sum(tensor.data.size * (1 if name in binary else 32)
                for name, tensor in model.store.items())
@@ -280,11 +256,19 @@ def param_bits(model: "Model") -> int:
 
 
 class Model:
-    """A built network: parameter store plus the layer structure."""
+    """A built network: parameter store plus the layer structure.
+
+    `layers` lists every linear layer once, in build order, as
+    (name, LinearParams, kind, sites). Kinds: 'frame' and 'vector' act on
+    vectors, 'scalar' and 'gate' on scalars. Sites say where a layer runs:
+    on each 'edge', each 'node', or once per 'cloud'. Binarization,
+    `param_bits` and `count_model_ops` read this list.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         self.store = ad.ParamStore()
+        self.layers: list[tuple[str, LinearParams, str, str]] = []
         self.blocks: list[SVBlockParams] = []
         self.extract_frame: LinearParams | None = None
         self.head_frame: LinearParams | None = None
@@ -355,26 +339,30 @@ def _glorot(rng, d_in: int, d_out: int) -> np.ndarray:
 
 
 def _build_linear(model: Model, name: str, rng, d_in: int, d_out: int,
-                  bias: bool) -> LinearParams:
+                  kind: str, sites: str) -> LinearParams:
+    """A Glorot layer, listed in `model.layers`; scalar and gate layers get a bias."""
     lin = LinearParams(weight=model._param(f"{name}.weight", _glorot(rng, d_in, d_out)))
-    if bias:
+    if kind in ("scalar", "gate"):
         lin.bias = model._param(f"{name}.bias", np.zeros(d_out))
+    model.layers.append((name, lin, kind, sites))
     return lin
 
 
 def _build_block(model: Model, idx: int, rng, p_in: int, q_in: int,
-                 p_out: int, q_out: int, cfg: ModelConfig) -> SVBlockParams:
+                 p_out: int, q_out: int, cfg: ModelConfig, sites: str) -> SVBlockParams:
     """The config's two interaction switches decide which layers exist (the
     frame, the gate MLP); the block reads its wiring back from those layers."""
     name = f"block{idx}"
     project = cfg.scalar_concat and q_in > 0
-    frame = _build_linear(model, f"{name}.frame", rng, q_in, 3, bias=False) if project else None
+    frame = _build_linear(model, f"{name}.frame", rng, q_in, 3, "frame", sites) if project else None
     s_in = p_in + 3 * q_in if project else p_in
-    scalar_mlp = [(_build_linear(model, f"{name}.scalar0", rng, s_in, p_out, bias=True), "relu")]
-    vector_map = _build_linear(model, f"{name}.vector_map", rng, q_in, q_out, bias=False)
+    scalar_mlp = [(_build_linear(model, f"{name}.scalar0", rng, s_in, p_out, "scalar", sites),
+                   "relu")]
+    vector_map = _build_linear(model, f"{name}.vector_map", rng, q_in, q_out, "vector", sites)
     gate_mlp = []
     if cfg.vector_reweight and q_out:
-        gate_mlp = [(_build_linear(model, f"{name}.gate0", rng, p_in, q_out, bias=True), "sigmoid")]
+        gate_mlp = [(_build_linear(model, f"{name}.gate0", rng, p_in, q_out, "gate", "cloud"),
+                     "sigmoid")]
     norm = NormParams.create(p_out, q_out)
     for key in ("scalar_gain", "scalar_bias", "vector_log_scale"):
         model.store.add(f"{name}.norm.{key}", getattr(norm, key))
@@ -390,7 +378,7 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
 
     p, q = EXTRACT_SCALARS, (0 if cfg.baseline else 2)
     if not cfg.baseline:
-        model.extract_frame = _build_linear(model, "extract.frame", rng, 2, 3, bias=False)
+        model.extract_frame = _build_linear(model, "extract.frame", rng, 2, 3, "frame", "edge")
 
     for i, (width, (regroup, _)) in enumerate(zip(cfg.channel_plan, block_schedule(cfg))):
         if cfg.baseline:
@@ -399,15 +387,17 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
             p_out, q_out = split_channels(width, cfg.sv_ratio)
         if regroup:
             p, q = 2 * p, 2 * q  # edge regrouping doubles both channel sets
-        model.blocks.append(_build_block(model, i, rng, p, q, p_out, q_out, cfg))
+        sites = "edge" if i == 0 or regroup else "node"
+        model.blocks.append(_build_block(model, i, rng, p, q, p_out, q_out, cfg, sites))
         p, q = p_out, q_out
 
     if q:
-        model.head_frame = _build_linear(model, "head.frame", rng, q, 3, bias=False)
+        model.head_frame = _build_linear(model, "head.frame", rng, q, 3, "frame", "cloud")
     head_in = p + 3 * q
     model.final_mlp = [
-        (_build_linear(model, "final0", rng, head_in, cfg.head_dim, bias=True), "relu"),
-        (_build_linear(model, "final1", rng, cfg.head_dim, cfg.classes, bias=True), "none"),
+        (_build_linear(model, "final0", rng, head_in, cfg.head_dim, "scalar", "cloud"), "relu"),
+        (_build_linear(model, "final1", rng, cfg.head_dim, cfg.classes, "scalar", "cloud"),
+         "none"),
     ]
 
     if cfg.binarize == "vanilla":
@@ -419,32 +409,13 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
 # binarization planning
 
 
-def _eligible_layers(model: Model):
-    """(name, LinearParams, kind) for every layer binarization may touch.
-
-    Kinds: 'scalar' layers binarize fully (activations and weights),
-    'vector' layers weight-only. The gate MLPs never appear: their cost
-    is negligible and they stay full-precision.
-    """
-    first_fp = model.cfg.keep_first_last_fp
-    if model.extract_frame is not None and not first_fp:
-        yield "extract.frame", model.extract_frame, "vector"
-    for i, blk in enumerate(model.blocks):
-        if blk.frame is not None:
-            yield f"block{i}.frame", blk.frame, "vector"
-        yield f"block{i}.vector_map", blk.vector_map, "vector"
-        for j, (lin, _) in enumerate(blk.scalar_mlp):
-            yield f"block{i}.scalar{j}", lin, "scalar"
-    if model.head_frame is not None:
-        yield "head.frame", model.head_frame, "vector"
-    for j, (lin, _) in enumerate(model.final_mlp[:-1]):
-        yield f"final{j}", lin, "scalar"
-    if not first_fp:
-        yield f"final{len(model.final_mlp) - 1}", model.final_mlp[-1][0], "scalar"
-
-
 def binarize_plan(model: Model) -> Model:
-    """Switch eligible layers to their binary modes, in place.
+    """Switch the model's layers to their binary modes, in place.
+
+    Scalar layers binarize fully (activations and weights); frames and
+    vector maps binarize their weights only, which keeps equivariance.
+    Gates stay full-precision (their cost is negligible), and so do the
+    extraction frame and the last layer under `keep_first_last_fp`.
 
     Weights are preserved; beta starts at 0 and gamma at 1, both
     trainable. A binarized scalar layer reads them instead of its bias, so
@@ -454,16 +425,18 @@ def binarize_plan(model: Model) -> Model:
     """
     if model.binarized:
         raise StateError("model is already binarized")
-    for name, lin, kind in _eligible_layers(model):
+    kept = {"extract.frame", model.layers[-1][0]} if model.cfg.keep_first_last_fp else set()
+    for name, lin, kind, _ in model.layers:
+        if kind == "gate" or name in kept:
+            continue
         if kind == "scalar":
             lin.mode = "binary_full"
             del model.store.params[f"{name}.bias"]
             lin.bias = None
             lin.beta = model._param(f"{name}.beta", np.zeros(lin.in_dim))
-            lin.gamma = model._param(f"{name}.gamma", np.ones(lin.out_dim))
         else:
             lin.mode = "binary_weight"
-            lin.gamma = model._param(f"{name}.gamma", np.ones(lin.out_dim))
+        lin.gamma = model._param(f"{name}.gamma", np.ones(lin.out_dim))
     model.binarized = True
     model.store.reset_optimizer()
     return model

@@ -52,7 +52,8 @@ class LinearParams:
 
     beta shifts input channels before activation binarization (scalar
     path only), gamma rescales output channels of a binarized product,
-    bias is a plain additive term for full-precision scalar layers.
+    bias is a plain additive term for full-precision scalar layers. A
+    binary_full layer reads beta and gamma, a binary_weight layer gamma.
     Fields may be Tensors (trainable) or arrays (frozen).
     """
 
@@ -146,12 +147,9 @@ def scalar_linear(x, params: LinearParams) -> ad.Tensor:
         return out
     if params.mode != "binary_full":
         raise ParameterError(f"scalar features cannot use precision mode {params.mode!r}")
-    beta = params.beta
-    xs = ad.sign_ste(x if beta is None else ad.sub(x, ad.reshape(ad.as_tensor(beta), (-1, 1))))
+    xs = ad.sign_ste(ad.sub(x, ad.reshape(ad.as_tensor(params.beta), (-1, 1))))
     out = ad.matmul(ad.transpose(ad.sign_ste(w)), xs)
-    if params.gamma is not None:
-        out = ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (-1, 1)))
-    return out
+    return ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (-1, 1)))
 
 
 def vector_mapping(v, params: LinearParams) -> ad.Tensor:
@@ -170,9 +168,7 @@ def vector_mapping(v, params: LinearParams) -> ad.Tensor:
     if params.mode != "binary_weight":
         raise ParameterError(f"vector features cannot use precision mode {params.mode!r}")
     out = ad.vector_map_raw(v, ad.sign_ste(w))
-    if params.gamma is not None:
-        out = ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (1, -1, 1)))
-    return out
+    return ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (1, -1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,15 @@ keeps the second. The digests depend on the numpy and BLAS build, so
 compare two trees on one machine, never against stored values.
 
     --save DIR   also write each trained model to DIR/<config>.svnc
-    --load DIR   instead print one digest per checkpoint in DIR: its eval
-                 logits on the upright and rotated clouds, as loaded here
+    --load DIR   instead print one digest per checkpoint in DIR: every
+                 persistent array of the loaded model in name order, then
+                 its eval logits on the upright and rotated clouds
 
 `--save` in one tree and `--load` in both shows that checkpoints written
-by one tree load to the same logits in the other.
+by one tree load to the same logits in the other. `--save` in two trees
+and `--load` of both directories in one tree shows that the trained state
+is equal tensor by tensor, even where the two trees store it in another
+order.
 """
 
 from __future__ import annotations
@@ -107,8 +111,12 @@ def train_digest(name: str, save_dir: Path | None) -> str:
 
 def load_digest(name: str, load_dir: Path) -> str:
     clouds, rotated = _clouds()
+    model = nb.load_checkpoint(load_dir / f"{name}.svnc")
     h = hashlib.sha256()
-    _eval_logits((h,), nb.load_checkpoint(load_dir / f"{name}.svnc"), clouds, rotated)
+    for key, arr in sorted(model.state_arrays(), key=lambda item: item[0]):
+        h.update(key.encode())
+        _feed(h, arr)
+    _eval_logits((h,), model, clouds, rotated)
     return h.hexdigest()
 
 

@@ -85,6 +85,18 @@ def test_bitpack_padding_zero():
     assert (packed.words[:, 1] == np.uint64(1)).all()  # only bit 64 set
 
 
+def test_packed_matrix_rejects_set_padding_bits():
+    """The kernel counts XOR bits over whole words, so a set padding bit
+    would shift a dot product; such words are refused."""
+    good = bk.bitpack(np.ones((2, 65)))
+    bad = good.words.copy()
+    bad[1, 1] |= np.uint64(1 << 5)
+    with pytest.raises(ParameterError, match="padding bits"):
+        bk.PackedSignMatrix(rows=2, cols=65, words=bad)
+    full = bk.bitpack(np.ones((1, 64)))  # no padding: every bit may be set
+    assert bk.PackedSignMatrix(rows=1, cols=64, words=full.words).cols == 64
+
+
 def test_bitpack_rejects_other_values():
     with pytest.raises(ParameterError):
         bk.bitpack(np.array([[1.0, 0.0]]))

@@ -204,6 +204,18 @@ def test_knn_tables_match_last_axis_network_with_ties():
             assert np.array_equal(got, table[:, :k])
 
 
+def test_knn_tables_hold_only_their_chunk():
+    """A cached table keeps alive its chunk's (chunk, n, k) entries, not the
+    chunk's whole (chunk, n, n) argsort."""
+    rng = np.random.default_rng(12)
+    clouds = [PointCloud(rng.standard_normal((30, 3))) for _ in range(5)]
+    for chunk in (1, 2, 32):
+        for table in neighbor_tables(clouds, 4, chunk=chunk):
+            assert table.flags.c_contiguous
+            held = table if table.base is None else table.base
+            assert held.size <= min(chunk, len(clouds)) * 30 * 4
+
+
 def test_knn_permutation_consistent():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((30, 3))

@@ -22,23 +22,6 @@ def random_clouds(count, n, seed):
             for i in range(count)]
 
 
-def iter_linears(model):
-    if model.extract_frame is not None:
-        yield model.extract_frame
-    for blk in model.blocks:
-        if blk.frame is not None:
-            yield blk.frame
-        yield blk.vector_map
-        for lin, _ in blk.scalar_mlp:
-            yield lin
-        for lin, _ in blk.gate_mlp:
-            yield lin
-    if model.head_frame is not None:
-        yield model.head_frame
-    for lin, _ in model.final_mlp:
-        yield lin
-
-
 # ---------------------------------------------------------------------------
 # channel splitting and op counting
 
@@ -419,6 +402,40 @@ def test_every_stored_tensor_gets_a_gradient():
         assert not unread, (name, unread)
 
 
+def test_layer_list_is_the_one_inventory():
+    """`model.layers` names every stored weight in build order; op counting
+    charges exactly those layers (a projection after each frame) and
+    binarization switches exactly the non-gate ones outside the kept
+    boundary, on each fingerprint config and on a two-step model after
+    binarization."""
+    from fingerprint import BASE, CONFIGS
+
+    cases = [nb.build_model(nb.ModelConfig(**BASE, **kw)) for kw in CONFIGS.values()]
+    two_step = nb.build_model(nb.ModelConfig(**BASE, binarize="two_step"))
+    nb.binarize_plan(two_step)
+    cases.append(two_step)
+    for model in cases:
+        names = [name for name, _, _, _ in model.layers]
+        weights = [key.removesuffix(".weight") for key, _ in model.store.items()
+                   if key.endswith(".weight")]
+        assert names == weights, model.cfg
+        expect = []
+        for name, lin, kind, _ in model.layers:
+            if kind == "vector" and not lin.out_dim:
+                continue
+            expect.append(name)
+            if kind == "frame":
+                expect.append(name.removesuffix(".frame") + ".projection")
+        assert [name for name, _ in nb.count_model_ops(model, 16).per_layer] == expect
+        switched = {name for name, lin, _, _ in model.layers if lin.mode != "full_precision"}
+        if not model.binarized:
+            assert not switched
+            continue
+        kept = {"extract.frame", names[-1]} if model.cfg.keep_first_last_fp else set()
+        assert switched == {name for name, _, kind, _ in model.layers
+                            if kind != "gate"} - kept, model.cfg
+
+
 def test_param_bits_exact():
     fp = nb.build_model(small_cfg())
     dense = sum(t.data.size for _, t in fp.store.items())
@@ -426,12 +443,12 @@ def test_param_bits_exact():
 
     bi = nb.build_model(small_cfg(binarize="vanilla"))
     dense = sum(t.data.size for _, t in bi.store.items())
-    packed = sum(lin.weight.data.size for lin in iter_linears(bi)
+    packed = sum(lin.weight.data.size for _, lin, _, _ in bi.layers
                  if lin.mode != "full_precision")
     assert nb.param_bits(bi) == 32 * dense - 31 * packed
     assert packed > 0
     # the store holds the layers' tensors and nothing else: no detached bias
-    held = sum(t.data.size for lin in iter_linears(bi)
+    held = sum(t.data.size for _, lin, _, _ in bi.layers
                for t in (lin.weight, lin.bias, lin.beta, lin.gamma) if t is not None)
     held += sum(getattr(blk.norm, key).data.size for blk in bi.blocks
                 for key in ("scalar_gain", "scalar_bias", "vector_log_scale"))
