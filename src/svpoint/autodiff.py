@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from .binkernel import sign as _sign_forward
-from .binkernel import ste_backward
 from .errors import ParameterError, StateError
 
 # ---------------------------------------------------------------------------
@@ -231,14 +229,36 @@ def sigmoid(x) -> Tensor:
     return _make(s, (x,), bw)
 
 
+STE_CLIP = 1.2  # the straight-through gradient passes for |x| < STE_CLIP
+
+
+def sign(x: np.ndarray) -> np.ndarray:
+    """Elementwise two-valued sign: +1 for x >= 0, -1 otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ParameterError("sign of NaN is undefined")
+    return np.where(x >= 0, 1.0, -1.0)
+
+
+def ste_backward(grad_out: np.ndarray, x_saved: np.ndarray) -> np.ndarray:
+    """Straight-through gradient for sign: pass inside the strict clip band, else zero."""
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    x_saved = np.asarray(x_saved, dtype=np.float64)
+    if grad_out.shape != x_saved.shape:
+        raise ParameterError(
+            f"gradient shape {grad_out.shape} does not match saved input {x_saved.shape}"
+        )
+    return grad_out * ((x_saved > -STE_CLIP) & (x_saved < STE_CLIP))
+
+
 def sign_ste(x) -> Tensor:
     """Elementwise Sign with the clipped straight-through backward rule."""
     x = as_tensor(x)
     try:
-        out = _sign_forward(x.data)
+        out = sign(x.data)
     except ParameterError:  # NaN has no sign: it stays NaN, so the loss shows the divergence
         nan = np.isnan(x.data)
-        out = _sign_forward(np.where(nan, 0.0, x.data))
+        out = sign(np.where(nan, 0.0, x.data))
         out[nan] = np.nan
     saved = x.data
 

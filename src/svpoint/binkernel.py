@@ -1,10 +1,11 @@
-"""Binarization primitives and XNOR-popcount linear algebra.
+"""XNOR-popcount linear algebra for the fully binarized scalar layers.
 
-Everything here works on plain float64/uint64 numpy arrays; the
-differentiable wrappers live one layer up. Sign matrices are packed one
-bit per element (bit set means +1), little-endian within each 64-bit
-word, rows padded with zero bits, which never differ between two rows
-and so drop out of every dot product.
+The kernel sits above `svcore`: it takes `sign` from `autodiff`, and its
+float route is the model's own layer, `svcore.scalar_linear`. The packed
+route works on plain float64/uint64 numpy arrays. Sign matrices are
+packed one bit per element (bit set means +1), little-endian within each
+64-bit word, rows padded with zero bits, which never differ between two
+rows and so drop out of every dot product.
 """
 
 from __future__ import annotations
@@ -14,35 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import sign
 from .errors import ParameterError
+from .svcore import scalar_linear
 
 WORD_BITS = 64
 GEMM_BLOCK = 512  # left-operand rows per step, bounding the XNOR temporary
-STE_CLIP = 1.2  # the straight-through gradient passes for |x| < STE_CLIP
 
 
 def _arr(v) -> np.ndarray:
     # accept raw arrays or Tensor-like objects with a .data field
     return np.asarray(getattr(v, "data", v), dtype=np.float64)
-
-
-def sign(x: np.ndarray) -> np.ndarray:
-    """Elementwise two-valued sign: +1 for x >= 0, -1 otherwise."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.isnan(x).any():
-        raise ParameterError("sign of NaN is undefined")
-    return np.where(x >= 0, 1.0, -1.0)
-
-
-def ste_backward(grad_out: np.ndarray, x_saved: np.ndarray) -> np.ndarray:
-    """Straight-through gradient for sign: pass inside the strict clip band, else zero."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    x_saved = np.asarray(x_saved, dtype=np.float64)
-    if grad_out.shape != x_saved.shape:
-        raise ParameterError(
-            f"gradient shape {grad_out.shape} does not match saved input {x_saved.shape}"
-        )
-    return grad_out * ((x_saved > -STE_CLIP) & (x_saved < STE_CLIP))
 
 
 @dataclass
@@ -106,7 +89,9 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
     x is (in_dim, N) with sites along columns; `params` is a binary_full
     `svcore.LinearParams` whose W is (in_dim, out_dim), whose beta shifts
     input channels and whose gamma scales output channels. The packed
-    XNOR route and the unpacked float route produce bit-identical output.
+    XNOR route gives the same bits as the float route, which is the
+    model's own layer, `svcore.scalar_linear`: ±1 dot products are exact
+    integers either way.
     """
     x = np.asarray(x, dtype=np.float64)
     w = _arr(params.weight)
@@ -117,13 +102,12 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
     beta, gamma = _arr(params.beta), _arr(params.gamma)
     if beta.shape != (x.shape[0],) or gamma.shape != (w.shape[1],):
         raise ParameterError("beta must be per input channel, gamma per output channel")
-    sx = sign(x - beta[:, None])
-    sw = sign(w)
+    sx = sign(x - beta[:, None])  # rejects NaN, which the model's layer lets through
     if use_packed:
-        prod = xnor_popcount_gemm(bitpack(sw.T), bitpack(sx.T)).astype(np.float64)
+        prod = xnor_popcount_gemm(bitpack(sign(w).T), bitpack(sx.T)).astype(np.float64)
         return gamma[:, None] * prod
-    # ±1 dot products are small integers, so the float path is exact too
-    return gamma[:, None] * (sw.T @ sx)
+    del sx  # the model's layer makes its own signs; holding both raises peak memory
+    return scalar_linear(x, params).data
 
 
 def bench_gemm(n: int, trials: int, seed: int = 0) -> list[dict]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,27 +26,20 @@ _ERRORS = (ParameterError, ConfigError, CheckpointError, StateError, OSError)
 # protocols
 
 
-@dataclass
-class EvalProtocol:
-    """Train/test rotation settings: I (none), z, or so3 at train time;
-    z or so3 at test time."""
-
-    train_rot: str
-    test_rot: str
-
-    @classmethod
-    def from_string(cls, text: str) -> "EvalProtocol":
-        parts = text.lower().split("/")
-        if len(parts) != 2:
-            raise ParameterError(f"protocol {text!r} must look like I/SO3")
-        train, test = parts
-        if train in ("i", "none"):
-            train = "none"
-        if train not in ("none", "z", "so3"):
-            raise ParameterError(f"unknown train rotation {parts[0]!r}")
-        if test not in ("z", "so3"):
-            raise ParameterError(f"unknown test rotation {parts[1]!r}")
-        return cls(train_rot=train, test_rot=test)
+def _parse_protocol(text: str) -> tuple[str, str]:
+    """(train_rot, test_rot) from text like I/SO3: I (none), z, or so3 at
+    train time; z or so3 at test time."""
+    parts = text.lower().split("/")
+    if len(parts) != 2:
+        raise ParameterError(f"protocol {text!r} must look like I/SO3")
+    train, test = parts
+    if train in ("i", "none"):
+        train = "none"
+    if train not in ("none", "z", "so3"):
+        raise ParameterError(f"unknown train rotation {parts[0]!r}")
+    if test not in ("z", "so3"):
+        raise ParameterError(f"unknown test rotation {parts[1]!r}")
+    return train, test
 
 
 def _rotate_batch(clouds: list[PointCloud], kind: str, rng) -> list[PointCloud]:
@@ -142,7 +134,7 @@ def cmd_train(args) -> int:
     if not 0 < args.lr < np.inf:  # also false for NaN
         raise ParameterError(f"--lr must be finite and > 0, got {args.lr}")
     cfg = netbuild.ModelConfig.from_file(args.config)
-    protocol = EvalProtocol.from_string(args.protocol)
+    train_rot, test_rot = _parse_protocol(args.protocol)
     for split in ("train", "test"):
         _check_classes(args.data, split, cfg.classes)
     train_clouds = load_split(args.data, "train")
@@ -157,7 +149,7 @@ def cmd_train(args) -> int:
     # without train-time rotation the clouds never change, so their
     # neighbor tables can be built once instead of once per step
     table = None
-    if protocol.train_rot == "none":
+    if train_rot == "none":
         table = netbuild.neighbor_tables(train_clouds, cfg.k, chunk=args.batch)
     phase, best = 1, -1.0
     for epoch in range(args.epochs):
@@ -169,7 +161,7 @@ def cmd_train(args) -> int:
         losses, hits = [], 0
         for step, lo in enumerate(range(0, n_train, args.batch)):
             idx = order[lo: lo + args.batch]
-            batch = _rotate_batch([train_clouds[i] for i in idx], protocol.train_rot, aug_rng)
+            batch = _rotate_batch([train_clouds[i] for i in idx], train_rot, aug_rng)
             labels = labels_all[idx]
             graphs = None if table is None else [table[i] for i in idx]
             model.store.zero_grad()
@@ -186,7 +178,7 @@ def cmd_train(args) -> int:
             losses.append(loss.item())
             hits += int((logits.data.argmax(axis=0) == labels).sum())
         try:
-            test_acc = _accuracy(model, _rotate_batch(test_clouds, protocol.test_rot, aug_rng))
+            test_acc = _accuracy(model, _rotate_batch(test_clouds, test_rot, aug_rng))
         except StateError:  # finite but huge weights: the loss has not shown it yet
             raise StateError(f"training diverged: non-finite test logits at epoch {epoch}; "
                              f"try a lower --lr") from None

@@ -1,9 +1,7 @@
-"""Point clouds, rotations, kNN tables, initial features, synthetic shapes.
+"""Point clouds, rotations, kNN tables, synthetic shapes and point-file IO.
 
-Vector data is laid out coordinate-axis first: V has shape (3, q, N).
-Distance and projection sums over the 3 coordinates go through
-order-insensitive summation so that axis-permuting rotations reproduce
-every derived scalar bit for bit.
+kNN distances sum the 3 coordinates order-insensitively, so that
+axis-permuting rotations reproduce every neighbor table bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ParameterError, decode_utf8
-from .svcore import SVFeature, invariant_projection, regroup_edges
 
 # ---------------------------------------------------------------------------
 # containers
@@ -158,7 +155,7 @@ def neighbor_tables(clouds, k: int, chunk: int = 32) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# batch graph and initial features
+# batch graph
 
 
 def batch_graph(clouds, tables, k: int) -> np.ndarray:
@@ -183,24 +180,6 @@ def batch_graph(clouds, tables, k: int) -> np.ndarray:
         if not 0 <= t.min() <= t.max() < n:
             raise ParameterError(f"neighbor indices must lie in [0, {n})")
     return np.vstack([t.astype(np.intp, copy=False) + i * n for i, t in enumerate(tables)])
-
-
-def extract_initial_features(clouds, neighbors: np.ndarray, frame_params) -> SVFeature:
-    """Edge features for the first block, all clouds on one site axis.
-
-    The points, node features over the B*n sites of `neighbors` (the
-    table from `batch_graph`), go through `regroup_edges`: edge (i, j)
-    carries o_i and o_j - o_i, N = B*n*k. As one vector channel they give
-    q=2 and p=6 scalars, their projection onto the learned equivariant
-    frame they generate. With frame_params None (the baseline model) they are
-    three scalar channels: six raw-coordinate scalars, no vectors.
-    """
-    pts = np.concatenate([c.points for c in clouds], axis=0).T  # (3, B*n)
-    if frame_params is None:
-        # raw coordinates as scalars: deliberately rotation-sensitive
-        return regroup_edges(SVFeature(pts, np.zeros((3, 0, pts.shape[1]))), neighbors)
-    v = regroup_edges(SVFeature(np.zeros((0, pts.shape[1])), pts[:, None, :]), neighbors).vectors
-    return SVFeature(scalars=invariant_projection(v, frame_params), vectors=v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Model assembly, operation accounting, and checkpoint persistence.
+"""Model assembly, the input stage, operation accounting, and checkpoints.
 
 A model is a stack of scalar-vector blocks over kNN edge features with a
 global pooling head. Configs come from INI-style text ([model] section);
@@ -19,15 +19,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CheckpointError, ConfigError, ParameterError, StateError, decode_utf8
-from .geometry import PointCloud, batch_graph, extract_initial_features, neighbor_tables
-from .svcore import (LinearParams, NormParams, SVBlockParams, _run_mlp, aggregate,
-                     invariant_head, regroup_edges, svblock_forward)
+from .geometry import PointCloud, batch_graph, neighbor_tables
+from .svcore import (LinearParams, NormParams, SVBlockParams, SVFeature, _run_mlp, aggregate,
+                     invariant_head, invariant_projection, regroup_edges, svblock_forward)
 
 BACKBONES = ("pointnet_like", "dgcnn_like")
 BINARIZE_MODES = ("none", "vanilla", "two_step")
 DEFAULT_PLANS = {"pointnet_like": (64, 128, 256), "dgcnn_like": (64, 64, 128, 256)}
-# extract_initial_features gives each edge six scalars, and two vectors unless baseline
-EXTRACT_SCALARS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +36,7 @@ EXTRACT_SCALARS = 6
 class ModelConfig:
     backbone: str = "pointnet_like"
     k: int = 16
-    channel_plan: tuple[int, ...] = ()
+    channels: tuple[int, ...] = ()
     sv_ratio: float = 0.5
     scalar_concat: bool = True
     vector_reweight: bool = True
@@ -49,9 +47,9 @@ class ModelConfig:
     baseline: bool = False
 
     def __post_init__(self):
-        if not self.channel_plan:
-            self.channel_plan = DEFAULT_PLANS.get(self.backbone, ())
-        self.channel_plan = tuple(int(c) for c in self.channel_plan)
+        if not self.channels:
+            self.channels = DEFAULT_PLANS.get(self.backbone, ())
+        self.channels = tuple(int(c) for c in self.channels)
         self.validate()
 
     def validate(self) -> None:
@@ -61,19 +59,14 @@ class ModelConfig:
             raise ConfigError(f"unknown binarize setting {self.binarize!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not self.channel_plan or any(c < 1 for c in self.channel_plan):
-            raise ConfigError(f"bad channel plan {self.channel_plan}")
+        if not self.channels or any(c < 1 for c in self.channels):
+            raise ConfigError(f"bad channel plan {self.channels}")
         if not 0.0 <= self.sv_ratio <= 1.0:
             raise ConfigError(f"sv_ratio must be in [0, 1], got {self.sv_ratio}")
         if self.classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.classes}")
         if self.head_dim < 1:
             raise ConfigError(f"head_dim must be positive, got {self.head_dim}")
-
-    @staticmethod
-    def _key(name: str) -> str:
-        """The config text's name for a field: `channels` stands for channel_plan."""
-        return "channels" if name == "channel_plan" else name
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
@@ -89,27 +82,25 @@ class ModelConfig:
         if "model" not in parser:
             raise ConfigError("config needs a [model] section")
         sec = parser["model"]
-        keys = {cls._key(f.name): f for f in fields(cls)}
+        known = {f.name: type(f.default) for f in fields(cls)}
         for key in sec:
-            if key not in keys:
+            if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
         kwargs = {}
         try:
-            for key, f in keys.items():
-                if key not in sec:
-                    continue
-                kind = type(f.default)
+            for key in sec:
+                kind = known[key]
                 if kind is tuple:
-                    kwargs[f.name] = tuple(int(c) for c in sec[key].replace(",", " ").split())
+                    kwargs[key] = tuple(int(c) for c in sec[key].replace(",", " ").split())
                 elif kind is bool:
-                    kwargs[f.name] = sec.getboolean(key)
+                    kwargs[key] = sec.getboolean(key)
                 elif kind is str:
-                    kwargs[f.name] = sec[key].strip()
+                    kwargs[key] = sec[key].strip()
                 else:
-                    kwargs[f.name] = kind(sec[key])
+                    kwargs[key] = kind(sec[key])
         except ValueError as exc:
             raise ConfigError(f"config value error: {exc}") from None
-        if kwargs.get("channel_plan") == ():  # () would mean the backbone's default plan
+        if kwargs.get("channels") == ():  # () would mean the backbone's default plan
             raise ConfigError("channels is empty; list the block widths or drop the key")
         return cls(**kwargs)
 
@@ -130,7 +121,7 @@ class ModelConfig:
                 value = str(value).lower()
             elif isinstance(value, tuple):
                 value = ",".join(str(c) for c in value)
-            lines.append(f"{self._key(f.name)} = {value}")
+            lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
 
@@ -152,7 +143,7 @@ def block_schedule(cfg: ModelConfig) -> list[tuple[bool, bool]]:
     Block 0 takes the initial edges; a DGCNN rebuilds EdgeConv's
     [f_i ; f_j - f_i] before each later block, a PointNet runs them on nodes."""
     dgcnn = cfg.backbone == "dgcnn_like"
-    return [(dgcnn and i > 0, dgcnn or i == 0) for i in range(len(cfg.channel_plan))]
+    return [(dgcnn and i > 0, dgcnn or i == 0) for i in range(len(cfg.channels))]
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +240,31 @@ def param_bits(model: "Model") -> int:
               if lin.mode != "full_precision"}
     return sum(tensor.data.size * (1 if name in binary else 32)
                for name, tensor in model.store.items())
+
+
+# ---------------------------------------------------------------------------
+# input stage
+
+# extract_initial_features gives each edge six scalars, and two vectors unless baseline
+EXTRACT_SCALARS = 6
+
+
+def extract_initial_features(clouds, neighbors: np.ndarray, frame_params) -> SVFeature:
+    """Edge features for the first block, all clouds on one site axis.
+
+    The points, node features over the B*n sites of `neighbors` (the
+    table from `batch_graph`), go through `regroup_edges`: edge (i, j)
+    carries o_i and o_j - o_i, N = B*n*k. As one vector channel they give
+    q=2 and p=6 scalars, their projection onto the learned equivariant
+    frame they generate. With frame_params None (the baseline model) they are
+    three scalar channels: six raw-coordinate scalars, no vectors.
+    """
+    pts = np.concatenate([c.points for c in clouds], axis=0).T  # (3, B*n)
+    if frame_params is None:
+        # raw coordinates as scalars: deliberately rotation-sensitive
+        return regroup_edges(SVFeature(pts, np.zeros((3, 0, pts.shape[1]))), neighbors)
+    v = regroup_edges(SVFeature(np.zeros((0, pts.shape[1])), pts[:, None, :]), neighbors).vectors
+    return SVFeature(scalars=invariant_projection(v, frame_params), vectors=v)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +396,7 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
     if not cfg.baseline:
         model.extract_frame = _build_linear(model, "extract.frame", rng, 2, 3, "frame", "edge")
 
-    for i, (width, (regroup, _)) in enumerate(zip(cfg.channel_plan, block_schedule(cfg))):
+    for i, (width, (regroup, _)) in enumerate(zip(cfg.channels, block_schedule(cfg))):
         if cfg.baseline:
             p_out, q_out = width, 0
         else:

@@ -44,7 +44,7 @@ from svpoint import autodiff as ad
 from svpoint import netbuild as nb
 from svpoint.geometry import PointCloud, apply_rotation, random_rotation
 
-BASE = dict(k=4, channel_plan=(12, 18, 24), classes=4, head_dim=32)
+BASE = dict(k=4, channels=(12, 18, 24), classes=4, head_dim=32)
 CONFIGS = {
     "pn_none": dict(backbone="pointnet_like"),
     "pn_vanilla": dict(backbone="pointnet_like", binarize="vanilla"),

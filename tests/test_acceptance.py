@@ -159,7 +159,7 @@ def test_criterion_2_equivariance_suite(capsys):
                                    bias=np.zeros(2)), "sigmoid")],
         norm=sv.NormParams.create(4, 2),
     )
-    feat = geo.SVFeature(scalars=rng.standard_normal((2, 8)),
+    feat = sv.SVFeature(scalars=rng.standard_normal((2, 8)),
                          vectors=rng.standard_normal((3, 3, 8)))
     # the vector update is the vectors of the gated block without its norm
     gated = dataclasses.replace(blk, norm=None)
@@ -175,7 +175,7 @@ def test_criterion_2_equivariance_suite(capsys):
             out.vectors.data - rotate_vectors(blk_base.vectors.data, rot)).max())
 
     neighbors = np.array([[1, 2], [0, 3], [3, 0], [2, 1]])
-    feat4 = geo.SVFeature(scalars=rng.standard_normal((2, 4)),
+    feat4 = sv.SVFeature(scalars=rng.standard_normal((2, 4)),
                           vectors=rng.standard_normal((3, 2, 4)))
     agg_base = sv.aggregate(feat4, 2).vectors.data
     re_base = sv.regroup_edges(feat4, neighbors).vectors.data
@@ -190,7 +190,7 @@ def test_criterion_2_equivariance_suite(capsys):
     cloud = geo.PointCloud(rng.standard_normal((16, 3)))
     t16 = geo.neighbor_tables([cloud], 4)
     ext_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))
-    ext_base = geo.extract_initial_features([cloud], geo.batch_graph([cloud], t16, 4), ext_frame)
+    ext_base = nb.extract_initial_features([cloud], geo.batch_graph([cloud], t16, 4), ext_frame)
     for rot in rots:
         rf = rotate_feature(feat4, rot)
         track("aggregate", np.abs(
@@ -202,8 +202,8 @@ def test_criterion_2_equivariance_suite(capsys):
             - rotate_vectors(nrm_base, rot)).max())
         track("invariant_head", np.abs(sv.invariant_head(rf, head_frame).data - head_base).max())
         rc = [geo.apply_rotation(cloud, rot)]
-        ext = geo.extract_initial_features(rc, geo.batch_graph(rc, geo.neighbor_tables(rc, 4), 4),
-                                           ext_frame)
+        ext = nb.extract_initial_features(rc, geo.batch_graph(rc, geo.neighbor_tables(rc, 4), 4),
+                                          ext_frame)
         track("extract.scalars", np.abs(ext.scalars.data - ext_base.scalars.data).max())
         track("extract.vectors", np.abs(
             ext.vectors.data - rotate_vectors(ext_base.vectors.data, rot)).max())
@@ -284,13 +284,13 @@ def test_criterion_4_kernel_exactness(capsys):
                                  beta=rng.standard_normal(inner),
                                  gamma=rng.standard_normal(n))
         a = bk.binary_linear_full(x, params, use_packed=True)
-        b = bk.binary_linear_full(x, params, use_packed=False)
+        b = sv.scalar_linear(x, params).data  # the layer the model trains
         packed_fail += int(not np.array_equal(a, b))
 
     ok = gemm_fail == 0 and packed_fail == 0 and non_multiple > 9000
     verdict(capsys, 4, "kernel bit-exactness", ok,
             f"xnor==naive on 10000/10000 instances ({non_multiple} with "
-            f"non-word-multiple inner dim), packed==unpacked on 100/100")
+            f"non-word-multiple inner dim), packed==scalar_linear on 100/100")
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,7 @@ def test_criterion_5_gradients(capsys):
 
     # a 2-block network end to end against central differences
     model = nb.build_model(
-        nb.ModelConfig(channel_plan=(16, 24), k=4, head_dim=32), rng_seed=7)
+        nb.ModelConfig(channels=(16, 24), k=4, head_dim=32), rng_seed=7)
     clouds = [geo.PointCloud(np.random.default_rng(s).standard_normal((12, 3)))
               for s in range(3)]
     net_labels = np.array([0, 1, 2])
@@ -419,7 +419,7 @@ def test_criterion_5_gradients(capsys):
                            [-1.2, 1.2, np.nextafter(-1.2, 0), np.nextafter(1.2, 0)]])
     g = np.random.default_rng(9).standard_normal(grid.shape)
     expect = np.where((grid > -1.2) & (grid < 1.2), g, 0.0)
-    ste_exact = np.array_equal(bk.ste_backward(g, grid), expect)
+    ste_exact = np.array_equal(ad.ste_backward(g, grid), expect)
 
     ok = worst_prim <= 1e-4 and net_rel <= 1e-4 and coverage_ok and ste_exact
     verdict(capsys, 5, "gradients", ok,
@@ -547,7 +547,7 @@ def test_criterion_9_checkpoint_round_trip(capsys, tmp_path):
     results = {}
     for tag, binarize in (("fp", "none"), ("binary", "vanilla")):
         model = nb.build_model(
-            nb.ModelConfig(channel_plan=(16, 24), k=4, head_dim=32,
+            nb.ModelConfig(channels=(16, 24), k=4, head_dim=32,
                            binarize=binarize), rng_seed=10)
         model.forward(clouds[:8], stats_mode="train")  # move the running stats
         before = batched_logits(model)

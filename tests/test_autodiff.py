@@ -179,10 +179,13 @@ def test_fd_elementwise_ops():
 
 
 def test_fd_linear_is_tight():
-    # linearity admits a much tighter bound than the smooth-op 1e-4
+    # linear in each input, so central differences have no truncation error
+    # at any step; a large step keeps the rounding noise eps*|loss|/h well
+    # under the bound, which is much tighter than the smooth-op 1e-4
     w = rand_t((3, 4), 16)
     x = rand_t((3, 7), 17)
-    rel = finite_difference_check(lambda w, x: total(ad.matmul(ad.transpose(w), x)), [w, x])
+    rel = finite_difference_check(lambda w, x: total(ad.matmul(ad.transpose(w), x)), [w, x],
+                                  h=1e-3)
     assert rel <= 1e-9
 
 

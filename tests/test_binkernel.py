@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from svpoint import autodiff as ad
 from svpoint import binkernel as bk
 from svpoint.errors import ParameterError
 from svpoint.svcore import LinearParams, vector_mapping
@@ -14,44 +15,44 @@ def naive_pm1_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sign and STE
+# sign and STE, which live in autodiff beside sign_ste
 
 
 def test_sign_values():
     x = np.array([0.0, -0.0, -0.3, 1.2, -1e-300, 5.0])
-    assert bk.sign(x).tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+    assert ad.sign(x).tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
 
 
 def test_sign_nan_rejected():
     with pytest.raises(ParameterError):
-        bk.sign(np.array([1.0, np.nan]))
+        ad.sign(np.array([1.0, np.nan]))
 
 
 def test_sign_scale_invariant():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((40,))
     for c in (0.5, 2.0, 1e6, 1e-6):
-        assert np.array_equal(bk.sign(c * x), bk.sign(x))
+        assert np.array_equal(ad.sign(c * x), ad.sign(x))
 
 
 def test_ste_pointwise():
-    assert bk.ste_backward(np.array(2.0), np.array(0.5)) == 2.0
-    assert bk.ste_backward(np.array(2.0), np.array(1.3)) == 0.0
+    assert ad.ste_backward(np.array(2.0), np.array(0.5)) == 2.0
+    assert ad.ste_backward(np.array(2.0), np.array(1.3)) == 0.0
     # band edges excluded on both sides
-    assert bk.ste_backward(np.array(1.0), np.array(-1.2)) == 0.0
-    assert bk.ste_backward(np.array(1.0), np.array(1.2)) == 0.0
+    assert ad.ste_backward(np.array(1.0), np.array(-1.2)) == 0.0
+    assert ad.ste_backward(np.array(1.0), np.array(1.2)) == 0.0
 
 
 def test_ste_grid_matches_piecewise_definition():
     x = np.arange(-2.0, 2.0001, 0.01)
     g = np.random.default_rng(1).standard_normal(x.shape)
     expect = np.where((x > -1.2) & (x < 1.2), g, 0.0)
-    assert np.array_equal(bk.ste_backward(g, x), expect)
+    assert np.array_equal(ad.ste_backward(g, x), expect)
 
 
 def test_ste_shape_mismatch():
     with pytest.raises(ParameterError):
-        bk.ste_backward(np.zeros(3), np.zeros(4))
+        ad.ste_backward(np.zeros(3), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,9 @@ def test_binary_full_mode_and_shape_checks():
     fp = LinearParams(weight=np.ones((2, 2)))
     with pytest.raises(ParameterError):
         bk.binary_linear_full(np.ones((2, 4)), fp)  # wrong mode
+    for use_packed in (True, False):  # NaN has no sign on either route
+        with pytest.raises(ParameterError, match="NaN"):
+            bk.binary_linear_full(np.array([[1.0], [np.nan]]), good, use_packed=use_packed)
 
 
 # weight-only binarization is the vector path's mode: svcore.vector_mapping

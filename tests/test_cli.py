@@ -106,13 +106,12 @@ def test_load_split_diagnostics(tmp_path):
 
 
 def test_protocol_parsing():
-    proto = cli.EvalProtocol.from_string("I/SO3")
-    assert (proto.train_rot, proto.test_rot) == ("none", "so3")
-    assert cli.EvalProtocol.from_string("z/z").train_rot == "z"
-    assert cli.EvalProtocol.from_string("SO3/so3").train_rot == "so3"
+    assert cli._parse_protocol("I/SO3") == ("none", "so3")
+    assert cli._parse_protocol("z/z")[0] == "z"
+    assert cli._parse_protocol("SO3/so3")[0] == "so3"
     for bad in ("I", "x/so3", "I/flip", "a/b/c"):
         with pytest.raises(ParameterError):
-            cli.EvalProtocol.from_string(bad)
+            cli._parse_protocol(bad)
 
 
 # ---------------------------------------------------------------------------

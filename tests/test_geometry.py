@@ -1,4 +1,5 @@
-"""Geometry layer: clouds, rotations, kNN, initial features, shapes, IO."""
+"""Geometry layer: clouds, rotations, kNN, shapes, IO; and the initial edge
+features that `netbuild` builds from clouds and kNN tables."""
 
 import re
 
@@ -7,11 +8,12 @@ import pytest
 
 from helpers import rotate_feature, rotate_vectors
 from svpoint.errors import ParameterError
-from svpoint.geometry import (PointCloud, Rotation, SVFeature, apply_rotation, batch_graph,
-                              extract_initial_features, neighbor_tables, random_rotation,
-                              read_xyz, signed_permutation_rotation, synthesize_shapes,
-                              write_xyz, z_rotation)
-from svpoint.svcore import LinearParams
+from svpoint.geometry import (PointCloud, Rotation, apply_rotation, batch_graph,
+                              neighbor_tables, random_rotation, read_xyz,
+                              signed_permutation_rotation, synthesize_shapes, write_xyz,
+                              z_rotation)
+from svpoint.netbuild import extract_initial_features
+from svpoint.svcore import LinearParams, SVFeature
 
 
 def frame22():

@@ -10,7 +10,7 @@ from svpoint.geometry import PointCloud
 
 
 def small_cfg(**kw):
-    base = dict(backbone="pointnet_like", k=4, channel_plan=(16, 24),
+    base = dict(backbone="pointnet_like", k=4, channels=(16, 24),
                 classes=3, head_dim=32)
     base.update(kw)
     return nb.ModelConfig(**base)
@@ -86,8 +86,8 @@ def test_op_counter_totals_are_layer_sums():
 
 
 def test_config_defaults_per_backbone():
-    assert nb.ModelConfig().channel_plan == (64, 128, 256)
-    assert nb.ModelConfig(backbone="dgcnn_like").channel_plan == (64, 64, 128, 256)
+    assert nb.ModelConfig().channels == (64, 128, 256)
+    assert nb.ModelConfig(backbone="dgcnn_like").channels == (64, 64, 128, 256)
 
 
 def test_config_text_round_trip():
@@ -212,7 +212,7 @@ def test_precomputed_graphs_match_default_path():
     clouds = random_clouds(5, 14, 3)
     for backbone, plan in (("pointnet_like", (16, 24)), ("dgcnn_like", (12, 18, 24))):
         for binarize in ("none", "vanilla"):
-            model = nb.build_model(small_cfg(backbone=backbone, channel_plan=plan,
+            model = nb.build_model(small_cfg(backbone=backbone, channels=plan,
                                              binarize=binarize), rng_seed=4)
             tables = nb.neighbor_tables(clouds, model.cfg.k, chunk=2)
             assert np.array_equal(model.forward(clouds, graphs=tables).data,
@@ -250,7 +250,7 @@ def test_neighbor_tables_reject_bad_requests():
 
 @pytest.mark.parametrize("backbone", ["pointnet_like", "dgcnn_like"])
 def test_precomputed_graphs_validated(backbone):
-    cfg = small_cfg(backbone=backbone, channel_plan=(16, 24) if backbone == "pointnet_like"
+    cfg = small_cfg(backbone=backbone, channels=(16, 24) if backbone == "pointnet_like"
                     else (12, 18, 24))
     model = nb.build_model(cfg)
     clouds = random_clouds(3, 16, 7)
@@ -275,7 +275,7 @@ def test_block_sites_follow_the_counted_schedule(backbone, baseline, monkeypatch
     """Each block receives the site axis that count_model_ops charges it
     for, in a train step and an eval forward, on both backbones with and
     without the baseline's raw-coordinate features."""
-    cfg = small_cfg(backbone=backbone, baseline=baseline, channel_plan=(12, 18, 24))
+    cfg = small_cfg(backbone=backbone, baseline=baseline, channels=(12, 18, 24))
     model = nb.build_model(cfg, rng_seed=1)
     clouds = random_clouds(3, 16, 4)
     received = []

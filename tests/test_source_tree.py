@@ -1,10 +1,21 @@
-"""The package holds only code that a command or the benchmark runs."""
+"""The package holds only code that a command or the benchmark runs, and
+each module imports only the layers below it."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "svpoint").glob("*.py"))
+# the package modules each module may import: only the layers below it
+LAYERS_BELOW = {
+    "errors": set(),
+    "autodiff": {"errors"},
+    "svcore": {"errors", "autodiff"},
+    "geometry": {"errors", "autodiff"},
+    "netbuild": {"errors", "autodiff", "svcore", "geometry"},
+    "binkernel": {"errors", "autodiff", "svcore"},
+    "cli": {"errors", "autodiff", "svcore", "geometry", "netbuild", "binkernel"},
+}
 
 
 def _names_used(tree: ast.AST) -> set[str]:
@@ -52,6 +63,22 @@ def test_every_class_and_public_method_has_a_reader():
                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                        and item.name not in used]
     assert unused == [], f"classes and methods that nothing in src/ or perfbench/ reads: {unused}"
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The package modules a module imports (the package imports relatively)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+    return names
+
+
+def test_modules_import_only_the_layers_below_them():
+    wrong = [f"{path.stem} -> {name}" for path in MODULES if path.stem != "__init__"
+             for name in sorted(_package_imports(ast.parse(path.read_text()))
+                                - LAYERS_BELOW.get(path.stem, set()))]
+    assert wrong == [], f"imports against the layer order: {wrong}"
 
 
 def test_benchmark_tracer_installs(monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 import svpoint.autodiff as ad
 from helpers import rotate_feature, rotate_vectors
 from svpoint.errors import ParameterError
-from svpoint.geometry import SVFeature, random_rotation, signed_permutation_rotation
-from svpoint.svcore import (LinearParams, NormParams, SVBlockParams, aggregate,
+from svpoint.geometry import random_rotation, signed_permutation_rotation
+from svpoint.svcore import (LinearParams, NormParams, SVBlockParams, SVFeature, aggregate,
                             invariant_head, invariant_projection, regroup_edges,
                             svblock_forward, vector_mapping)
 
