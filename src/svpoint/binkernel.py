@@ -10,7 +10,6 @@ rows and so drop out of every dot product.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,34 +108,3 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
     del sx  # the model's layer makes its own signs; holding both raises peak memory
     return scalar_linear(x, params).data
 
-
-def bench_gemm(n: int, trials: int, seed: int = 0) -> list[dict]:
-    """Time the packed XNOR kernel against a dense float matmul and a
-    sign-weight product (sign matrix times real input) at size n.
-
-    Returns one record per kernel: {kernel, n, trials, ns_per_op}, where
-    an op is one n*n*n GEMM.
-    """
-    if n < 1 or trials < 1:
-        raise ParameterError("n and trials must be positive")
-    rng = np.random.default_rng(seed)
-    a = sign(rng.standard_normal((n, n)))
-    b = sign(rng.standard_normal((n, n)))
-    pa, pb = bitpack(a), bitpack(b.T)
-    x = rng.standard_normal((n, n))
-
-    def clock(fn) -> float:
-        fn()  # warm up
-        t0 = time.perf_counter()
-        for _ in range(trials):
-            fn()
-        return (time.perf_counter() - t0) / trials * 1e9
-
-    return [
-        {"kernel": "xnor_packed", "n": n, "trials": trials,
-         "ns_per_op": clock(lambda: xnor_popcount_gemm(pa, pb))},
-        {"kernel": "float_matmul", "n": n, "trials": trials,
-         "ns_per_op": clock(lambda: a @ b)},
-        {"kernel": "signadd", "n": n, "trials": trials,
-         "ns_per_op": clock(lambda: a @ x)},
-    ]

@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import binkernel, netbuild
+from . import netbuild
 from .errors import CheckpointError, ConfigError, ParameterError, StateError, decode_utf8
 from .geometry import (SHAPE_NAMES, PointCloud, apply_rotation, random_rotation,
                        read_xyz, signed_permutation_rotation, synthesize_shapes,
                        write_xyz, z_rotation)
 
-_ERRORS = (ParameterError, ConfigError, CheckpointError, StateError, OSError)
+_ERRORS = (ParameterError, ConfigError, CheckpointError, StateError, OSError,
+           MemoryError)
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +273,6 @@ def cmd_count_ops(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    # a size that is no decimal integer reads as 0 and fails the check
-    sizes = [int(s) if s.isdecimal() else 0 for s in args.n.replace(",", " ").split()]
-    if args.trials < 1 or not sizes or min(sizes) < 1:
-        raise ParameterError(f"--n {args.n!r} must list positive integers and "
-                             f"--trials must be positive")
-    rows = []
-    print("kernel,n,trials,ns_per_op")
-    for n in sizes:
-        by_kernel = {r["kernel"]: r for r in binkernel.bench_gemm(n, args.trials, seed=args.seed)}
-        rows += by_kernel.values()
-        ratio = by_kernel["float_matmul"]["ns_per_op"] / by_kernel["xnor_packed"]["ns_per_op"]
-        print(f"# n={n}: xnor speedup over floatref = {ratio:.1f}x")
-    for r in rows:
-        print(f"{r['kernel']},{r['n']},{r['trials']},{r['ns_per_op']:.0f}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument wiring
 
@@ -340,12 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table1", action="store_true",
                    help="print the reference C1=C2=256, N=1024 block costs")
     p.set_defaults(func=cmd_count_ops)
-
-    p = sub.add_parser("bench", help="kernel timing CSV")
-    p.add_argument("--n", default="256,1024")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
     return top
 
 

@@ -244,14 +244,3 @@ def test_binary_weight_matches_dense_oracle():
             oracle = gamma[:, None] * (bk.sign(w).T @ v[c])
             assert np.abs(got[c] - oracle).max() < 1e-12
 
-
-# ---------------------------------------------------------------------------
-# benchmark harness
-
-
-def test_bench_gemm_reports_rows():
-    rows = bk.bench_gemm(64, trials=1, seed=0)
-    kernels = {r["kernel"] for r in rows}
-    assert "xnor_packed" in kernels and "float_matmul" in kernels
-    for r in rows:
-        assert r["n"] == 64 and r["trials"] == 1 and r["ns_per_op"] > 0

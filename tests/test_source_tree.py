@@ -14,7 +14,7 @@ LAYERS_BELOW = {
     "geometry": {"errors", "autodiff"},
     "netbuild": {"errors", "autodiff", "svcore", "geometry"},
     "binkernel": {"errors", "autodiff", "svcore"},
-    "cli": {"errors", "autodiff", "svcore", "geometry", "netbuild", "binkernel"},
+    "cli": {"errors", "autodiff", "svcore", "geometry", "netbuild"},
 }
 
 
