@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
     # neighbor tables can be built once instead of once per step
     table = None
     if train_rot == "none":
-        table = netbuild.neighbor_tables(train_clouds, cfg.k, chunk=args.batch)
+        table = netbuild.neighbor_tables(train_clouds, cfg.k)
     phase, best = 1, -1.0
     for epoch in range(args.epochs):
         if cfg.binarize == "two_step" and epoch == args.epochs // 2:

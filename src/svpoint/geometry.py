@@ -124,33 +124,52 @@ def _check_k(k: int, n: int) -> None:
         raise ParameterError(f"k={k} must be in [1, {n - 1}]")
 
 
+def _first_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of `np.argsort(d2, axis=1, kind="stable")` for a
+    (rows, n) array without NaN, by partial selection: every entry below
+    its row's k-th smallest value, then the first entries equal to it in
+    index order, sorted stably by value."""
+    rows, n = d2.shape
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1: k]
+    keep = d2 < kth
+    tied = d2 == kth
+    room = k - np.count_nonzero(keep, axis=1, keepdims=True)
+    keep |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room)
+    cols = (np.flatnonzero(keep) % n).reshape(rows, k)  # each row's winners in index order
+    near = np.take_along_axis(d2, cols, axis=1)
+    return np.take_along_axis(cols, np.argsort(near, axis=1, kind="stable"), axis=1)
+
+
 def neighbor_tables(clouds, k: int, chunk: int = 32) -> list[np.ndarray]:
     """Exact Euclidean k nearest neighbors of each cloud, self excluded,
-    ties by index: one (n, k) intp table per cloud. The clouds must share
-    a point count n > k.
+    ties by index: one C-contiguous (n, k) intp table per cloud. The clouds
+    must share a point count n > k.
 
-    One distance tensor serves each chunk of clouds, so `chunk` bounds
-    memory; any chunk size gives the same tables. Squared distances go
-    through the order-insensitive coordinate sum, so a signed permutation
-    of a cloud leaves its table unchanged.
+    Distances are built one cloud at a time and each row's k nearest are
+    picked by partial selection, so memory stays at one cloud's (3, n, n)
+    differences; `chunk` bounds nothing and is kept (>= 1) only because
+    callers still pass it. Squared distances go through the
+    order-insensitive coordinate sum, so a signed permutation of a cloud
+    leaves its table unchanged. A cloud whose squared distances overflow
+    float64 is rejected.
     """
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
     n = _equal_point_count(clouds)
     _check_k(k, n)
+    idx = np.arange(n)
     tables: list[np.ndarray] = []
-    for lo in range(0, len(clouds), chunk):
-        part = clouds[lo: lo + chunk]
-        pts = np.stack([c.points for c in part]).transpose(2, 0, 1).copy()  # (3, B, n)
-        diff = pts[:, :, :, None] - pts[:, :, None, :]  # (3, B, n, n), coordinate first
-        diff *= diff
-        d2 = ad.sorted_coord_sum(diff, axis=0)
-        idx = np.arange(n)
-        d2[:, idx, idx] = np.inf
-        # stable: equal distances by index; the copy lets the (chunk, n, n) argsort go
-        order = np.argsort(d2, axis=2, kind="stable")[:, :, :k].copy()
-        tables.extend(order[i] for i in range(len(part)))
-        del pts, diff, d2  # freed before the next chunk allocates its own
+    for i, cloud in enumerate(clouds):
+        pts = cloud.points.T.copy()  # (3, n)
+        with np.errstate(over="ignore"):
+            diff = pts[:, :, None] - pts[:, None, :]  # (3, n, n), coordinate first
+            diff *= diff
+            d2 = ad.sorted_coord_sum(diff, axis=0)
+        if not np.isfinite(d2).all():
+            raise ParameterError(f"squared distances overflow float64 in cloud {i}; "
+                                 f"its coordinates span too wide a range")
+        d2[idx, idx] = np.inf
+        tables.append(_first_k(d2, k))
     return tables
 
 

@@ -2,11 +2,14 @@
 features that `netbuild` builds from clouds and kNN tables."""
 
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import rotate_feature, rotate_vectors
+from svpoint.autodiff import sorted_coord_sum
 from svpoint.errors import ParameterError
 from svpoint.geometry import (PointCloud, Rotation, apply_rotation, batch_graph,
                               neighbor_tables, random_rotation, read_xyz,
@@ -188,34 +191,89 @@ def test_knn_graphs_batch_matches_single_clouds():
         assert np.array_equal(table, knn_one(cloud, 5))
 
 
+def stable_argsort_tables(clouds, k):
+    """The oracle: full stable argsort of last-axis network distances."""
+    pts = np.stack([c.points for c in clouds])
+    n = pts.shape[1]
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    d2 = sorted_coord_sum(diff * diff, axis=3)
+    d2[:, np.arange(n), np.arange(n)] = np.inf
+    return np.argsort(d2, axis=2, kind="stable")[:, :, :k]
+
+
+def assert_tables_match_oracle(clouds, k):
+    n = clouds[0].n
+    for got, want in zip(neighbor_tables(clouds, k), stable_argsort_tables(clouds, k)):
+        assert np.array_equal(got, want), k
+        assert not (got == np.arange(n)[:, None]).any()  # self excluded
+        ordered = np.sort(got, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()  # distinct entries
+
+
 def test_knn_tables_match_last_axis_network_with_ties():
     """The coordinate-first distance sum orders neighbors as the network over a
     trailing coordinate axis did, ties by index included."""
-    from svpoint.autodiff import sorted_coord_sum
-
     grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     perm = np.random.default_rng(10).permutation(27)
     clouds = [PointCloud(grid * 0.1), PointCloud(grid[perm] * 0.3 - 0.2)]
-    pts = np.stack([c.points for c in clouds])
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    d2 = sorted_coord_sum(diff * diff, axis=3)
-    d2[:, np.arange(27), np.arange(27)] = np.inf
-    tables = np.argsort(d2, axis=2, kind="stable")
     for k in (6, 26):
-        for got, table in zip(neighbor_tables(clouds, k), tables):
-            assert np.array_equal(got, table[:, :k])
+        assert_tables_match_oracle(clouds, k)
 
 
-def test_knn_tables_hold_only_their_chunk():
-    """A cached table keeps alive its chunk's (chunk, n, k) entries, not the
-    chunk's whole (chunk, n, n) argsort."""
+def test_knn_partial_selection_matches_stable_argsort_on_heavy_ties():
+    """Partial selection keeps the stable argsort's first k columns where
+    ties straddle the k-th place: lattices, repeated and coincident points."""
+    lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    cube = signed_permutation_rotation(7).matrix
+    upright_and_turned = [PointCloud(lattice), PointCloud(lattice @ cube.T)]
+    for k in range(1, 64):
+        assert_tables_match_oracle(upright_and_turned, k)
+    shape = synthesize_shapes(1, 64, 5).points
+    repeated = [PointCloud(np.repeat(shape, 4, axis=0)), PointCloud(np.tile(shape, (4, 1)))]
+    assert_tables_match_oracle(repeated, 16)
+    rng = np.random.default_rng(13)
+    assert_tables_match_oracle([PointCloud(rng.standard_normal((17, 3)))], 16)  # n = k + 1
+    assert_tables_match_oracle([PointCloud(lattice[:8])], 7)
+    assert_tables_match_oracle([PointCloud(np.full((20, 3), 0.25))], 19)
+
+
+def test_knn_rejects_distances_that_overflow():
+    """Squared distances that overflow to inf would tie with the inf that
+    masks each point itself, and list points as their own neighbors."""
+    pts = np.random.default_rng(14).standard_normal((20, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="^squared distances overflow float64 in "
+                                                 "cloud 1; .*range$"):
+            neighbor_tables([PointCloud(pts), PointCloud(pts * 1e160)], 5)
+        assert_tables_match_oracle([PointCloud(pts * 1e150)], 5)
+
+
+def test_knn_tables_hold_only_their_own_entries():
+    """A cached table keeps alive its own n*k entries, whatever `chunk` says."""
     rng = np.random.default_rng(12)
     clouds = [PointCloud(rng.standard_normal((30, 3))) for _ in range(5)]
     for chunk in (1, 2, 32):
         for table in neighbor_tables(clouds, 4, chunk=chunk):
             assert table.flags.c_contiguous
             held = table if table.base is None else table.base
-            assert held.size <= min(chunk, len(clouds)) * 30 * 4
+            assert held.size == 30 * 4
+
+
+def test_knn_memory_stays_at_one_cloud():
+    """Distances are built one cloud at a time: 32 clouds of 256 points peak
+    far below the 50 MB of a batch-wide (3, 32, 256, 256) difference tensor."""
+    clouds = [synthesize_shapes(i % 4, 256, i) for i in range(32)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = neighbor_tables(clouds, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(t.nbytes for t in tables)
+    assert peak - before - held < 8 * 2**20, (peak - before, held)
 
 
 def test_knn_permutation_consistent():

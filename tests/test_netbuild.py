@@ -225,7 +225,7 @@ def test_precomputed_graphs_match_default_path():
 
 
 def test_neighbor_tables_match_per_cloud_search():
-    # chunking bounds memory only: any chunk size gives the same tables
+    # `chunk` bounds nothing: any chunk size gives the same tables
     clouds = random_clouds(9, 20, 4)
     whole = nb.neighbor_tables(clouds, 5, chunk=len(clouds))
     for chunk in (1, 4):
