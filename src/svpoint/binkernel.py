@@ -101,10 +101,11 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
     beta, gamma = _arr(params.beta), _arr(params.gamma)
     if beta.shape != (x.shape[0],) or gamma.shape != (w.shape[1],):
         raise ParameterError("beta must be per input channel, gamma per output channel")
-    sx = sign(x - beta[:, None])  # rejects NaN, which the model's layer lets through
     if use_packed:
-        prod = xnor_popcount_gemm(bitpack(sign(w).T), bitpack(sx.T)).astype(np.float64)
-        return gamma[:, None] * prod
-    del sx  # the model's layer makes its own signs; holding both raises peak memory
-    return scalar_linear(x, params).data
+        sx = sign(x - beta[:, None])  # rejects NaN
+        return gamma[:, None] * xnor_popcount_gemm(bitpack(sign(w).T), bitpack(sx.T))
+    out = scalar_linear(x, params).data  # lets NaN through: NaN in x - beta fills its column
+    if np.isnan(out).any():
+        raise ParameterError("sign of NaN is undefined: the layer output holds NaN")
+    return out
 

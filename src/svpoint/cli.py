@@ -253,11 +253,10 @@ def cmd_equiv_check(args) -> int:
 
 def cmd_count_ops(args) -> int:
     if args.table1:
-        for mode, label in (("vanilla", "vanilla"), ("sv_fp", "sv_fp"),
-                            ("sv_binary", "sv_binary")):
+        for mode in ("vanilla", "sv_fp", "sv_binary"):
             ctr = netbuild.count_block_ops(256, 256, 1024, mode)
             print(
-                f"table1 {label}: macs={ctr.macs} adds={ctr.adds} bops={ctr.bops} "
+                f"table1 {mode}: macs={ctr.macs} adds={ctr.adds} bops={ctr.bops} "
                 f"({ctr.macs / 1e6:.1f}M / {ctr.adds / 1e6:.1f}M / {ctr.bops / 1e6:.1f}M)"
             )
     if args.config:

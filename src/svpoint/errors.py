@@ -17,11 +17,11 @@ class StateError(RuntimeError):
     """An operation was called in an invalid state (e.g. double binarization)."""
 
 
-def decode_utf8(raw: bytes, what: str, error: type[Exception], base: int = 0) -> str:
-    """Decode text input, or raise `error` naming `what` and the file offset
-    of its first invalid byte (`raw` starts at offset `base`)."""
+def decode_utf8(raw: bytes, what: str, error: type[Exception]) -> str:
+    """Decode text input, or raise `error` naming `what` and the offset of
+    its first invalid byte."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8: byte {raw[exc.start]:#04x} "
-                    f"at offset {base + exc.start}") from None
+                    f"at offset {exc.start}") from None

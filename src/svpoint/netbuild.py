@@ -12,8 +12,9 @@ import configparser
 import io
 import math
 import os
-import struct
+import zipfile
 from dataclasses import dataclass, field, fields
+from tokenize import TokenError
 
 import numpy as np
 
@@ -69,12 +70,16 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be positive, got {self.head_dim}")
 
     @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        parser = configparser.ConfigParser()
+    def from_text(cls, text: str, source: str = "config") -> "ModelConfig":
+        """Parse INI text; a syntax error is one line naming `source` and the line."""
+        parser = configparser.ConfigParser(interpolation=None)  # a '%' is just a character
         try:
             parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"config parse failure: {exc}") from None
+        except configparser.Error as exc:  # each kind read_string raises has a line number
+            lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+            line = text.split("\n")[lineno - 1].strip()  # the lines configparser counts
+            raise ConfigError(f"{source} line {lineno}: cannot read {line!r} "
+                              f"({type(exc).__name__})") from None
         extra = [name for name in parser.sections() if name != "model"]
         if extra or parser.defaults():
             raise ConfigError(f"config section [{(extra or ['DEFAULT'])[0]}] is not allowed; "
@@ -111,7 +116,7 @@ class ModelConfig:
                 raw = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        return cls.from_text(decode_utf8(raw, f"config {path}", ConfigError))
+        return cls.from_text(decode_utf8(raw, f"config {path}", ConfigError), f"config {path}")
 
     def to_text(self) -> str:
         lines = ["[model]"]
@@ -459,127 +464,87 @@ def binarize_plan(model: Model) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
-
-MAGIC = b"SVNC"
-CKPT_VERSION = 2
-_DTYPE_TAGS = {0: "<f8"}
-# ends the echoed config of a model that two-step training binarized later
-_BINARIZED_MARKER = "\n[state]\nbinarized = true\n"
-
-
-class _Cursor:
-    """Reads a checkpoint's bytes in order; its errors name the file."""
-
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.blob):
-            raise CheckpointError(
-                f"{self.path}: truncated checkpoint: wanted {count} bytes at offset {self.pos}, "
-                f"file has {len(self.blob)}"
-            )
-        out = self.blob[self.pos: self.pos + count]
-        self.pos += count
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, count: int, what: str) -> str:
-        return decode_utf8(self.take(count), f"{self.path}: {what}", CheckpointError,
-                           self.pos - count)
+# checkpoints: numpy's .npz layout, uncompressed. One .npy member per state
+# array, named as it, and `config`, the canonical config text as UTF-8 uint8;
+# a two-step model switched to binary is told apart by its `*.gamma` members.
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Serialize the canonical config text and every persistent array,
-    little-endian."""
-    cfg_text = model.cfg.to_text()
-    if model.binarized and model.cfg.binarize != "vanilla":
-        cfg_text += _BINARIZED_MARKER
-    cfg_bytes = cfg_text.encode("utf-8")
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<I", CKPT_VERSION))
-    out.write(struct.pack("<I", len(cfg_bytes)))
-    out.write(cfg_bytes)
-    entries = list(model.state_arrays())
-    for name, arr in entries:
-        # load_checkpoint rejects such files, so never write one
-        if not np.isfinite(arr).all():
+    """Write the config text and every persistent array as one archive; each
+    member carries zip's fixed 1980 date, so equal models give equal bytes."""
+    entries = [("config", np.frombuffer(model.cfg.to_text().encode("utf-8"), dtype=np.uint8))]
+    for name, arr in model.state_arrays():
+        if not np.isfinite(arr).all():  # load_checkpoint rejects such files, so never write one
             raise StateError(f"not saving {path}: tensor {name!r} holds non-finite values")
-    out.write(struct.pack("<I", len(entries)))
-    for name, arr in entries:
-        name_b = name.encode("utf-8")
-        out.write(struct.pack("<H", len(name_b)))
-        out.write(name_b)
-        out.write(struct.pack("<BB", 0, arr.ndim))
-        out.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        entries.append((name, np.asarray(arr, dtype="<f8")))
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(out.getvalue())
+    with zipfile.ZipFile(tmp, "w") as zf:
+        for name, arr in entries:
+            with zf.open(zipfile.ZipInfo(name), "w") as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
     os.replace(tmp, path)
 
 
+def _member(zf: zipfile.ZipFile, info: zipfile.ZipInfo, dtype: str, shape) -> np.ndarray:
+    """A finite .npy member, read only once its header declares `dtype` in C
+    order and `shape` (None: any 1-d shape), so the file sizes no allocation.
+    Reading to the member's end makes zipfile check its CRC-32."""
+    with zf.open(info) as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):  # write_array's for headers under 64 KiB
+            raise CheckpointError(f"member {info.filename!r} is not a version 1.0 .npy array")
+        got_shape, fortran, got_dtype = np.lib.format.read_array_header_1_0(fh)
+        shape = got_shape[:1] if shape is None else shape
+        if (got_shape, fortran, got_dtype) != (shape, False, np.dtype(dtype)):
+            raise CheckpointError(f"member {info.filename!r} holds {got_dtype.str} {got_shape}"
+                                  f"{' in Fortran order' * fortran}, model wants {dtype} {shape}")
+        size = math.prod(shape) * got_dtype.itemsize
+        data = fh.read(size)
+        if len(data) != size or fh.read(1):
+            raise CheckpointError(f"member {info.filename!r} does not end with its array")
+    arr = np.frombuffer(data, dtype=got_dtype).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"tensor {info.filename!r} holds non-finite values")
+    return arr
+
+
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint; bit-exact parameter restore."""
+    """Rebuild a model from a checkpoint; bit-exact parameter restore. Every
+    failure is one CheckpointError line that starts with the path."""
     try:
         with open(path, "rb") as fh:
-            cur = _Cursor(fh.read(), path)
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from None
-    if cur.take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    (version,) = cur.unpack("<I")
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = cur.unpack("<I")
-    cfg_text = cur.text(cfg_len, "config text")
-    phase2 = cfg_text.endswith(_BINARIZED_MARKER)
-    cfg_text = cfg_text.removesuffix(_BINARIZED_MARKER)
-    try:
-        cfg = ModelConfig.from_text(cfg_text)
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: embedded config invalid: {exc}") from None
-    model = build_model(cfg, rng_seed=0)
-    if phase2 and not model.binarized:
-        binarize_plan(model)
-    registry = dict(model.state_arrays())
-
-    (count,) = cur.unpack("<I")
-    seen = set()
-    for _ in range(count):
-        (name_len,) = cur.unpack("<H")
-        name = cur.text(name_len, "tensor name")
-        if name in seen:
-            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
-        tag, ndim = cur.unpack("<BB")
-        if tag not in _DTYPE_TAGS:
-            raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")
-        shape = cur.unpack(f"<{ndim}Q")
-        payload = cur.take(math.prod(shape) * 8)  # Python ints: a huge shape cannot wrap
-        if name not in registry:
-            raise CheckpointError(f"{path}: unknown tensor name {name!r}")
-        target = registry[name]
-        if target.shape != shape:  # checked before the reshape, which rejects huge empty shapes
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {shape}, model wants {target.shape}"
-            )
-        arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[tag]).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        target[...] = arr
-        seen.add(name)
-    if cur.pos != len(cur.blob):
-        raise CheckpointError(
-            f"{path}: {len(cur.blob) - cur.pos} trailing bytes after the last tensor "
-            f"at offset {cur.pos}"
-        )
-    missing = set(registry) - seen
-    if missing:
-        raise CheckpointError(f"{path}: checkpoint missing tensors: {sorted(missing)[:4]}")
-    return model
+            blob = fh.read()
+        # the 22-byte end record, with no comment: zipfile reads trailing bytes as one
+        if blob[-22:-18] != b"PK\x05\x06" or blob[-2:] != b"\0\0":
+            raise CheckpointError("not a checkpoint archive, or bytes after its end record")
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            members = {}
+            for info in zf.infolist():
+                # stored as written: no decompressor, decryption or patch data ever runs
+                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits:
+                    raise CheckpointError(f"member {info.filename!r} is compressed or flagged")
+                if info.filename in members:
+                    raise CheckpointError(f"member {info.filename!r} appears twice")
+                members[info.filename] = info
+            if "config" not in members:
+                raise CheckpointError("no config member")
+            raw = _member(zf, members.pop("config"), "|u1", None).tobytes()
+            try:
+                cfg = ModelConfig.from_text(decode_utf8(raw, "config", CheckpointError))
+            except ConfigError as exc:
+                raise CheckpointError(f"embedded config invalid: {exc}") from None
+            model = build_model(cfg, rng_seed=0)
+            if not model.binarized and any(name.endswith(".gamma") for name in members):
+                binarize_plan(model)  # switched after its fp phase by two-step training
+            registry = dict(model.state_arrays())
+            if set(members) != set(registry):
+                raise CheckpointError(f"tensors unknown: {sorted(set(members) - set(registry))[:4]}"
+                                      f", missing: {sorted(set(registry) - set(members))[:4]}")
+            for name, target in registry.items():
+                target[...] = _member(zf, members[name], "<f8", target.shape)
+        return model
+    # the messages above name no file, so the path is added here, once; numpy's
+    # .npy header parser can also raise TokenError and TypeError
+    except (OSError, ValueError, EOFError, MemoryError, RuntimeError, TypeError, TokenError,
+            zipfile.BadZipFile) as exc:
+        msg = " ".join(str(exc).split()) or type(exc).__name__
+        raise CheckpointError(f"{path}: {msg}") from None

@@ -27,7 +27,9 @@ compare two trees on one machine, never against stored values.
 by one tree load to the same logits in the other. `--save` in two trees
 and `--load` of both directories in one tree shows that the trained state
 is equal tensor by tensor, even where the two trees store it in another
-order.
+order. Neither can span a change of the checkpoint format, since a tree
+reads only its own format: then run `--save D` and `--load D` in each
+tree, and diff the two `--load` outputs.
 """
 
 from __future__ import annotations

@@ -206,9 +206,13 @@ def test_binary_full_mode_and_shape_checks():
     fp = LinearParams(weight=np.ones((2, 2)))
     with pytest.raises(ParameterError):
         bk.binary_linear_full(np.ones((2, 4)), fp)  # wrong mode
+    nan_beta = LinearParams(weight=np.ones((2, 2)), mode="binary_full",
+                            beta=np.array([0.0, np.nan]), gamma=np.ones(2))
     for use_packed in (True, False):  # NaN has no sign on either route
         with pytest.raises(ParameterError, match="NaN"):
             bk.binary_linear_full(np.array([[1.0], [np.nan]]), good, use_packed=use_packed)
+        with pytest.raises(ParameterError, match="NaN"):
+            bk.binary_linear_full(np.ones((2, 3)), nan_beta, use_packed=use_packed)
 
 
 # weight-only binarization is the vector path's mode: svcore.vector_mapping

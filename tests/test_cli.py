@@ -383,6 +383,10 @@ def test_command_error_paths(ws, tmp_path, capsys):
     # allocation fails at once instead of filling memory
     huge = tmp_path / "huge.ini"
     huge.write_text("[model]\nchannels = 10000000,10000000\n")
+    stray = tmp_path / "stray.ini"
+    stray.write_text("[model]\nk = 4\nstray line\n")
+    headless = tmp_path / "headless.ini"
+    headless.write_text("k = 4\n")
     cases = [
         ["train", "--config", "/no/net.ini", "--data", str(ws / "data"),
          "--epochs", "1", "--out", str(tmp_path / "x.ckpt")],
@@ -404,6 +408,8 @@ def test_command_error_paths(ws, tmp_path, capsys):
          "--trials", "0"],
         ["equiv-check", "--ckpt", str(tmp_path / "absent.ckpt"), "--trials", "0"],
         ["count-ops", "--config", str(huge)],
+        ["count-ops", "--config", str(stray)],
+        ["count-ops", "--config", str(headless)],
         ["train", "--config", str(huge), "--data", str(ws / "data"),
          "--epochs", "1", "--out", str(tmp_path / "x.ckpt")],
     ] + [["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
@@ -454,6 +460,18 @@ def test_config_that_is_not_utf8_fails_in_one_line(tmp_path, capsys):
     bad.write_bytes(TINY_CFG.encode() + b"# \xff\n")
     err = _one_error_line(["count-ops", "--config", str(bad)], capsys)
     assert err == f"error: config {bad} is not UTF-8: byte 0xff at offset {len(TINY_CFG) + 2}"
+
+
+def test_config_parse_error_names_file_and_line(tmp_path, capsys):
+    stray = tmp_path / "stray.ini"
+    stray.write_text("[model]\nk = 4\nstray line\n")
+    err = _one_error_line(["count-ops", "--config", str(stray)], capsys)
+    assert err == f"error: config {stray} line 3: cannot read 'stray line' (ParsingError)"
+    headless = tmp_path / "headless.ini"
+    headless.write_text("k = 4\n")
+    err = _one_error_line(["count-ops", "--config", str(headless)], capsys)
+    assert err == (f"error: config {headless} line 1: cannot read 'k = 4' "
+                   f"(MissingSectionHeaderError)")
 
 
 def test_manifest_that_is_not_utf8_fails_in_one_line(ws, fp_ckpt, tmp_path, capsys):

@@ -1,5 +1,10 @@
 """Model assembly, op accounting, binarization planning, checkpoints."""
 
+import io
+import struct
+import time
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -540,86 +545,196 @@ def test_save_checkpoint_refuses_non_finite(tmp_path):
     assert not path.exists()
 
 
+def _npy(arr) -> bytes:
+    out = io.BytesIO()
+    np.lib.format.write_array(out, np.asarray(arr), allow_pickle=False)
+    return out.getvalue()
+
+
+def _npy_header(shape, descr="<f8") -> bytes:
+    """A .npy header declaring `shape`, with no data after it."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {"descr": descr, "fortran_order": False,
+                                               "shape": shape})
+    return out.getvalue()
+
+
+def _archive(path, members, compressed=()) -> None:
+    """Write `members` (name, bytes) as a zip; the named ones deflated."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members:
+            info = zipfile.ZipInfo(name)
+            if name in compressed:
+                info.compress_type = zipfile.ZIP_DEFLATED
+            zf.writestr(info, data)
+
+
+def _two_step_checkpoint(path):
+    """A small two-step model after its switch to binary, saved to `path`."""
+    model = nb.build_model(small_cfg(binarize="two_step"), rng_seed=2)
+    nb.binarize_plan(model)
+    nb.save_checkpoint(model, path)
+    return model
+
+
+def _rejects(damaged, match=None) -> None:
+    # every failure is one CheckpointError line that leads with the file
+    with pytest.raises(CheckpointError, match=match) as info:
+        nb.load_checkpoint(damaged)
+    assert str(info.value).startswith(f"{damaged}: "), info.value
+    assert "\n" not in str(info.value), info.value
+
+
+def _same_model(a, b) -> bool:
+    x, y = dict(a.state_arrays()), dict(b.state_arrays())
+    return (a.cfg == b.cfg and a.binarized == b.binarized and x.keys() == y.keys()
+            and all(np.array_equal(x[name], y[name]) for name in x))
+
+
 def test_checkpoint_rejects_damage(tmp_path):
     path = tmp_path / "m.ckpt"
-    nb.save_checkpoint(nb.build_model(small_cfg()), path)
+    model = nb.build_model(small_cfg())
+    nb.save_checkpoint(model, path)
     blob = path.read_bytes()
-
-    def rejects(damaged, match=None):
-        # every message leads with the file it is about
-        with pytest.raises(CheckpointError, match=match) as info:
-            nb.load_checkpoint(damaged)
-        assert str(info.value).startswith(f"{damaged}: "), info.value
 
     for cut in (2, len(blob) // 3, len(blob) - 5):
         short = tmp_path / "cut.ckpt"
         short.write_bytes(blob[:cut])
-        rejects(short)
+        _rejects(short)
 
     wrong = tmp_path / "magic.ckpt"
-    wrong.write_bytes(b"XXXX" + blob[4:])
-    rejects(wrong)
+    wrong.write_bytes(b"SVNC\x02\x00\x00\x00" + bytes(64))  # the earlier byte format
+    _rejects(wrong, "not a checkpoint archive")
 
-    import struct
-    vers = tmp_path / "vers.ckpt"
-    for version in (1, 99):  # the previous format and an unknown one
-        vers.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
-        rejects(vers, f"unsupported checkpoint version {version}$")
-
-    assert blob.count(b"head.frame.weight") == 1
+    # the name sits in the member's local header and in the central directory
+    assert blob.count(b"head.frame.weight") == 2
     renamed = tmp_path / "name.ckpt"
     renamed.write_bytes(blob.replace(b"head.frame.weight", b"head.frame.wei__t"))
-    rejects(renamed)
+    _rejects(renamed, r"tensors unknown: \['head.frame.wei__t'\], "
+                      r"missing: \['head.frame.weight'\]$")
 
-    rejects(tmp_path / "absent.ckpt")
+    _rejects(tmp_path / "absent.ckpt", "No such file")
 
     trailing = tmp_path / "trailing.ckpt"
-    trailing.write_bytes(blob + b"garbage")
-    rejects(trailing, f"offset {len(blob)}")
+    trailing.write_bytes(blob + b"garbage")  # zipfile alone would read it as a comment
+    _rejects(trailing, "bytes after its end record")
 
-    # the config text starts at byte 12, after magic, version and its length
-    for offset in (12, blob.index(b"head.frame.weight") + 3):
-        garbled = tmp_path / "utf8.ckpt"
-        garbled.write_bytes(blob[:offset] + b"\xff" + blob[offset + 1:])
-        what = "config text" if offset == 12 else "tensor name"
-        rejects(garbled, f"{what} is not UTF-8: byte 0xff at offset {offset}")
+    # zip's CRC-32 covers each member's header and data
+    name = b"block0.norm.running_var"
+    flipped = bytearray(blob)
+    flipped[blob.index(name) + len(name) + 100] ^= 1
+    crc = tmp_path / "crc.ckpt"
+    crc.write_bytes(bytes(flipped))
+    _rejects(crc, "Bad CRC-32 for file 'block0.norm.running_var'")
 
-    # a payload follows its name, dtype tag, rank and shape; poison its first entry
-    arrays = dict(nb.build_model(small_cfg()).state_arrays())
-    for name in ("extract.frame.weight", "block0.norm.running_var"):
-        start = blob.index(name.encode()) + len(name) + 2 + 8 * arrays[name].ndim
-        poisoned = tmp_path / "nan.ckpt"
-        poisoned.write_bytes(blob[:start] + struct.pack("<d", np.nan) + blob[start + 8:])
-        rejects(poisoned, name)
+    # hand-built archives whose members all carry matching CRCs
+    cfg_text = model.cfg.to_text().encode()
+    arrays = dict(model.state_arrays())
 
-    # a shape whose element count passes 2**63 asks for more bytes than the file has
-    name = "extract.frame.weight"
-    assert arrays[name].ndim == 2
-    start = blob.index(name.encode()) + len(name) + 2
-    huge = tmp_path / "huge.ckpt"
-    huge.write_bytes(blob[:start] + struct.pack("<2Q", 2**62, 4) + blob[start + 16:])
-    rejects(huge, f"truncated checkpoint: wanted {2**67} bytes")
-    # an empty shape with a huge axis needs no bytes, and numpy cannot make it
-    huge.write_bytes(blob[:start] + struct.pack("<2Q", 0, 2**62) + blob[start + 16:])
-    rejects(huge, rf"{name}' has shape \(0, {2**62}\), model wants")
+    def members(**replace):
+        out = [("config", _npy(np.frombuffer(cfg_text, dtype=np.uint8)))]
+        out += [(key, _npy(arr)) for key, arr in arrays.items()]
+        return [(key, replace.get(key, data)) for key, data in out if replace.get(key) != b""]
 
-    # one tensor entry written twice, the tensor count raised to match
-    name = "block0.norm.running_var"
-    start = blob.index(name.encode()) - 2
-    end = start + 4 + len(name) + 8 * arrays[name].ndim + arrays[name].nbytes
-    (cfg_len,) = struct.unpack("<I", blob[8:12])
-    (count,) = struct.unpack("<I", blob[12 + cfg_len: 16 + cfg_len])
-    twice = tmp_path / "twice.ckpt"
-    twice.write_bytes(blob[:12 + cfg_len] + struct.pack("<I", count + 1) + blob[16 + cfg_len:]
-                      + blob[start:end])
-    rejects(twice, f"tensor '{name}' appears twice")
+    crafted = tmp_path / "crafted.ckpt"
+    _archive(crafted, members())
+    assert _same_model(nb.load_checkpoint(crafted), model)
+
+    garbled = np.frombuffer(cfg_text + b"# \xff\n", dtype=np.uint8)
+    _archive(crafted, members(config=_npy(garbled)))
+    _rejects(crafted, f"config is not UTF-8: byte 0xff at offset {len(cfg_text) + 2}$")
+
+    stray = np.frombuffer(cfg_text + b"stray line\n", dtype=np.uint8)
+    _archive(crafted, members(config=_npy(stray)))
+    n_lines = cfg_text.count(b"\n")
+    _rejects(crafted, f"embedded config invalid: config line {n_lines + 1}: "
+                      rf"cannot read 'stray line' \(ParsingError\)$")
+
+    _archive(crafted, members(config=b""))
+    _rejects(crafted, "no config member$")
+
+    for key in ("extract.frame.weight", "block0.norm.running_var"):
+        poisoned = arrays[key].copy()
+        poisoned.flat[0] = np.nan
+        _archive(crafted, members(**{key: _npy(poisoned)}))
+        _rejects(crafted, f"tensor '{key}' holds non-finite values$")
+
+    _archive(crafted, members(**{"block0.norm.running_var": b""}))
+    _rejects(crafted, r"tensors unknown: \[\], missing: \['block0.norm.running_var'\]$")
+
+    # shapes are checked against the model's before any payload is read, so
+    # no allocation is sized by the file
+    key = "extract.frame.weight"
+    assert arrays[key].shape == (2, 3)
+    for shape in ((2**62, 4), (0, 2**62), (2**28, 4)):
+        _archive(crafted, members(**{key: _npy_header(shape)}))
+        _rejects(crafted, rf"member '{key}' holds <f8 \({shape[0]}, {shape[1]}\), "
+                          rf"model wants <f8 \(2, 3\)$")
+    # header text numpy's parser fails on with TokenError and TypeError
+    for text in (b"{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3, }",
+                 b"{'descr': '<f8', 1: 2}"):
+        raw = text.ljust(118) + b"\n"
+        _archive(crafted, members(**{key: b"\x93NUMPY\x01\x00" + struct.pack("<H", 119) + raw}))
+        _rejects(crafted)
+    for bad, held in ((arrays[key].astype(">f8"), ">f8 "), (arrays[key].astype("<f4"), "<f4 "),
+                      (np.asfortranarray(arrays[key]), "<f8 .* in Fortran order")):
+        _archive(crafted, members(**{key: _npy(bad)}))
+        _rejects(crafted, rf"member '{key}' holds {held}.*, model wants <f8 \(2, 3\)$")
+    out = io.BytesIO()  # numpy writes version 2.0 only for headers over 64 KiB
+    np.lib.format.write_array(out, arrays[key], version=(2, 0))
+    _archive(crafted, members(**{key: out.getvalue()}))
+    _rejects(crafted, f"member '{key}' is not a version 1.0 .npy array$")
+    _archive(crafted, members(**{key: _npy(arrays[key]) + b"\0"}))
+    _rejects(crafted, f"member '{key}' does not end with its array$")
+
+    # a compressed member would run a decompressor on the file's bytes
+    _archive(crafted, members(), compressed=(key,))
+    _rejects(crafted, f"member '{key}' is compressed or flagged$")
+
+    with pytest.warns(UserWarning, match="Duplicate name"):
+        _archive(crafted, members() + [(key, _npy(arrays[key]))])
+    _rejects(crafted, f"member '{key}' appears twice$")
+
+
+def test_checkpoint_bit_flips_are_caught(tmp_path):
+    """Any one flipped bit either fails in one line naming the file or, in
+    zip metadata that no read depends on, loads the identical model."""
+    path = tmp_path / "p2.ckpt"
+    model = _two_step_checkpoint(path)
+    blob = path.read_bytes()
+    bits = np.random.default_rng(19).integers(0, 8 * len(blob), 400).tolist()
+    bits += range(8 * (len(blob) - 22), 8 * len(blob))  # every bit of the end record
+    damaged = tmp_path / "flip.ckpt"
+    identical = 0
+    for bit in bits:
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        damaged.write_bytes(bytes(flipped))
+        try:
+            loaded = nb.load_checkpoint(damaged)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{damaged}: ") and "\n" not in str(exc), (bit, exc)
+            continue
+        assert _same_model(loaded, model), f"bit {bit} loads a different model"
+        identical += 1
+    assert identical < len(bits) // 2  # most flips land in CRC-covered bytes
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    model = nb.build_model(small_cfg(binarize="vanilla"))
+    nb.save_checkpoint(model, tmp_path / "a.ckpt")
+    later = time.time() + 400 * 86400
+    real_localtime = time.localtime
+    monkeypatch.setattr(time, "time", lambda: later)
+    monkeypatch.setattr(time, "localtime",
+                        lambda secs=None: real_localtime(later if secs is None else secs))
+    nb.save_checkpoint(model, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_checkpoint_echoes_the_canonical_config(tmp_path):
     """A checkpoint stores cfg.to_text(), not the text the config was read
     from, and that text reads back to an equal config."""
-    import struct
-
     from fingerprint import BASE, CONFIGS
 
     cases = [(name, nb.ModelConfig(**BASE, **kw)) for name, kw in CONFIGS.items()]
@@ -636,23 +751,23 @@ def test_checkpoint_echoes_the_canonical_config(tmp_path):
             nb.binarize_plan(model)
         path = tmp_path / f"{name}.ckpt"
         nb.save_checkpoint(model, path)
-        blob = path.read_bytes()
-        (length,) = struct.unpack("<I", blob[8:12])
-        marker = "\n[state]\nbinarized = true\n" if cfg.binarize == "two_step" else ""
-        assert blob[12:12 + length].decode() == cfg.to_text() + marker, name
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["config"].tobytes().decode() == cfg.to_text(), name
         loaded = nb.load_checkpoint(path)
         assert loaded.cfg == cfg and loaded.binarized == model.binarized, name
 
 
 def test_checkpoint_phase_two_state_flag(tmp_path):
-    model = nb.build_model(small_cfg())
-    nb.binarize_plan(model)
+    """A model switched to binary after its fp phase is told apart by its
+    `*.gamma` members."""
+    path = tmp_path / "p2.ckpt"
+    model = _two_step_checkpoint(path)
     clouds = random_clouds(2, 12, 9)
     expect = model.forward(clouds).data
-
-    path = tmp_path / "p2.ckpt"
-    nb.save_checkpoint(model, path)
-    assert path.read_bytes().count(b"[state]") == 1
+    binary = {f"{name}.gamma" for name, lin, _, _ in model.layers
+              if lin.mode != "full_precision"}
+    with np.load(path, allow_pickle=False) as archive:
+        assert binary and {name for name in archive.files if name.endswith(".gamma")} == binary
 
     loaded = nb.load_checkpoint(path)
     assert loaded.binarized
@@ -660,5 +775,8 @@ def test_checkpoint_phase_two_state_flag(tmp_path):
 
     again = tmp_path / "p2b.ckpt"
     nb.save_checkpoint(loaded, again)
-    assert again.read_bytes().count(b"[state]") == 1  # the flag never duplicates
-    assert nb.load_checkpoint(again).binarized
+    assert again.read_bytes() == path.read_bytes()
+
+    fp = tmp_path / "fp.ckpt"
+    nb.save_checkpoint(nb.build_model(small_cfg(binarize="two_step")), fp)
+    assert not nb.load_checkpoint(fp).binarized
