@@ -261,7 +261,7 @@ def cmd_count_ops(args) -> int:
             )
     if args.config:
         cfg = netbuild.ModelConfig.from_file(args.config)
-        model = netbuild.build_model(cfg, 0)
+        model = netbuild.layout_model(cfg)
         ctr = netbuild.count_model_ops(model, args.points)
         for name, entry in ctr.per_layer:
             print(f"{name}: macs={entry['macs']} adds={entry['adds']} bops={entry['bops']}")

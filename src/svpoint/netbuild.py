@@ -9,6 +9,7 @@ its weights.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io
 import math
 import os
@@ -282,8 +283,9 @@ class Model:
     `layers` lists every linear layer once, in build order, as
     (name, LinearParams, kind, sites). Kinds: 'frame' and 'vector' act on
     vectors, 'scalar' and 'gate' on scalars. Sites say where a layer runs:
-    on each 'edge', each 'node', or once per 'cloud'. Binarization,
-    `param_bits` and `count_model_ops` read this list.
+    on each 'edge', each 'node', or once per 'cloud'. Glorot
+    initialisation (`build_model`), binarization, `param_bits` and
+    `count_model_ops` read this list.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -294,7 +296,11 @@ class Model:
         self.extract_frame: LinearParams | None = None
         self.head_frame: LinearParams | None = None
         self.final_mlp: list[tuple[LinearParams, str]] = []
-        self.binarized = False
+
+    @property
+    def binarized(self) -> bool:
+        """Whether any layer runs in a binary mode."""
+        return any(lin.mode != "full_precision" for _, lin, _, _ in self.layers)
 
     # -- parameter bookkeeping
 
@@ -354,35 +360,29 @@ class Model:
 # building
 
 
-def _glorot(rng, d_in: int, d_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / max(d_in + d_out, 1))
-    return rng.uniform(-limit, limit, (d_in, d_out))
-
-
-def _build_linear(model: Model, name: str, rng, d_in: int, d_out: int,
+def _build_linear(model: Model, name: str, d_in: int, d_out: int,
                   kind: str, sites: str) -> LinearParams:
-    """A Glorot layer, listed in `model.layers`; scalar and gate layers get a bias."""
-    lin = LinearParams(weight=model._param(f"{name}.weight", _glorot(rng, d_in, d_out)))
+    """A zero-weight layer, listed in `model.layers`; scalar and gate layers get a bias."""
+    lin = LinearParams(weight=model._param(f"{name}.weight", np.zeros((d_in, d_out))))
     if kind in ("scalar", "gate"):
         lin.bias = model._param(f"{name}.bias", np.zeros(d_out))
     model.layers.append((name, lin, kind, sites))
     return lin
 
 
-def _build_block(model: Model, idx: int, rng, p_in: int, q_in: int,
+def _build_block(model: Model, idx: int, p_in: int, q_in: int,
                  p_out: int, q_out: int, cfg: ModelConfig, sites: str) -> SVBlockParams:
     """The config's two interaction switches decide which layers exist (the
     frame, the gate MLP); the block reads its wiring back from those layers."""
     name = f"block{idx}"
     project = cfg.scalar_concat and q_in > 0
-    frame = _build_linear(model, f"{name}.frame", rng, q_in, 3, "frame", sites) if project else None
+    frame = _build_linear(model, f"{name}.frame", q_in, 3, "frame", sites) if project else None
     s_in = p_in + 3 * q_in if project else p_in
-    scalar_mlp = [(_build_linear(model, f"{name}.scalar0", rng, s_in, p_out, "scalar", sites),
-                   "relu")]
-    vector_map = _build_linear(model, f"{name}.vector_map", rng, q_in, q_out, "vector", sites)
+    scalar_mlp = [(_build_linear(model, f"{name}.scalar0", s_in, p_out, "scalar", sites), "relu")]
+    vector_map = _build_linear(model, f"{name}.vector_map", q_in, q_out, "vector", sites)
     gate_mlp = []
     if cfg.vector_reweight and q_out:
-        gate_mlp = [(_build_linear(model, f"{name}.gate0", rng, p_in, q_out, "gate", "cloud"),
+        gate_mlp = [(_build_linear(model, f"{name}.gate0", p_in, q_out, "gate", "cloud"),
                      "sigmoid")]
     norm = NormParams.create(p_out, q_out)
     for key in ("scalar_gain", "scalar_bias", "vector_log_scale"):
@@ -391,15 +391,15 @@ def _build_block(model: Model, idx: int, rng, p_in: int, q_in: int,
                          gate_mlp=gate_mlp, norm=norm)
 
 
-def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
-    """Assemble a fresh model; weights Glorot-uniform from the seed."""
+def layout_model(cfg: ModelConfig) -> Model:
+    """The model a config describes, every weight zero: names, shapes, modes,
+    `Model.layers` and the store are final, and no value is drawn."""
     cfg.validate()
-    rng = np.random.default_rng(rng_seed)
     model = Model(cfg)
 
     p, q = EXTRACT_SCALARS, (0 if cfg.baseline else 2)
     if not cfg.baseline:
-        model.extract_frame = _build_linear(model, "extract.frame", rng, 2, 3, "frame", "edge")
+        model.extract_frame = _build_linear(model, "extract.frame", 2, 3, "frame", "edge")
 
     for i, (width, (regroup, _)) in enumerate(zip(cfg.channels, block_schedule(cfg))):
         if cfg.baseline:
@@ -409,20 +409,30 @@ def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
         if regroup:
             p, q = 2 * p, 2 * q  # edge regrouping doubles both channel sets
         sites = "edge" if i == 0 or regroup else "node"
-        model.blocks.append(_build_block(model, i, rng, p, q, p_out, q_out, cfg, sites))
+        model.blocks.append(_build_block(model, i, p, q, p_out, q_out, cfg, sites))
         p, q = p_out, q_out
 
     if q:
-        model.head_frame = _build_linear(model, "head.frame", rng, q, 3, "frame", "cloud")
+        model.head_frame = _build_linear(model, "head.frame", q, 3, "frame", "cloud")
     head_in = p + 3 * q
     model.final_mlp = [
-        (_build_linear(model, "final0", rng, head_in, cfg.head_dim, "scalar", "cloud"), "relu"),
-        (_build_linear(model, "final1", rng, cfg.head_dim, cfg.classes, "scalar", "cloud"),
-         "none"),
+        (_build_linear(model, "final0", head_in, cfg.head_dim, "scalar", "cloud"), "relu"),
+        (_build_linear(model, "final1", cfg.head_dim, cfg.classes, "scalar", "cloud"), "none"),
     ]
 
     if cfg.binarize == "vanilla":
         binarize_plan(model)
+    return model
+
+
+def build_model(cfg: ModelConfig, rng_seed=0) -> Model:
+    """A fresh model: the config's layout, each weight Glorot-uniform from
+    the seed, drawn in `Model.layers` order."""
+    model = layout_model(cfg)
+    rng = np.random.default_rng(rng_seed)
+    for _, lin, _, _ in model.layers:
+        limit = np.sqrt(6.0 / max(lin.in_dim + lin.out_dim, 1))
+        lin.weight.data[...] = rng.uniform(-limit, limit, (lin.in_dim, lin.out_dim))
     return model
 
 
@@ -458,7 +468,6 @@ def binarize_plan(model: Model) -> Model:
         else:
             lin.mode = "binary_weight"
         lin.gamma = model._param(f"{name}.gamma", np.ones(lin.out_dim))
-    model.binarized = True
     model.store.reset_optimizer()
     return model
 
@@ -478,11 +487,16 @@ def save_checkpoint(model: Model, path) -> None:
             raise StateError(f"not saving {path}: tensor {name!r} holds non-finite values")
         entries.append((name, np.asarray(arr, dtype="<f8")))
     tmp = f"{path}.tmp"
-    with zipfile.ZipFile(tmp, "w") as zf:
-        for name, arr in entries:
-            with zf.open(zipfile.ZipInfo(name), "w") as fh:
-                np.lib.format.write_array(fh, arr, allow_pickle=False)
-    os.replace(tmp, path)
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            for name, arr in entries:
+                with zf.open(zipfile.ZipInfo(name), "w") as fh:
+                    np.lib.format.write_array(fh, arr, allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:  # a failed write leaves no partial file behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _member(zf: zipfile.ZipFile, info: zipfile.ZipInfo, dtype: str, shape) -> np.ndarray:
@@ -532,7 +546,7 @@ def load_checkpoint(path) -> Model:
                 cfg = ModelConfig.from_text(decode_utf8(raw, "config", CheckpointError))
             except ConfigError as exc:
                 raise CheckpointError(f"embedded config invalid: {exc}") from None
-            model = build_model(cfg, rng_seed=0)
+            model = layout_model(cfg)
             if not model.binarized and any(name.endswith(".gamma") for name in members):
                 binarize_plan(model)  # switched after its fp phase by two-step training
             registry = dict(model.state_arrays())

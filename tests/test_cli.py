@@ -379,7 +379,7 @@ def test_count_ops_needs_a_request(capsys):
 
 
 def test_command_error_paths(ws, tmp_path, capsys):
-    # a 364 TiB Glorot draw: past the 128 TiB user address space, so the
+    # a 364 TiB allocation: past the 128 TiB user address space, so the
     # allocation fails at once instead of filling memory
     huge = tmp_path / "huge.ini"
     huge.write_text("[model]\nchannels = 10000000,10000000\n")

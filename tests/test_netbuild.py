@@ -1,6 +1,8 @@
 """Model assembly, op accounting, binarization planning, checkpoints."""
 
+import errno
 import io
+import os
 import struct
 import time
 import zipfile
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
+import svpoint.cli as cli
 import svpoint.netbuild as nb
 from svpoint.errors import CheckpointError, ConfigError, ParameterError, StateError
 from svpoint.geometry import PointCloud
@@ -147,6 +150,24 @@ def test_build_is_deterministic_per_seed():
         assert np.array_equal(ta.data, tb.data)
     assert any(not np.array_equal(ta.data, tc.data)
                for (_, ta), (_, tc) in zip(a.store.items(), c.store.items()))
+
+
+def test_build_draws_glorot_in_layer_order():
+    """Each weight is Glorot-uniform from one stream, drawn in `Model.layers`
+    order, zero-width layers included; the layout alone is all zeros."""
+    cases = [small_cfg(), small_cfg(backbone="dgcnn_like"), small_cfg(baseline=True),
+             small_cfg(sv_ratio=1.0), small_cfg(scalar_concat=False, vector_reweight=False)]
+    for seed, cfg in enumerate(cases):
+        model = nb.build_model(cfg, rng_seed=seed)
+        rng = np.random.default_rng(seed)
+        for name, lin, _, _ in model.layers:
+            shape = lin.weight.data.shape
+            limit = np.sqrt(6.0 / max(sum(shape), 1))
+            assert np.array_equal(lin.weight.data, rng.uniform(-limit, limit, shape)), (cfg, name)
+        layout = nb.layout_model(cfg)
+        assert [(name, lin.weight.data.shape, lin.mode) for name, lin, _, _ in layout.layers] == [
+            (name, lin.weight.data.shape, lin.mode) for name, lin, _, _ in model.layers]
+        assert not any(lin.weight.data.any() for _, lin, _, _ in layout.layers)
 
 
 def test_build_pure_scalar_and_pure_vector():
@@ -545,6 +566,31 @@ def test_save_checkpoint_refuses_non_finite(tmp_path):
     assert not path.exists()
 
 
+def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
+    """A write that fails part-way re-raises, removes its temporary file,
+    and leaves an earlier checkpoint at the path byte for byte."""
+    model = nb.build_model(small_cfg())
+    nb.save_checkpoint(nb.build_model(small_cfg(), rng_seed=1), tmp_path / "earlier.ckpt")
+    path, tmp = tmp_path / "x.ckpt", tmp_path / "x.ckpt.tmp"
+    real, calls = np.lib.format.write_array, []
+
+    def disk_full_at_third_member(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", disk_full_at_third_member)
+    for earlier in (None, (tmp_path / "earlier.ckpt").read_bytes()):
+        if earlier is not None:
+            path.write_bytes(earlier)
+        calls.clear()
+        with pytest.raises(OSError):
+            nb.save_checkpoint(model, path)
+        assert len(calls) == 3 and not tmp.exists()
+        assert (path.read_bytes() if path.exists() else None) == earlier
+
+
 def _npy(arr) -> bytes:
     out = io.BytesIO()
     np.lib.format.write_array(out, np.asarray(arr), allow_pickle=False)
@@ -780,3 +826,21 @@ def test_checkpoint_phase_two_state_flag(tmp_path):
     fp = tmp_path / "fp.ckpt"
     nb.save_checkpoint(nb.build_model(small_cfg(binarize="two_step")), fp)
     assert not nb.load_checkpoint(fp).binarized
+
+
+def test_loading_and_counting_draw_nothing(tmp_path, monkeypatch):
+    """A checkpoint's model and `count-ops`' come from the config alone:
+    with no random generator to be had, both still work."""
+    two_step = _two_step_checkpoint(tmp_path / "p2.ckpt")
+    vanilla = nb.build_model(small_cfg(binarize="vanilla"), rng_seed=4)
+    nb.save_checkpoint(vanilla, tmp_path / "v.ckpt")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random generator was asked for")
+
+    monkeypatch.setattr(nb.np.random, "default_rng", no_draw)
+    for name, model in (("p2", two_step), ("v", vanilla)):
+        assert _same_model(nb.load_checkpoint(tmp_path / f"{name}.ckpt"), model), name
+        config = tmp_path / f"{name}.ini"
+        config.write_text(model.cfg.to_text())
+        assert cli.main(["count-ops", "--config", str(config)]) == 0, name
