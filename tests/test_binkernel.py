@@ -6,7 +6,7 @@ import pytest
 from svpoint import autodiff as ad
 from svpoint import binkernel as bk
 from svpoint.errors import ParameterError
-from svpoint.svcore import LinearParams, vector_mapping
+from svpoint.svcore import LinearParams, scalar_linear, vector_mapping
 
 
 def naive_pm1_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,11 +98,32 @@ def test_packed_matrix_rejects_set_padding_bits():
     assert bk.PackedSignMatrix(rows=1, cols=64, words=full.words).cols == 64
 
 
+def test_bitpack_bool_matches_pm1():
+    """A boolean matrix packs True as +1: the same words as its ±1 twin."""
+    rng = np.random.default_rng(12)
+    for cols in (1, 63, 64, 65, 1000):
+        mask = rng.standard_normal((7, cols)) >= 0
+        got = bk.bitpack(mask)
+        assert (got.rows, got.cols) == (7, cols)
+        assert np.array_equal(got.words, bk.bitpack(np.where(mask, 1.0, -1.0)).words)
+        # a transposed (Fortran-ordered) view packs the same as a C-ordered copy
+        assert np.array_equal(bk.bitpack(mask.T.copy().T).words, got.words)
+
+
+def test_bitpack_bool_padding_zero():
+    packed = bk.bitpack(np.ones((3, 65), dtype=bool))
+    assert packed.words.shape == (3, 2)
+    assert (packed.words[:, 1] == np.uint64(1)).all()  # only bit 64 set
+    assert (bk.bitpack(np.zeros((2, 70), dtype=bool)).words == 0).all()
+
+
 def test_bitpack_rejects_other_values():
     with pytest.raises(ParameterError):
         bk.bitpack(np.array([[1.0, 0.0]]))
     with pytest.raises(ParameterError):
         bk.bitpack(np.ones(4))  # 1-d
+    with pytest.raises(ParameterError):
+        bk.bitpack(np.ones(4, dtype=bool))  # 1-d boolean
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +161,14 @@ def test_gemm_matches_naive_odd_dims():
 
 
 def test_gemm_small_block_path():
-    # a left operand of more rows than one block spans a full and a partial block
+    # an operand of more rows than one block spans a full and a partial block:
+    # the right operand's rows are tiled, the left operand's are not
     rng = np.random.default_rng(6)
-    a = bk.sign(rng.standard_normal((bk.GEMM_BLOCK + 77, 65)))
-    b = bk.sign(rng.standard_normal((30, 65)))
-    got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
-    assert np.array_equal(got, naive_pm1_gemm(a, b))
+    long = bk.sign(rng.standard_normal((bk.GEMM_BLOCK + 77, 65)))
+    short = bk.sign(rng.standard_normal((30, 65)))
+    for a, b in ((long, short), (short, long)):
+        got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
+        assert np.array_equal(got, naive_pm1_gemm(a, b))
 
 
 def test_gemm_dim_mismatch():
@@ -198,6 +221,29 @@ def test_binary_full_packed_equals_unpacked():
         )
 
 
+def test_binary_full_packed_equals_scalar_linear_across_tiles():
+    """The packed route gives `svcore.scalar_linear`'s bits at site counts
+    on both sides of a tile edge, over one to three words, with d = 0,
+    -0.0 and infinite inputs, which all take sign's x >= 0 predicate."""
+    rng = np.random.default_rng(13)
+    for n in (bk.GEMM_BLOCK - 1, bk.GEMM_BLOCK, 2 * bk.GEMM_BLOCK + 17):
+        for in_dim in (12, 64, 65, 128, 130):
+            w = rng.standard_normal((in_dim, 7))
+            w[0, :3] = (0.0, -0.0, -1e-300)
+            beta = rng.standard_normal(in_dim)
+            beta[1] = 0.0
+            x = rng.standard_normal((in_dim, n))
+            x[:, 0] = beta  # d = 0
+            x[1, 1::3] = -0.0  # d = -0.0
+            x[2:, 2] = np.inf
+            x[2:, 3] = -np.inf
+            x[rng.integers(0, in_dim, 50), rng.integers(0, n, 50)] = np.inf
+            params = LinearParams(weight=w, mode="binary_full", beta=beta,
+                                  gamma=rng.standard_normal(7))
+            got = bk.binary_linear_full(x, params, use_packed=True)
+            assert np.array_equal(got, scalar_linear(x, params).data), (n, in_dim)
+
+
 def test_binary_full_mode_and_shape_checks():
     good = LinearParams(weight=np.ones((2, 2)), mode="binary_full",
                         beta=np.zeros(2), gamma=np.ones(2))
@@ -213,6 +259,11 @@ def test_binary_full_mode_and_shape_checks():
             bk.binary_linear_full(np.array([[1.0], [np.nan]]), good, use_packed=use_packed)
         with pytest.raises(ParameterError, match="NaN"):
             bk.binary_linear_full(np.ones((2, 3)), nan_beta, use_packed=use_packed)
+        nan_weight = LinearParams(weight=np.ones((2, 2)), mode="binary_full",
+                                  beta=np.zeros(2), gamma=np.ones(2))
+        nan_weight.weight[1, 0] = np.nan  # as a diverging update would leave it
+        with pytest.raises(ParameterError, match="NaN"):
+            bk.binary_linear_full(np.ones((2, 3)), nan_weight, use_packed=use_packed)
 
 
 # weight-only binarization is the vector path's mode: svcore.vector_mapping
