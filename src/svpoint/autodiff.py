@@ -115,6 +115,11 @@ class Tape:
                 grad_fn(grad)
 
 
+def recording() -> bool:
+    """Whether a Tape is active, so that ops on parameters record."""
+    return bool(_ACTIVE_TAPES)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_grad_fn")
 
@@ -477,6 +482,22 @@ def pair_contract(a, b) -> Tensor:
 # as is, in the same arithmetic, and holds it fixed in backward.
 
 
+def norm_affine(xhat: np.ndarray, var: np.ndarray, eps: float, gain: np.ndarray,
+                bias: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = xhat * (1 / sqrt(var + eps)) * gain + bias, per channel row:
+    the arithmetic of every scalar normalization, in one order.
+
+    xhat (p, N) holds x - mean on entry and is scaled in place; `out` may
+    be xhat itself. var, gain and bias are (p,). Returns the (p, 1)
+    inverse deviation.
+    """
+    inv = 1.0 / np.sqrt(var + eps)[:, None]
+    xhat *= inv
+    np.multiply(xhat, gain[:, None], out=out)
+    out += bias[:, None]
+    return inv
+
+
 def batch_norm_train(x, gain, bias, eps: float, stats=None):
     """Standardize scalar channels over the site axis with learned affine:
     (x - mean) * (1 / sqrt(var + eps)) * gain + bias.
@@ -489,15 +510,12 @@ def batch_norm_train(x, gain, bias, eps: float, stats=None):
         mu = x.data.mean(axis=1, keepdims=True)
         xhat = x.data - mu  # centered here, standardized in place below
         out = xhat * xhat
-        var = out.mean(axis=1, keepdims=True)
+        var = out.mean(axis=1)
     else:
-        mu, var = (stat[:, None] for stat in stats)
+        mu, var = stats[0][:, None], stats[1]
         xhat = x.data - mu
         out = np.empty_like(xhat)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    np.multiply(xhat, gain.data[:, None], out=out)
-    out += bias.data[:, None]
+    inv = norm_affine(xhat, var, eps, gain.data, bias.data, out)
     count = x.data.shape[1]
 
     def bw(g):
@@ -519,7 +537,7 @@ def batch_norm_train(x, gain, bias, eps: float, stats=None):
             gx *= inv
         _accumulate(x, gx)
 
-    return _make(out, (x, gain, bias), bw), mu[:, 0], var[:, 0]
+    return _make(out, (x, gain, bias), bw), mu[:, 0], var
 
 
 def vector_norm_scale_train(v, log_scale, eps: float, mean_norm=None):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import binkernel
 from .errors import ParameterError
 
 MODES = ("full_precision", "binary_weight", "binary_full")
@@ -69,8 +70,6 @@ class LinearParams:
         w = _data(self.weight)
         if w.ndim != 2:
             raise ParameterError(f"weight must be 2-d, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise ParameterError("weight entries must be finite")
         if self.gamma is not None and not np.isfinite(_data(self.gamma)).all():
             raise ParameterError("gamma entries must be finite")
 
@@ -127,13 +126,20 @@ class SVBlockParams:
 # precision-mode linear layers
 #
 # The binary forwards run sign_ste, so they train with straight-through
-# gradients and match the packed integer kernels bit for bit: ±1 dot
-# products are exact in float64.
+# gradients. A binary_full layer runs on packed bits whenever nothing
+# records; ±1 dot products are exact in float64, so both give the same bits.
+
+
+def _packs(params: LinearParams) -> bool:
+    """Whether a scalar layer runs on the packed route: binary_full, and no Tape active."""
+    return params.mode == "binary_full" and not ad.recording()
 
 
 def scalar_linear(x, params: LinearParams) -> ad.Tensor:
     """Linear layer on scalar features (in, N) -> (out, N), full_precision or
-    binary_full; weight-only binarization belongs to the vector path."""
+    binary_full; weight-only binarization belongs to the vector path. A
+    binary_full layer takes `binkernel.ste_linear` under a tape and
+    `binkernel.packed_linear` otherwise."""
     x = ad.as_tensor(x)
     w = ad.as_tensor(params.weight)
     if x.data.shape[0] != w.data.shape[0]:
@@ -147,9 +153,9 @@ def scalar_linear(x, params: LinearParams) -> ad.Tensor:
         return out
     if params.mode != "binary_full":
         raise ParameterError(f"scalar features cannot use precision mode {params.mode!r}")
-    xs = ad.sign_ste(ad.sub(x, ad.reshape(ad.as_tensor(params.beta), (-1, 1))))
-    out = ad.matmul(ad.transpose(ad.sign_ste(w)), xs)
-    return ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (-1, 1)))
+    if _packs(params):
+        return ad.Tensor(binkernel.packed_linear(x.data, params))
+    return binkernel.ste_linear(x, params)
 
 
 def vector_mapping(v, params: LinearParams) -> ad.Tensor:
@@ -206,6 +212,21 @@ def _run_mlp(x, layers: list[tuple[LinearParams, str]]):
     return x
 
 
+def eval_norm_relu(norm: NormParams):
+    """Eval's scalar normalization by the running statistics, then ReLU, in
+    place on one tile of a layer's output: `ad.batch_norm_train` with
+    stats and `ad.relu`, the same ufuncs in the same order."""
+    mean = norm.running_mean[:, None]
+    gain, bias = _data(norm.scalar_gain), _data(norm.scalar_bias)
+
+    def finish(tile):
+        tile -= mean
+        ad.norm_affine(tile, norm.running_var, NORM_EPS, gain, bias, out=tile)
+        np.maximum(tile, 0.0, out=tile)
+
+    return finish
+
+
 def _update_running(running: tuple[np.ndarray, ...], batch: tuple[np.ndarray, ...]) -> None:
     """Move running statistics toward a training batch's, in place."""
     for run, stat in zip(running, batch):
@@ -238,11 +259,17 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     v_in = None if params.frame is None else invariant_projection(v, params.frame)
     s_out = s if v_in is None else ad.concat([s, v_in], axis=0)
     *hidden, (last, last_tag) = params.scalar_mlp
-    s_out = scalar_linear(_run_mlp(s_out, hidden), last)
+    s_out = _run_mlp(s_out, hidden)
+    norm = params.norm
+    # eval's norm and ReLU run on each cache-resident tile of a packed product
+    fused = norm is not None and not train and last_tag == "relu" and _packs(last)
+    if fused:
+        s_out = ad.Tensor(binkernel.packed_linear(s_out.data, last, eval_norm_relu(norm)))
+    else:
+        s_out = scalar_linear(s_out, last)
     v_out = vector_mapping(v, params.vector_map)
 
-    norm = params.norm
-    if norm is not None and s_out.data.shape[0]:
+    if norm is not None and s_out.data.shape[0] and not fused:
         running = (norm.running_mean, norm.running_var)
         s_out, *batch = ad.batch_norm_train(s_out, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
                                             None if train else running)
@@ -253,7 +280,8 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
                                                       None if train else norm.running_norm)
         if train:
             _update_running((norm.running_norm,), (mean_norm,))
-    s_out = _activate(s_out, last_tag)
+    if not fused:
+        s_out = _activate(s_out, last_tag)
 
     if params.gate_mlp:
         size = n // groups

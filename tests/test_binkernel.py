@@ -171,6 +171,27 @@ def test_gemm_small_block_path():
         assert np.array_equal(got, naive_pm1_gemm(a, b))
 
 
+def test_gemm_finish_sees_every_tile_once():
+    """With a finish, each tile's counts reach it in site order and equal
+    the plain product's columns; an empty inner dimension gives zeros."""
+    rng = np.random.default_rng(14)
+    for cols in (0, 1, 65):
+        a = bk.sign(rng.standard_normal((5, cols)))
+        b = bk.sign(rng.standard_normal((2 * bk.GEMM_BLOCK + 17, cols)))
+        want = naive_pm1_gemm(a, b)
+        seen = []
+
+        def finish(counts, lo, hi):
+            assert counts.dtype == np.int64 and counts.shape == (5, hi - lo)
+            seen.append((lo, hi))
+            assert np.array_equal(counts, want[:, lo:hi])
+
+        assert bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b), finish) is None
+        assert [lo for lo, _ in seen] == list(range(0, b.shape[0], bk.GEMM_BLOCK))
+        assert seen[-1][1] == b.shape[0]
+        assert np.array_equal(bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b)), want)
+
+
 def test_gemm_dim_mismatch():
     with pytest.raises(ParameterError):
         bk.xnor_popcount_gemm(bk.bitpack(np.ones((2, 5))), bk.bitpack(np.ones((2, 6))))
@@ -222,9 +243,10 @@ def test_binary_full_packed_equals_unpacked():
 
 
 def test_binary_full_packed_equals_scalar_linear_across_tiles():
-    """The packed route gives `svcore.scalar_linear`'s bits at site counts
-    on both sides of a tile edge, over one to three words, with d = 0,
-    -0.0 and infinite inputs, which all take sign's x >= 0 predicate."""
+    """The packed route gives the bits of `svcore.scalar_linear` as the
+    model trains it (under a tape, on the STE route) at site counts on
+    both sides of a tile edge, over one to three words, with d = 0, -0.0
+    and infinite inputs, which all take sign's x >= 0 predicate."""
     rng = np.random.default_rng(13)
     for n in (bk.GEMM_BLOCK - 1, bk.GEMM_BLOCK, 2 * bk.GEMM_BLOCK + 17):
         for in_dim in (12, 64, 65, 128, 130):
@@ -241,7 +263,9 @@ def test_binary_full_packed_equals_scalar_linear_across_tiles():
             params = LinearParams(weight=w, mode="binary_full", beta=beta,
                                   gamma=rng.standard_normal(7))
             got = bk.binary_linear_full(x, params, use_packed=True)
-            assert np.array_equal(got, scalar_linear(x, params).data), (n, in_dim)
+            with ad.Tape():
+                trained = scalar_linear(x, params).data
+            assert np.array_equal(got, trained), (n, in_dim)
 
 
 def test_binary_full_mode_and_shape_checks():
@@ -264,6 +288,54 @@ def test_binary_full_mode_and_shape_checks():
         nan_weight.weight[1, 0] = np.nan  # as a diverging update would leave it
         with pytest.raises(ParameterError, match="NaN"):
             bk.binary_linear_full(np.ones((2, 3)), nan_weight, use_packed=use_packed)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_packed_and_ste_routes_fill_the_same_nan_lines():
+    """A NaN in x - beta fills its site's column and a NaN in W its output
+    channel's row, on both routes; infinities, 0 and -0.0 have signs and
+    stay finite. A finish runs on the filled tile as on any other."""
+    rng = np.random.default_rng(15)
+    for in_dim, n in ((5, 11), (70, bk.GEMM_BLOCK + 3)):
+        w = rng.standard_normal((in_dim, 6))
+        w[0, :3] = (np.inf, -np.inf, -0.0)
+        w[1, 4] = np.nan
+        beta = rng.standard_normal(in_dim)
+        x = rng.standard_normal((in_dim, n))
+        x[:, 0] = beta  # d = 0
+        x[2, 1] = -0.0
+        x[0, 2], x[1, 3] = np.inf, -np.inf  # one column holds both infinities
+        x[3, 5] = np.nan
+        x[1, n - 1] = np.inf
+        x[4, 7] = np.nan
+        params = LinearParams(weight=w, mode="binary_full", beta=beta,
+                              gamma=rng.standard_normal(6))
+        packed = bk.packed_linear(x, params)
+        ste = bk.ste_linear(x, params).data
+        nan = np.isnan(ste)
+        assert np.array_equal(np.isnan(packed), nan)
+        assert nan[:, [5, 7]].all() and nan[4].all() and nan.sum() == 2 * 6 + n - 2
+        assert not nan[np.ix_([0, 1, 2, 3, 5], [0, 1, 2, 3, n - 1])].any()
+        assert np.array_equal(packed, ste, equal_nan=True)
+        finished = bk.packed_linear(x, params, lambda tile: np.maximum(tile, 0.0, out=tile))
+        assert np.array_equal(finished, np.maximum(ste, 0.0), equal_nan=True)
+        for use_packed in (True, False):
+            with pytest.raises(ParameterError, match="sign of NaN is undefined"):
+                bk.binary_linear_full(x, params, use_packed=use_packed)
+
+
+def test_packed_route_empty_layers():
+    """0-row and 0-column layers give the STE route's (out, N) shape and bits."""
+    rng = np.random.default_rng(16)
+    for in_dim, out_dim in ((0, 4), (6, 0), (0, 0)):
+        params = LinearParams(weight=rng.standard_normal((in_dim, out_dim)), mode="binary_full",
+                              beta=rng.standard_normal(in_dim), gamma=rng.standard_normal(out_dim))
+        x = rng.standard_normal((in_dim, bk.GEMM_BLOCK + 5))
+        ste = bk.ste_linear(x, params).data
+        for finish in (None, lambda tile: np.maximum(tile, 0.0, out=tile)):
+            got = bk.packed_linear(x, params, finish)
+            assert got.shape == (out_dim, x.shape[1])
+            assert np.array_equal(got, ste if finish is None else np.maximum(ste, 0.0))
 
 
 # weight-only binarization is the vector path's mode: svcore.vector_mapping

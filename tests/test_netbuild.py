@@ -5,12 +5,14 @@ import io
 import os
 import struct
 import time
+import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
+import svpoint.binkernel as bk
 import svpoint.cli as cli
 import svpoint.netbuild as nb
 from svpoint.errors import CheckpointError, ConfigError, ParameterError, StateError
@@ -353,6 +355,104 @@ def test_binary_dgcnn_training_deterministic_bitwise():
     assert first.keys() == second.keys()
     for name in first:
         assert np.array_equal(first[name], second[name]), name
+
+
+def _eval_binary_model(cfg, seed=6):
+    """A binary model as it is evaluated: built, binarized (the two-step
+    switch for `two_step`), with running statistics moved by a train-mode
+    forward."""
+    model = nb.build_model(cfg, rng_seed=seed)
+    if cfg.binarize == "two_step":
+        nb.binarize_plan(model)
+    model.forward(random_clouds(3, 16, seed), stats_mode="train")
+    return model
+
+
+@pytest.mark.parametrize("backbone", ["pointnet_like", "dgcnn_like"])
+def test_eval_forward_packed_is_the_taped_forward_bit_for_bit(backbone):
+    """With no tape, eval runs every binary_full layer on packed bits (with
+    each block's norm and ReLU on the product's tiles); under a tape it
+    takes the STE route. The logits are equal bit for bit across binarize
+    modes, with the boundary layers binary or not, for 0-row and 0-column
+    scalar layers (sv_ratio 0, both interaction toggles off), and where
+    block 0 has GEMM_BLOCK - 1 and GEMM_BLOCK edge sites."""
+    shapes = [dict(), dict(sv_ratio=0.0, channels=(3, 6)),
+              dict(sv_ratio=0.0, channels=(3, 6), scalar_concat=False, vector_reweight=False),
+              dict(scalar_concat=False, vector_reweight=False)]
+    cases = [(small_cfg(backbone=backbone, binarize=mode, keep_first_last_fp=keep, **shape), 3, 12)
+             for mode in ("vanilla", "two_step") for keep in (True, False) for shape in shapes]
+    cases += [(small_cfg(backbone=backbone, binarize="vanilla", k=5), 3, 273),  # 4095 edges
+              (small_cfg(backbone=backbone, binarize="vanilla", k=4), 4, 256)]  # 4096 edges
+    for cfg, count, n in cases:
+        model = _eval_binary_model(cfg)
+        clouds = random_clouds(count, n, 7)
+        logits = model.forward(clouds).data
+        with ad.Tape():
+            taped = model.forward(clouds).data
+        assert np.isfinite(logits).all()
+        assert np.array_equal(logits, taped), cfg
+
+
+def test_eval_forward_runs_the_xnor_kernel_only_untaped(monkeypatch):
+    """The binary pointnet's four binary_full layers (three blocks and
+    final0) each make one XNOR GEMM call per eval forward with no tape,
+    and none under a tape."""
+    calls = []
+    gemm = bk.xnor_popcount_gemm
+
+    def spy(*args):
+        calls.append(args[0].rows)
+        return gemm(*args)
+
+    monkeypatch.setattr(bk, "xnor_popcount_gemm", spy)
+    model = nb.build_model(nb.ModelConfig(binarize="vanilla", k=8), rng_seed=2)
+    clouds = random_clouds(2, 32, 8)
+    model.forward(clouds)
+    assert calls == [34, 65, 130, 512]
+    calls.clear()
+    with ad.Tape():
+        model.forward(clouds)
+    assert calls == []
+
+
+def test_binary_eval_forward_memory_bound():
+    """One binary pointnet eval forward (8 clouds of 256 points, k=16)
+    peaks under 35 MB of traced numpy memory: block 0's (34, 32768)
+    output is written once, with no int64 product, γ, norm or ReLU array
+    beside it (the float chain peaked at 39.9 MB)."""
+    model = nb.build_model(nb.ModelConfig(binarize="vanilla"), rng_seed=1)
+    clouds = random_clouds(8, 256, 9)
+    tracemalloc.start()
+    try:
+        model.forward(clouds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35e6, peak
+
+
+def test_layout_allocates_no_temporary_beside_a_weight(monkeypatch):
+    """Laying out a wide config checks no weight's values: a layer's
+    `LinearParams` allocates nothing, where a finiteness scan took a bool
+    array an eighth of each weight (2.4 MB for block 0's here)."""
+    excess = []
+    make = nb.LinearParams
+
+    def traced(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        lin = make(*args, **kwargs)
+        excess.append(tracemalloc.get_traced_memory()[1] - before)
+        return lin
+
+    monkeypatch.setattr(nb, "LinearParams", traced)
+    tracemalloc.start()
+    try:
+        model = nb.layout_model(nb.ModelConfig(channels=(400000,), head_dim=1, classes=2))
+    finally:
+        tracemalloc.stop()
+    assert len(excess) == len(model.layers)
+    assert max(excess) < 64 * 1024, excess
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ MODULES = sorted((ROOT / "src" / "svpoint").glob("*.py"))
 LAYERS_BELOW = {
     "errors": set(),
     "autodiff": {"errors"},
-    "svcore": {"errors", "autodiff"},
+    "binkernel": {"errors", "autodiff"},
+    "svcore": {"errors", "autodiff", "binkernel"},
     "geometry": {"errors", "autodiff"},
     "netbuild": {"errors", "autodiff", "svcore", "geometry"},
-    "binkernel": {"errors", "autodiff", "svcore"},
     "cli": {"errors", "autodiff", "svcore", "geometry", "netbuild"},
 }
 
