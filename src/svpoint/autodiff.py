@@ -186,8 +186,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(out, (a, b), bw)
 
@@ -197,8 +199,10 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out, (a, b), bw)
 
@@ -208,8 +212,10 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out, (a, b), bw)
 
@@ -303,17 +309,29 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _make(out, tuple(parts), bw)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b, plus a (p,) `bias` added in place to each row of a (p, N) product."""
     a, b = as_tensor(a), as_tensor(b)
     # BLAS rounds C and F order differently; C order makes the bits depend on values only
     b_data = np.ascontiguousarray(b.data)
     out = a.data @ b_data
+    parents = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if out.ndim != 2 or bias.data.shape != out.shape[:1]:
+            raise ParameterError(f"bias of shape {bias.data.shape} for a product of {out.shape}")
+        out += bias.data[:, None]
+        parents += (bias,)
 
     def bw(g):
-        _accumulate(a, g @ b_data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b_data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=1))
 
-    return _make(out, (a, b), bw)
+    return _make(out, parents, bw)
 
 
 def pool_groups(x, size: int, mode: str) -> Tensor:
@@ -446,8 +464,10 @@ def vector_map_raw(v, w) -> Tensor:
     out = np.matmul(w.data.T, v.data)
 
     def bw(g):
-        _accumulate(v, np.matmul(w.data, g))
-        _accumulate(w, np.matmul(v.data, g.swapaxes(1, 2)).sum(axis=0))  # sum of v[c] @ g[c].T
+        if v.requires_grad:
+            _accumulate(v, np.matmul(w.data, g))
+        if w.requires_grad:
+            _accumulate(w, np.matmul(v.data, g.swapaxes(1, 2)).sum(axis=0))  # sum of v[c] @ g[c].T
 
     return _make(out, (v, w), bw)
 
@@ -467,8 +487,10 @@ def pair_contract(a, b) -> Tensor:
         _coord_dot(a.data[:, i : i + 1], b.data, out[i])
 
     def bw(g):
-        _accumulate(a, np.einsum("aqn,cqn->can", g, b.data))
-        _accumulate(b, np.einsum("aqn,can->cqn", g, a.data))
+        if a.requires_grad:
+            _accumulate(a, np.einsum("aqn,cqn->can", g, b.data))
+        if b.requires_grad:
+            _accumulate(b, np.einsum("aqn,can->cqn", g, a.data))
 
     return _make(out, (a, b), bw)
 
@@ -498,46 +520,74 @@ def norm_affine(xhat: np.ndarray, var: np.ndarray, eps: float, gain: np.ndarray,
     return inv
 
 
-def batch_norm_train(x, gain, bias, eps: float, stats=None):
+# batch_norm_train works on tiles of at most this many bytes of channel rows
+# (one row when a row is larger), so its temporaries stay cache-sized
+TILE_BYTES = 256 * 1024
+
+
+def batch_norm_train(x, gain, bias, eps: float, stats=None, relu: bool = False):
     """Standardize scalar channels over the site axis with learned affine:
-    (x - mean) * (1 / sqrt(var + eps)) * gain + bias.
+    (x - mean) * (1 / sqrt(var + eps)) * gain + bias, then max(., 0) when
+    `relu`, with ReLU's subgradient 0 at the kink.
 
     `stats`, a (mean, var) pair of (p,) arrays, replaces the batch
     statistics. Returns (out, mean, var), the stats as plain (p,) arrays.
+
+    Forward and backward run one tile of channel rows at a time. Every
+    reduction is along a row, so the bits are those of the whole-array
+    textbook formulas; only xhat and the output stay for backward.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    p, count = x.data.shape
+    rows = max(1, min(p, TILE_BYTES // max(1, 8 * count)))
+    tiles = [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
+    xhat, out = np.empty((p, count)), np.empty((p, count))
     if stats is None:
-        mu = x.data.mean(axis=1, keepdims=True)
-        xhat = x.data - mu  # centered here, standardized in place below
-        out = xhat * xhat
-        var = out.mean(axis=1)
+        mean, var = np.empty(p), np.empty(p)
     else:
-        mu, var = stats[0][:, None], stats[1]
-        xhat = x.data - mu
-        out = np.empty_like(xhat)
-    inv = norm_affine(xhat, var, eps, gain.data, bias.data, out)
-    count = x.data.shape[1]
+        mean, var = stats
+    inv = np.empty((p, 1))
+    for t in tiles:
+        x_t, xhat_t, out_t = x.data[t], xhat[t], out[t]
+        if stats is None:
+            mean[t] = x_t.mean(axis=1)
+            np.subtract(x_t, mean[t, None], out=xhat_t)  # centered here, standardized below
+            var[t] = np.multiply(xhat_t, xhat_t, out=out_t).mean(axis=1)
+        else:
+            np.subtract(x_t, mean[t, None], out=xhat_t)
+        inv[t] = norm_affine(xhat_t, var[t], eps, gain.data[t], bias.data[t], out_t)
+        if relu:
+            np.maximum(out_t, 0.0, out=out_t)
 
     def bw(g):
-        buf = g * xhat
-        _accumulate(gain, buf.sum(axis=1))
-        _accumulate(bias, g.sum(axis=1))
-        gx = g * gain.data[:, None]
-        if stats is None:  # the batch statistics depend on x too
-            # two full-size buffers; the in-place steps keep the textbook order
-            # inv / count * (count * gx - sum(gx) - xhat * sum(gx * xhat))
-            sum_gx = gx.sum(axis=1, keepdims=True)
-            np.multiply(gx, xhat, out=buf)
-            sum_gx_xhat = buf.sum(axis=1, keepdims=True)
-            gx *= count
-            gx -= sum_gx
-            gx -= np.multiply(xhat, sum_gx_xhat, out=buf)
-            gx *= inv / count
-        else:
-            gx *= inv
+        buf, g_relu = np.empty((2, rows, count))
+        gx = np.empty((p, count))
+        g_gain, g_bias = np.empty(p), np.empty(p)
+        for t in tiles:
+            n = t.stop - t.start
+            g_t, xhat_t, gx_t, buf_t = g[t], xhat[t], gx[t], buf[:n]
+            if relu:
+                g_t = np.multiply(g_t, out[t] > 0, out=g_relu[:n])
+            g_gain[t] = np.multiply(g_t, xhat_t, out=buf_t).sum(axis=1)
+            g_bias[t] = g_t.sum(axis=1)
+            np.multiply(g_t, gain.data[t, None], out=gx_t)
+            if stats is None:  # the batch statistics depend on x too
+                # inv / count * (count * gx - sum(gx) - xhat * sum(gx * xhat)),
+                # in place in the textbook order
+                sum_gx = gx_t.sum(axis=1, keepdims=True)
+                np.multiply(gx_t, xhat_t, out=buf_t)
+                sum_gx_xhat = buf_t.sum(axis=1, keepdims=True)
+                gx_t *= count
+                gx_t -= sum_gx
+                gx_t -= np.multiply(xhat_t, sum_gx_xhat, out=buf_t)
+                gx_t *= inv[t] / count
+            else:
+                gx_t *= inv[t]
+        _accumulate(gain, g_gain)
+        _accumulate(bias, g_bias)
         _accumulate(x, gx)
 
-    return _make(out, (x, gain, bias), bw), mu[:, 0], var
+    return _make(out, (x, gain, bias), bw), mean, var
 
 
 def vector_norm_scale_train(v, log_scale, eps: float, mean_norm=None):

@@ -147,10 +147,7 @@ def scalar_linear(x, params: LinearParams) -> ad.Tensor:
             f"input channels {x.data.shape[0]} do not match weight rows {w.data.shape[0]}"
         )
     if params.mode == "full_precision":
-        out = ad.matmul(ad.transpose(w), x)
-        if params.bias is not None:
-            out = ad.add(out, ad.reshape(ad.as_tensor(params.bias), (-1, 1)))
-        return out
+        return ad.matmul(ad.transpose(w), x, params.bias)
     if params.mode != "binary_full":
         raise ParameterError(f"scalar features cannot use precision mode {params.mode!r}")
     if _packs(params):
@@ -215,7 +212,7 @@ def _run_mlp(x, layers: list[tuple[LinearParams, str]]):
 def eval_norm_relu(norm: NormParams):
     """Eval's scalar normalization by the running statistics, then ReLU, in
     place on one tile of a layer's output: `ad.batch_norm_train` with
-    stats and `ad.relu`, the same ufuncs in the same order."""
+    stats and relu=True, the same ufuncs in the same order."""
     mean = norm.running_mean[:, None]
     gain, bias = _data(norm.scalar_gain), _data(norm.scalar_bias)
 
@@ -269,10 +266,13 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
         s_out = scalar_linear(s_out, last)
     v_out = vector_mapping(v, params.vector_map)
 
-    if norm is not None and s_out.data.shape[0] and not fused:
+    normed = norm is not None and s_out.data.shape[0] > 0 and not fused
+    # the norm applies a ReLU itself, so that no separate node keeps its output
+    norm_relu = normed and last_tag == "relu"
+    if normed:
         running = (norm.running_mean, norm.running_var)
         s_out, *batch = ad.batch_norm_train(s_out, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
-                                            None if train else running)
+                                            None if train else running, relu=norm_relu)
         if train:
             _update_running(running, batch)
     if norm is not None and v_out.data.shape[1]:
@@ -280,7 +280,7 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
                                                       None if train else norm.running_norm)
         if train:
             _update_running((norm.running_norm,), (mean_norm,))
-    if not fused:
+    if not (fused or norm_relu):
         s_out = _activate(s_out, last_tag)
 
     if params.gate_mlp:

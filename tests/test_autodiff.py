@@ -339,6 +339,122 @@ def test_pair_contract_exact_at_scale():
     assert np.array_equal(scaled.data, v * (np.exp(log_scale) / (mean_norm + 1e-5))[None, :, None])
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: tells -0.0 from 0.0 and compares NaNs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def batch_norm_textbook(x, gain, bias, eps, g, stats=None):
+    """Whole-array forward and backward of `ad.batch_norm_train`: the
+    output, the stats and the gradients of x, gain and bias."""
+    if stats is None:
+        mu = x.mean(axis=1, keepdims=True)
+        xhat = x - mu
+        var = (xhat * xhat).mean(axis=1)
+    else:
+        mu, var = stats[0][:, None], stats[1]
+        xhat = x - mu
+    inv = 1.0 / np.sqrt(var + eps)[:, None]
+    xhat = xhat * inv
+    out = xhat * gain[:, None] + bias[:, None]
+    gx = g * gain[:, None]
+    if stats is None:
+        count = x.shape[1]
+        gx = (gx * count - gx.sum(axis=1, keepdims=True)
+              - xhat * (gx * xhat).sum(axis=1, keepdims=True)) * (inv / count)
+    else:
+        gx = gx * inv
+    return out, mu[:, 0], var, gx, (g * xhat).sum(axis=1), g.sum(axis=1)
+
+
+def test_batch_norm_tiles_match_textbook_bit_for_bit():
+    """Across several row tiles with a ragged last one, and across one-row
+    tiles, the tiled op gives the whole-array formula's output, stats and
+    three gradients bit for bit, with batch and with running stats."""
+    rng = np.random.default_rng(35)
+    rows = ad.TILE_BYTES // (8 * 1000)
+    assert 1 < rows < 37 and 37 % rows  # several tiles, the last one ragged
+    assert 8 * 40000 > ad.TILE_BYTES  # one row per tile
+    for p, n in ((37, 1000), (5, 40000)):
+        data = rng.standard_normal((p, n)) * 3.0 + rng.standard_normal((p, 1))
+        gain0, bias0 = rng.standard_normal(p) * 0.3 + 1.0, rng.standard_normal(p) * 0.2
+        g = rng.standard_normal((p, n))
+        running = (rng.standard_normal(p), rng.random(p) + 0.5)
+        for stats in (None, running):
+            x, gain, bias = ad.parameter(data), ad.parameter(gain0), ad.parameter(bias0)
+            with ad.Tape() as tape:
+                out, mean, var = ad.batch_norm_train(x, gain, bias, 1e-5, stats)
+                loss = weighted_sum(out, g)
+            tape.backward(loss)
+            ref = batch_norm_textbook(data, gain0, bias0, 1e-5, g, stats)
+            got = (out.data, mean, var, x.grad, gain.grad, bias.grad)
+            for name, a, b in zip(("out", "mean", "var", "x", "gain", "bias"), got, ref):
+                assert same_bits(a, b), (p, n, stats is None, name)
+
+
+def test_batch_norm_relu_is_relu_of_batch_norm_bit_for_bit():
+    """relu=True gives `ad.relu` of the norm's output and its gradients bit
+    for bit, with inputs and outputs at 0, -0.0 and NaN."""
+    rng = np.random.default_rng(36)
+    p, n = 6, 50
+    data = rng.standard_normal((p, n))
+    data[:, :2] = [0.0, -0.0]
+    data[5, 2] = np.nan  # row 5's batch stats, and so its whole batch-norm row, are NaN
+    data[:, 3] = 0.0
+    gain0 = rng.standard_normal(p) * 0.3 + 1.0
+    gain0[1::2] *= -1.0
+    bias0 = rng.standard_normal(p) * 0.2
+    bias0[:4] = [0.0, -0.0, 0.0, -0.0]
+    g = rng.standard_normal((p, n))
+    # column 3 equals the running mean: xhat is 0, so the output is +-0.0 on the first rows
+    running = (np.zeros(p), rng.random(p) + 0.5)
+    for stats in (None, running):
+        results = []
+        for fused in (True, False):
+            x, gain, bias = ad.parameter(data), ad.parameter(gain0), ad.parameter(bias0)
+            with ad.Tape() as tape:
+                out = ad.batch_norm_train(x, gain, bias, 1e-5, stats, relu=fused)[0]
+                if not fused:
+                    out = ad.relu(out)
+                loss = weighted_sum(out, g)
+            tape.backward(loss)
+            results.append((out.data, x.grad, gain.grad, bias.grad))
+        for name, a, b in zip(("out", "x", "gain", "bias"), *results):
+            assert same_bits(a, b), (stats is None, name)
+    pre = ad.batch_norm_train(data, gain0, bias0, 1e-5, running)[0].data
+    assert same_bits(pre[:4, 3], [0.0, -0.0, 0.0, -0.0])  # the kink, at both zeros
+    assert np.isnan(pre[:, 2]).tolist() == [False] * 5 + [True]
+
+
+def test_matmul_bias_matches_add_composition():
+    """The bias added inside `matmul` gives the `add` + `reshape` result and
+    every gradient bit for bit, and a frozen operand gets none."""
+    rng = np.random.default_rng(37)
+    w0, x0, b0 = rng.standard_normal((7, 5)), rng.standard_normal((7, 300)), rng.standard_normal(5)
+    g = rng.standard_normal((5, 300))
+    results = []
+    for fused in (True, False):
+        w, x, b = ad.parameter(w0), ad.parameter(x0), ad.parameter(b0)
+        with ad.Tape() as tape:
+            if fused:
+                out = ad.matmul(ad.transpose(w), x, b)
+            else:
+                out = ad.add(ad.matmul(ad.transpose(w), x), ad.reshape(b, (-1, 1)))
+            loss = weighted_sum(out, g)
+        tape.backward(loss)
+        results.append((out.data, w.grad, x.grad, b.grad))
+    for name, a, c in zip(("out", "w", "x", "bias"), *results):
+        assert same_bits(a, c), name
+    w, x = ad.parameter(w0), ad.as_tensor(x0)
+    with ad.Tape() as tape:
+        loss = weighted_sum(ad.matmul(ad.transpose(w), x, b0), g)
+    tape.backward(loss)
+    assert same_bits(w.grad, results[0][1]) and x.grad is None
+    with pytest.raises(ParameterError, match="bias of shape"):
+        ad.matmul(w0.T, x0, np.zeros(7))
+
+
 def test_fused_primitive_peak_allocations():
     """The chunked contraction never builds its (3, a, q, N) product, and the
     batch-norm backward works in two full-size buffers."""
@@ -367,6 +483,29 @@ def test_fused_primitive_peak_allocations():
     assert traced_peak(out._grad_fn, g) <= 2.25 * x.data.nbytes
 
 
+def test_batch_norm_tiled_backward_peak():
+    """The tiled backward allocates the input gradient and tile-sized
+    buffers only, with batch and with running stats, with and without ReLU."""
+    import tracemalloc
+
+    rng = np.random.default_rng(38)
+    x = ad.parameter(rng.standard_normal((130, 32768)))
+    gain, bias = ad.parameter(np.ones(130)), ad.parameter(np.zeros(130))
+    g = rng.standard_normal(x.data.shape)
+    for stats in (None, (np.zeros(130), np.ones(130))):
+        for relu in (False, True):
+            with ad.Tape():
+                out, _, _ = ad.batch_norm_train(x, gain, bias, 1e-5, stats, relu=relu)
+            x.grad = gain.grad = bias.grad = None
+            tracemalloc.start()
+            try:
+                out._grad_fn(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * x.data.nbytes, (stats is None, relu, peak)
+
+
 def test_fd_vector_feature_ops():
     v = rand_t((3, 4, 9), 30)
     w = rand_t((4, 5), 31)
@@ -386,6 +525,13 @@ def test_fd_fused_normalization():
         [x, gain, bias],
     )
     assert rel <= 1e-6
+    running = (np.random.default_rng(47).standard_normal(5), np.full(5, 0.8))
+    for stats in (None, running):
+        rel = finite_difference_check(
+            weighted(lambda x, g, b: ad.batch_norm_train(x, g, b, 1e-5, stats, relu=True)[0], 48),
+            [x, gain, bias],
+        )
+        assert rel <= 1e-6
     v = rand_t((3, 4, 30), 44)
     ls = ad.parameter(np.random.default_rng(45).standard_normal(4) * 0.1)
     rel = finite_difference_check(
@@ -402,6 +548,20 @@ def test_fd_mode_aware_linears():
     rel = finite_difference_check(
         weighted(lambda x, *_: scalar_linear(x, params), 52),
         [x, params.weight, params.bias],
+    )
+    assert rel <= 1e-7
+    rng = np.random.default_rng(56)
+    biased = LinearParams(weight=ad.parameter(rng.standard_normal((4, 3))),
+                          bias=ad.parameter(rng.standard_normal(3)))
+    rel = finite_difference_check(
+        weighted(lambda x, *_: scalar_linear(x, biased), 57),
+        [x, biased.weight, biased.bias],
+    )
+    assert rel <= 1e-7
+    frozen = LinearParams(weight=ad.parameter(rng.standard_normal((4, 3))),
+                          bias=rng.standard_normal(3))
+    rel = finite_difference_check(
+        weighted(lambda x, *_: scalar_linear(x, frozen), 58), [x, frozen.weight]
     )
     assert rel <= 1e-7
     vparams = LinearParams(weight=ad.parameter(np.random.default_rng(53).standard_normal((4, 2))))

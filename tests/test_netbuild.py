@@ -505,6 +505,31 @@ def test_blocks_without_projection_rows_skip_the_frame(monkeypatch):
             {"extract.frame", "head.frame"} if vectors else set())
 
 
+def test_fp_training_step_records_no_separate_bias_or_relu(monkeypatch):
+    """An fp pointnet training step adds each fp scalar layer's bias inside
+    its `matmul` and applies each normed block's ReLU inside
+    `batch_norm_train`: no `add` node, and a `relu` node for the head's
+    un-normed layer only."""
+    recorded = dict.fromkeys(("add", "relu", "matmul", "batch_norm_train"), 0)
+    for name in recorded:
+        def counting(*args, _fn=getattr(ad, name), _name=name, **kw):
+            result = _fn(*args, **kw)
+            out = result[0] if isinstance(result, tuple) else result
+            recorded[_name] += out._grad_fn is not None
+            return result
+
+        monkeypatch.setattr(ad, name, counting)
+    model = nb.build_model(small_cfg(channels=(12, 18, 24)), rng_seed=2)
+    clouds = random_clouds(2, 12, 5)
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"),
+                                       np.array([0, 1]))
+    tape.backward(loss)
+    biased = [lin for _, lin, _, _ in model.layers if lin.bias is not None]
+    assert recorded == {"add": 0, "relu": 1, "matmul": len(biased),
+                        "batch_norm_train": len(model.blocks)}
+
+
 def test_every_stored_tensor_gets_a_gradient():
     """The store holds only tensors the forward reads: after one Adam step
     on each fingerprint config, and on a two-step model after binarization,

@@ -24,3 +24,19 @@ def test_binary_layers_report_runs(tmp_path):
         assert len(layer["model_s"]) == len(layer["float_s"]) == result["repeats"]
         assert layer["model_s_p50"] > 0 and layer["float_s_p50"] > 0
         assert layer["bops"] == layer["in_dim"] * layer["out_dim"] * layer["sites"]
+
+
+def test_train_step_memory_report_runs(tmp_path):
+    """`reports/train_step_memory.py` drives the binary dgcnn training
+    workload at a chosen batch and writes its step times, peak RSS and tape."""
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "reports" / "train_step_memory.py"),
+                           "--batch", "1", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["batch"] == 1
+    assert len(result["step_s"]) == 3 and result["step_s_p50"] > 0
+    assert result["clouds_per_s"] == 1 / result["step_s_p50"]
+    assert result["peak_rss_mb"] > 0
+    assert result["tape_nodes"] > 0 and result["tape_output_mb"] > 0
