@@ -2,7 +2,8 @@
 
 The kernel sits below `svcore`, whose `scalar_linear` picks one of its two
 routes for a `binary_full` layer. The STE route (`ste_linear`) is a float
-±1 product on autodiff primitives: it records on a tape and trains with
+±1 product on autodiff primitives (`autodiff.ste_matmul`, which keeps
+bits, not floats, for its backward): it records on a tape and trains with
 straight-through gradients. The packed route (`packed_linear`) runs when
 nothing records: it packs the booleans `x - beta >= 0` and `W >= 0`,
 `sign`'s own predicate, straight into bits, and writes no float ±1
@@ -146,17 +147,15 @@ def _nan_columns(m: np.ndarray) -> np.ndarray:
 
 
 def ste_linear(x, params) -> ad.Tensor:
-    """y = gamma * (Sign(x - beta) . Sign(W)) on autodiff primitives, with
-    straight-through gradients through both signs.
+    """y = gamma * (Sign(x - beta) . Sign(W)) as two autodiff nodes,
+    `sign_ste` on W and `ste_matmul`, with straight-through gradients
+    through both signs.
 
     x is (in_dim, N) with sites along columns. A NaN in x - beta keeps no
     sign, so it fills its site's column with NaN; a NaN in W fills its
     output channel's row.
     """
-    x = ad.as_tensor(x)
-    xs = ad.sign_ste(ad.sub(x, ad.reshape(ad.as_tensor(params.beta), (-1, 1))))
-    out = ad.matmul(ad.transpose(ad.sign_ste(ad.as_tensor(params.weight))), xs)
-    return ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (-1, 1)))
+    return ad.ste_matmul(x, params.beta, ad.sign_ste(params.weight), params.gamma)
 
 
 def packed_linear(x, params, finish=None) -> np.ndarray:

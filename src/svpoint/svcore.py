@@ -170,8 +170,7 @@ def vector_mapping(v, params: LinearParams) -> ad.Tensor:
         return ad.vector_map_raw(v, w)
     if params.mode != "binary_weight":
         raise ParameterError(f"vector features cannot use precision mode {params.mode!r}")
-    out = ad.vector_map_raw(v, ad.sign_ste(w))
-    return ad.mul(out, ad.reshape(ad.as_tensor(params.gamma), (1, -1, 1)))
+    return ad.vector_map_raw(v, ad.sign_ste(w), params.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Helpers the tests share: scalar losses, finite differences, the group action.
+"""Helpers the tests share: scalar losses, finite differences, bit
+comparisons, reference compositions, the group action.
 
 A scalar loss reduces with primitives the model runs: the flattened output
 times a fixed weight column (`ad.matmul`), reshaped to a 0-d tensor.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -68,6 +71,68 @@ def finite_difference_check(op, inputs: list[ad.Tensor], h: float = 1e-6) -> flo
         scale = max(np.abs(grad).max(initial=0.0), np.abs(fd).max(initial=0.0), 1e-12)
         worst = max(worst, float(np.abs(grad - fd).max(initial=0.0)) / scale)
     return worst
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: tells -0.0 from 0.0 and compares NaNs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_bits_but_nan(a, b) -> bool:
+    """NaN at the same positions and equal bytes everywhere else; the sign
+    and payload of a NaN may differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and same_bits(a[~nan], b[~nan])
+
+
+def _sub(a, b) -> ad.Tensor:
+    """a - b as the elementwise primitive the STE chain recorded."""
+
+    def bw(g):
+        if a.requires_grad:
+            ad._accumulate(a, ad._unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            ad._accumulate(b, ad._unbroadcast(-g, b.data.shape))
+
+    return ad._make(a.data - b.data, (a, b), bw)
+
+
+def ste_chain(x, beta, w_signs, gamma) -> ad.Tensor:
+    """`ad.ste_matmul` as the five nodes it replaces: sub, sign_ste,
+    transpose, matmul and mul (with the reshapes of beta and gamma)."""
+    x, beta, gamma = ad.as_tensor(x), ad.as_tensor(beta), ad.as_tensor(gamma)
+    xs = ad.sign_ste(_sub(x, ad.reshape(beta, (-1, 1))))
+    out = ad.matmul(ad.transpose(w_signs), xs)
+    return ad.mul(out, ad.reshape(gamma, (-1, 1)))
+
+
+def ste_operands(rng, in_dim, out_dim, n, sites_major, nans):
+    """x, beta, W and gamma of a binarized layer with x - beta = 0, -0.0,
+    ±STE_CLIP exactly and ±inf, and, given `nans`, a NaN in x - beta and
+    one in W; x sites-major (F order) as edge features come, if asked."""
+    x = rng.standard_normal((in_dim, n)) * 1.5
+    beta = rng.standard_normal(in_dim)
+    w = rng.standard_normal((in_dim, out_dim))
+    x[:, 0] = beta  # d = 0
+    beta[1:3] = 0.0
+    x[1, 1::4] = -0.0  # d = -0.0 - 0.0 = -0.0
+    x[2, 2::5], x[2, 3::5] = ad.STE_CLIP, -ad.STE_CLIP  # the band's open edges
+    x[3, 4], x[3, 5] = np.inf, -np.inf
+    w[0, :2] = 0.0, -0.0
+    if nans:
+        x[4, 6] = np.nan
+        w[1, out_dim - 1] = np.nan
+    return (np.asfortranarray(x) if sites_major else x), beta, w, rng.standard_normal(out_dim)
+
+
+def node_kinds(tape) -> Counter:
+    """How many nodes each primitive recorded on a tape not yet swept, by
+    the name of the function that made each node's backward closure."""
+    return Counter(node._grad_fn.__qualname__.split(".")[0] for node in tape.nodes)
 
 
 def rotate_vectors(vectors, rot) -> np.ndarray:

@@ -307,6 +307,7 @@ def test_criterion_5_gradients(capsys):
     off0 = t(np.where(np.abs(z := rng.standard_normal((3, 4))) < 0.2, 0.5, z))
     v3 = t(rng.standard_normal((3, 3, 4)))
     wmap = t(rng.standard_normal((3, 2)))
+    gamma2 = t(np.random.default_rng(2).standard_normal(2))  # its own stream: the draws above stay
     lin = sv.LinearParams(weight=t(rng.standard_normal((3, 2))),
                           bias=t(np.zeros(2)))
     vlin = sv.LinearParams(weight=t(rng.standard_normal((3, 2))))
@@ -321,8 +322,7 @@ def test_criterion_5_gradients(capsys):
     fixed_n = pos.data[:, 2].copy()
 
     cases = [
-        ("add", weighted(ad.add, 1), (x34, y34)),
-        ("sub", weighted(ad.sub, 2), (x34, y34)),
+        ("vector_map_scaled", weighted(ad.vector_map_raw, 1), (v3, wmap, gamma2)),
         ("mul", weighted(ad.mul, 3), (x34, y34)),
         ("relu", weighted(ad.relu, 5), (off0,)),
         ("sigmoid", weighted(ad.sigmoid, 6), (x34,)),

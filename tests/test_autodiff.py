@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
-from helpers import finite_difference_check, total, weighted, weighted_sum
+from helpers import (finite_difference_check, same_bits, same_bits_but_nan, ste_chain,
+                     ste_operands, total, weighted, weighted_sum)
 from svpoint.errors import ParameterError, StateError
 from svpoint.svcore import LinearParams, scalar_linear, vector_mapping
 
@@ -53,7 +54,7 @@ def test_backward_linear_gradient():
 def test_backward_fanout_accumulates():
     x = ad.parameter(np.array([3.0]))
     with ad.Tape() as tape:
-        loss = total(ad.add(x, x))
+        loss = total(ad.concat([x, x]))
     tape.backward(loss)
     assert x.grad[0] == 2.0
 
@@ -63,8 +64,8 @@ def test_backward_requires_recording():
         ad.Tape().backward(ad.as_tensor(1.0))
     x = ad.parameter(np.ones(2))
     with ad.Tape() as tape:
-        _ = ad.add(x, 1.0)
-    loose = ad.add(np.ones(2), 0.0)  # built outside any tape
+        _ = ad.mul(x, 1.0)
+    loose = ad.mul(np.ones(2), 1.0)  # built outside any tape
     with pytest.raises(StateError):
         tape.backward(loose)
 
@@ -88,14 +89,14 @@ def test_backward_releases_every_node():
     b = ad.parameter(rng.standard_normal(5))
     x = ad.as_tensor(rng.standard_normal(5))
     with ad.Tape() as tape:
-        y = ad.add(ad.mul(w, x), b)
-        loss = total(ad.add(ad.mul(y, y), w))
+        y = ad.mul(ad.mul(w, x), b)
+        loss = total(ad.concat([ad.mul(y, y), w]))
     tape.backward(loss)
-    assert len(tape.nodes) == 8  # four elementwise ops, then total's reshape, two matmuls, reshape
+    assert len(tape.nodes) == 8  # three products, a concat; total's reshape, two matmuls, reshape
     assert all(node.grad is None and node._grad_fn is None for node in tape.nodes)
-    y_ref = w.data * x.data + b.data
-    assert np.abs(w.grad - (2.0 * y_ref * x.data + 1.0)).max() < 1e-12
-    assert np.abs(b.grad - 2.0 * y_ref).max() < 1e-12
+    y_ref = w.data * x.data * b.data
+    assert np.abs(w.grad - (2.0 * y_ref * x.data * b.data + 1.0)).max() < 1e-12
+    assert np.abs(b.grad - 2.0 * y_ref * w.data * x.data).max() < 1e-12
 
 
 def test_backward_peak_memory_frees_consumed_gradients():
@@ -155,6 +156,96 @@ def test_sign_ste_outside_clip_blocks():
     assert x.grad.tolist() == [0.0, 0.0]
 
 
+def test_ste_matmul_matches_the_chain_bit_for_bit():
+    """`ste_matmul` gives the output and the x, beta, W and gamma gradients
+    of the sub → sign_ste → transpose → matmul → mul chain it replaces, bit
+    for bit and with NaN at the same positions, on ragged shapes and
+    sites-major inputs, with every operand or only one of them trained."""
+    rng = np.random.default_rng(71)
+    for in_dim, out_dim, n, sites_major, nans in ((7, 3, 9, False, False),
+                                                  (65, 7, 130, True, False),
+                                                  (13, 4, 33, False, True),
+                                                  (70, 9, 301, True, True)):
+        arrays = ste_operands(rng, in_dim, out_dim, n, sites_major, nans)
+        g = rng.standard_normal((out_dim, n))
+        for trained in ((0, 1, 2, 3), (0,), (1,), (2,), (3,)):
+            results = []
+            for op in (ad.ste_matmul, ste_chain):
+                ops = [ad.parameter(a) if i in trained else ad.as_tensor(a)
+                       for i, a in enumerate(arrays)]
+                x, beta, w, gamma = ops
+                with ad.Tape() as tape:
+                    out = op(x, beta, ad.sign_ste(w), gamma)
+                    loss = weighted_sum(out, g)
+                tape.backward(loss)
+                results.append([out.data] + [t.grad for t in ops])
+            case = (in_dim, n, trained)
+            for name, a, b in zip(("out", "x", "beta", "w", "gamma"), *results):
+                if a is None or b is None:
+                    assert a is None and b is None, (case, name)
+                else:
+                    assert same_bits_but_nan(a, b), (case, name)
+            if nans:
+                assert np.isnan(results[0][0][:, 6]).all() and np.isnan(results[0][0][-1]).all()
+
+
+def test_ste_matmul_saves_bits_only_under_a_tape():
+    """Under a tape the node keeps bools, int32 products and its output,
+    no float ±1 matrix; outside a tape it keeps nothing but its output."""
+    import tracemalloc
+
+    rng = np.random.default_rng(72)
+    in_dim, out_dim, n = 130, 64, 8192
+    x = ad.parameter(rng.standard_normal((in_dim, n)))
+    beta, gamma = ad.parameter(rng.standard_normal(in_dim)), ad.parameter(np.ones(out_dim))
+    ws = ad.as_tensor(ad.sign(rng.standard_normal((in_dim, out_dim))))
+    out_bytes = 8 * out_dim * n
+    for taped, kept in ((False, out_bytes), (True, out_bytes + 2 * in_dim * n + 4 * out_dim * n)):
+        tracemalloc.start()
+        try:
+            if taped:
+                with ad.Tape():
+                    out = ad.ste_matmul(x, beta, ws, gamma)
+            else:
+                out = ad.ste_matmul(x, beta, ws, gamma)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (out._grad_fn is not None) == taped
+        assert retained <= kept + 64 * 1024, (taped, retained)
+        del out
+
+
+def test_scaled_vector_map_matches_mul_bit_for_bit():
+    """`vector_map_raw(v, w, gamma)` gives the output and the v, w and gamma
+    gradients of `vector_map_raw` then `mul` by the reshaped gamma, bit for
+    bit and with NaN at the same positions; gamma must be one per channel."""
+    rng = np.random.default_rng(73)
+    for q, p, n, special in ((4, 5, 9, False), (42, 13, 1000, True)):
+        v0, w0 = rng.standard_normal((3, q, n)), ad.sign(rng.standard_normal((q, p)))
+        gamma0 = rng.standard_normal(p)
+        if special:
+            v0[0, 1, :3] = 0.0, -0.0, np.inf
+            v0[2, 3, 7] = np.nan
+            w0[0, 1] = np.nan
+        g = rng.standard_normal((3, p, n))
+        results = []
+        for fused in (True, False):
+            v, w, gamma = ad.parameter(v0), ad.parameter(w0), ad.parameter(gamma0)
+            with ad.Tape() as tape:
+                if fused:
+                    out = ad.vector_map_raw(v, w, gamma)
+                else:
+                    out = ad.mul(ad.vector_map_raw(v, w), ad.reshape(gamma, (1, -1, 1)))
+                loss = weighted_sum(out, g)
+            tape.backward(loss)
+            results.append((out.data, v.grad, w.grad, gamma.grad))
+        for name, a, b in zip(("out", "v", "w", "gamma"), *results):
+            assert same_bits_but_nan(a, b), (q, name)
+    with pytest.raises(ParameterError, match="gamma of shape"):
+        ad.vector_map_raw(v0, w0, np.ones(p + 1))
+
+
 # ---------------------------------------------------------------------------
 # finite differences on every smooth primitive
 
@@ -166,12 +257,11 @@ def rand_t(shape, seed):
 def test_fd_elementwise_ops():
     x = rand_t((4, 6), 10)
     y = rand_t((4, 6), 11)
+    shifted = ad.parameter(np.random.default_rng(15).standard_normal(6) + 0.3)
     cases = [
-        (lambda a, b: total(ad.add(a, b)), [x, y], 1e-8),
-        (lambda a, b: total(ad.sub(a, b)), [x, y], 1e-8),
         (lambda a, b: total(ad.mul(a, b)), [x, y], 1e-7),
         (lambda a: total(ad.sigmoid(a)), [rand_t((5,), 12)], 1e-6),
-        (lambda a: total(ad.relu(ad.add(a, 0.3))), [rand_t((6,), 15)], 1e-6),
+        (lambda a: total(ad.relu(a)), [shifted], 1e-6),
     ]
     for i, (op, inputs, tol) in enumerate(cases):
         rel = finite_difference_check(op, inputs)
@@ -240,17 +330,26 @@ def test_take_sites_backward_matches_add_at():
         assert np.abs(x.grad - ref).max() <= 1e-12 * scale, (shape, idx)
 
 
-def edge_pairs_unfused(x, neighbors, axis):
-    """Reference composition that edge_pairs fuses: gathers, a difference, a concat."""
+def edge_pairs_unfused(x, neighbors, axis, g):
+    """Reference in numpy for what edge_pairs fuses: the gathers, the
+    difference and the concat, then the gradient of x for an output
+    gradient g, scatter-added in index order (the neighbors' part first)."""
     n, k = neighbors.shape
-    x_i = ad.take_sites(x, np.repeat(np.arange(n), k))
-    x_j = ad.take_sites(x, neighbors.reshape(-1))
-    return ad.concat([x_i, ad.sub(x_j, x_i)], axis=axis)
+    center, neigh = np.repeat(np.arange(n), k), neighbors.reshape(-1)
+    x_i = x[..., center]
+    out = np.concatenate([x_i, x[..., neigh] - x_i], axis=axis)
+    c = x.shape[-2]
+    g_diff = g[..., c:, :]
+    grad = np.zeros(x.shape)
+    np.add.at(grad, (..., neigh), g_diff)
+    at_center = np.zeros(x.shape)
+    np.add.at(at_center, (..., center), g[..., :c, :] + -g_diff)
+    return out, grad + at_center
 
 
 def test_edge_pairs_matches_unfused_composition():
     """Forward values and strides and the backward gradient equal the
-    take_sites/sub/concat composition bit for bit, across repeated
+    gathers/difference/concat composition bit for bit, across repeated
     neighbors, on sites-major inputs as the model produces them."""
     rng = np.random.default_rng(60)
     n, q, k = 2 * ad.CHUNK_SITES + 17, 42, 4
@@ -260,19 +359,16 @@ def test_edge_pairs_matches_unfused_composition():
     cases = [(rng.standard_normal((n, 3, q)).transpose(1, 2, 0), 1),
              (rng.standard_normal((n, q)).T, 0)]
     for data, axis in cases:
-        x_fused, x_ref = ad.parameter(data.copy()), ad.parameter(data.copy())
+        x_fused = ad.parameter(data.copy())
         g = rng.standard_normal(data.shape[:-2] + (2 * q, n * k))
         with ad.Tape() as tape:
             fused = ad.edge_pairs(x_fused, neighbors)
             loss = weighted_sum(fused, g)
         tape.backward(loss)
-        with ad.Tape() as tape:
-            ref = edge_pairs_unfused(x_ref, neighbors, axis)
-            loss = weighted_sum(ref, g)
-        tape.backward(loss)
-        assert np.array_equal(fused.data, ref.data)
-        assert fused.data.strides == ref.data.strides
-        assert np.array_equal(x_fused.grad, x_ref.grad)
+        ref, ref_grad = edge_pairs_unfused(data, neighbors, axis, g)
+        assert np.array_equal(fused.data, ref)
+        assert fused.data.strides == ref.strides
+        assert same_bits(x_fused.grad, ref_grad)
 
 
 def test_fd_edge_pairs():
@@ -337,12 +433,6 @@ def test_pair_contract_exact_at_scale():
     scaled, got_mean = ad.vector_norm_scale_train(v, log_scale, 1e-5)
     assert np.array_equal(got_mean, mean_norm)
     assert np.array_equal(scaled.data, v * (np.exp(log_scale) / (mean_norm + 1e-5))[None, :, None])
-
-
-def same_bits(a, b) -> bool:
-    """Equal shapes and bytes: tells -0.0 from 0.0 and compares NaNs."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def batch_norm_textbook(x, gain, bias, eps, g, stats=None):
@@ -428,29 +518,25 @@ def test_batch_norm_relu_is_relu_of_batch_norm_bit_for_bit():
 
 
 def test_matmul_bias_matches_add_composition():
-    """The bias added inside `matmul` gives the `add` + `reshape` result and
-    every gradient bit for bit, and a frozen operand gets none."""
+    """The bias added inside `matmul` gives the product-then-add result and
+    every gradient bit for bit (the numpy of `transpose`, `matmul` and an
+    added bias column), and a frozen operand gets none."""
     rng = np.random.default_rng(37)
     w0, x0, b0 = rng.standard_normal((7, 5)), rng.standard_normal((7, 300)), rng.standard_normal(5)
     g = rng.standard_normal((5, 300))
-    results = []
-    for fused in (True, False):
-        w, x, b = ad.parameter(w0), ad.parameter(x0), ad.parameter(b0)
-        with ad.Tape() as tape:
-            if fused:
-                out = ad.matmul(ad.transpose(w), x, b)
-            else:
-                out = ad.add(ad.matmul(ad.transpose(w), x), ad.reshape(b, (-1, 1)))
-            loss = weighted_sum(out, g)
-        tape.backward(loss)
-        results.append((out.data, w.grad, x.grad, b.grad))
-    for name, a, c in zip(("out", "w", "x", "bias"), *results):
+    w, x, b = ad.parameter(w0), ad.parameter(x0), ad.parameter(b0)
+    with ad.Tape() as tape:
+        out = ad.matmul(ad.transpose(w), x, b)
+        loss = weighted_sum(out, g)
+    tape.backward(loss)
+    ref = (np.transpose(w0) @ x0 + b0[:, None], np.transpose(g @ x0.T), w0 @ g, g.sum(axis=1))
+    for name, a, c in zip(("out", "w", "x", "bias"), (out.data, w.grad, x.grad, b.grad), ref):
         assert same_bits(a, c), name
     w, x = ad.parameter(w0), ad.as_tensor(x0)
     with ad.Tape() as tape:
         loss = weighted_sum(ad.matmul(ad.transpose(w), x, b0), g)
     tape.backward(loss)
-    assert same_bits(w.grad, results[0][1]) and x.grad is None
+    assert same_bits(w.grad, ref[1]) and x.grad is None
     with pytest.raises(ParameterError, match="bias of shape"):
         ad.matmul(w0.T, x0, np.zeros(7))
 
@@ -696,7 +782,7 @@ def test_training_deterministic_bitwise():
         for _ in range(5):
             store.zero_grad()
             with ad.Tape() as tape:
-                z = ad.add(ad.matmul(ad.transpose(w), x), ad.reshape(b, (3, 1)))
+                z = ad.matmul(ad.transpose(w), x, b)
                 loss = ad.cross_entropy_logits(z, labels)
             tape.backward(loss)
             ad.adam_step(store, lr=1e-2)

@@ -1,8 +1,11 @@
 """Binary kernels: sign/STE, bit packing, XNOR GEMM, binarized linears."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import same_bits_but_nan, ste_chain, ste_operands, weighted_sum
 from svpoint import autodiff as ad
 from svpoint import binkernel as bk
 from svpoint.errors import ParameterError
@@ -322,6 +325,53 @@ def test_packed_and_ste_routes_fill_the_same_nan_lines():
         for use_packed in (True, False):
             with pytest.raises(ParameterError, match="sign of NaN is undefined"):
                 bk.binary_linear_full(x, params, use_packed=use_packed)
+
+
+def test_ste_linear_is_the_chain_bit_for_bit():
+    """The STE route, as the model trains it, gives the output and the x,
+    beta, W and gamma gradients of the sub → sign_ste → transpose → matmul
+    → mul chain bit for bit, with NaN at the same positions, at site counts
+    on both sides of a tile edge and on sites-major (edge) inputs."""
+    rng = np.random.default_rng(17)
+    for in_dim, out_dim, n, sites_major, nans in ((12, 7, bk.GEMM_BLOCK - 1, False, True),
+                                                  (130, 64, bk.GEMM_BLOCK + 17, True, False),
+                                                  (65, 5, 2 * bk.GEMM_BLOCK + 3, True, True)):
+        arrays = ste_operands(rng, in_dim, out_dim, n, sites_major, nans)
+        g = rng.standard_normal((out_dim, n))
+        results = []
+        for fused in (True, False):
+            x, beta, w, gamma = (ad.parameter(a) for a in arrays)
+            params = LinearParams(weight=w, mode="binary_full", beta=beta, gamma=gamma)
+            with ad.Tape() as tape:
+                if fused:
+                    out = bk.ste_linear(x, params)
+                else:
+                    out = ste_chain(x, beta, ad.sign_ste(w), gamma)
+                loss = weighted_sum(out, g)
+            tape.backward(loss)
+            results.append((out.data, x.grad, beta.grad, w.grad, gamma.grad))
+        for name, a, b in zip(("out", "x", "beta", "w", "gamma"), *results):
+            assert same_bits_but_nan(a, b), (in_dim, n, name)
+
+
+def test_ste_linear_untaped_peak():
+    """Outside a tape the STE route peaks no higher than x - beta, the ±1
+    activations, the product and the output together: the float route that
+    the xnor benchmark checks against keeps no backward state."""
+    rng = np.random.default_rng(18)
+    in_dim, out_dim, n = 130, 64, 32768
+    x = rng.standard_normal((in_dim, n))
+    params = LinearParams(weight=ad.parameter(rng.standard_normal((in_dim, out_dim))),
+                          mode="binary_full", beta=ad.parameter(rng.standard_normal(in_dim)),
+                          gamma=ad.parameter(rng.standard_normal(out_dim)))
+    tracemalloc.start()
+    try:
+        out = bk.ste_linear(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out._grad_fn is None
+    assert peak <= 8 * (2 * in_dim * n + 2 * out_dim * n), peak
 
 
 def test_packed_route_empty_layers():

@@ -15,6 +15,7 @@ import svpoint.autodiff as ad
 import svpoint.binkernel as bk
 import svpoint.cli as cli
 import svpoint.netbuild as nb
+from helpers import node_kinds
 from svpoint.errors import CheckpointError, ConfigError, ParameterError, StateError
 from svpoint.geometry import PointCloud
 
@@ -505,29 +506,45 @@ def test_blocks_without_projection_rows_skip_the_frame(monkeypatch):
             {"extract.frame", "head.frame"} if vectors else set())
 
 
-def test_fp_training_step_records_no_separate_bias_or_relu(monkeypatch):
+def test_fp_training_step_records_no_separate_bias_or_relu():
     """An fp pointnet training step adds each fp scalar layer's bias inside
     its `matmul` and applies each normed block's ReLU inside
-    `batch_norm_train`: no `add` node, and a `relu` node for the head's
-    un-normed layer only."""
-    recorded = dict.fromkeys(("add", "relu", "matmul", "batch_norm_train"), 0)
-    for name in recorded:
-        def counting(*args, _fn=getattr(ad, name), _name=name, **kw):
-            result = _fn(*args, **kw)
-            out = result[0] if isinstance(result, tuple) else result
-            recorded[_name] += out._grad_fn is not None
-            return result
-
-        monkeypatch.setattr(ad, name, counting)
+    `batch_norm_train`: one `matmul` node per biased layer, and a `relu`
+    node for the head's un-normed layer only."""
     model = nb.build_model(small_cfg(channels=(12, 18, 24)), rng_seed=2)
     clouds = random_clouds(2, 12, 5)
     with ad.Tape() as tape:
         loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"),
                                        np.array([0, 1]))
+    kinds = node_kinds(tape)
     tape.backward(loss)
     biased = [lin for _, lin, _, _ in model.layers if lin.bias is not None]
-    assert recorded == {"add": 0, "relu": 1, "matmul": len(biased),
-                        "batch_norm_train": len(model.blocks)}
+    assert (kinds["relu"], kinds["matmul"], kinds["batch_norm_train"]) == (
+        1, len(biased), len(model.blocks))
+
+
+def test_binary_training_step_records_one_node_per_binary_layer():
+    """A binary dgcnn training step (the fingerprint's dg_vanilla) records
+    each binary_full layer as one `ste_matmul` node beside its weight's
+    `sign_ste`, and scales each binary vector map and frame inside
+    `vector_map_raw`: the only `mul` nodes are the gates'."""
+    from fingerprint import BASE, CONFIGS
+
+    model = nb.build_model(nb.ModelConfig(**BASE, **CONFIGS["dg_vanilla"]), rng_seed=3)
+    clouds = random_clouds(4, 12, 6)
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"),
+                                       np.array([c.label for c in clouds]))
+    kinds = node_kinds(tape)
+    tape.backward(loss)
+    modes = [lin.mode for _, lin, _, _ in model.layers]
+    gated = [blk for blk in model.blocks if blk.gate_mlp]
+    assert modes.count("binary_full") > 0 and gated
+    assert kinds["ste_matmul"] == modes.count("binary_full")
+    assert kinds["sign_ste"] == len(modes) - modes.count("full_precision")
+    assert kinds["mul"] == len(gated)
+    vector_layers = [kind for _, _, kind, _ in model.layers if kind in ("frame", "vector")]
+    assert kinds["vector_map_raw"] == len(vector_layers)
 
 
 def test_every_stored_tensor_gets_a_gradient():
