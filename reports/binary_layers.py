@@ -9,11 +9,11 @@ ways, as an eval forward with nothing recording runs it and as it ran
 before on the float STE route:
 
 - model: `binkernel.packed_linear`, which finishes each tile of sites
-  with γ and, for a block's layer, `svcore.eval_norm_relu` (the running-
+  with γ and, for a block's layer, `svcore.eval_norm` (the running-
   statistics norm and ReLU); `final0` gets its ReLU afterwards;
-- float: `binkernel.ste_linear`, then for a block's layer
-  `autodiff.batch_norm_train` with the running statistics, then
-  `autodiff.relu`.
+- float: `binkernel.ste_linear`, then for a block's layer the
+  running-statistics norm in `autodiff.norm_affine`'s order, each step
+  writing a fresh array, then `autodiff.relu`.
 
 Each layer gets one standard-normal input of its real shape for a batch
 of clouds, and random norm parameters and running statistics, and the
@@ -81,13 +81,14 @@ def main(argv=None) -> int:
     def model_route(x, lin, norm):
         if norm is None:
             return ad.relu(binkernel.packed_linear(x, lin)).data
-        return binkernel.packed_linear(x, lin, svcore.eval_norm_relu(norm))
+        return binkernel.packed_linear(x, lin, svcore.eval_norm(norm, relu=True))
 
     def float_route(x, lin, norm):
-        out = binkernel.ste_linear(x, lin)
+        out = binkernel.ste_linear(x, lin).data
         if norm is not None:
-            out = ad.batch_norm_train(out, norm.scalar_gain, norm.scalar_bias, svcore.NORM_EPS,
-                                      (norm.running_mean, norm.running_var))[0]
+            inv = 1.0 / np.sqrt(norm.running_var + svcore.NORM_EPS)[:, None]
+            out = ((out - norm.running_mean[:, None]) * inv * norm.scalar_gain.data[:, None]
+                   + norm.scalar_bias.data[:, None])
         return ad.relu(out).data
 
     routes = {"model": model_route, "float": float_route}

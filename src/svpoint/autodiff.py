@@ -133,10 +133,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -555,8 +551,8 @@ def pair_contract(a, b) -> Tensor:
 #
 # Composing normalization from elementwise primitives works but costs a
 # dozen full-size passes per call; these fused forms do the textbook
-# backward in a few. Given a statistic (eval's running one), an op uses it
-# as is, in the same arithmetic, and holds it fixed in backward.
+# backward in a few. Eval's scalar normalization records nothing: it runs
+# `norm_affine` in place on a layer's output (`svcore.eval_norm`).
 
 
 def norm_affine(xhat: np.ndarray, var: np.ndarray, eps: float, gain: np.ndarray,
@@ -580,13 +576,11 @@ def norm_affine(xhat: np.ndarray, var: np.ndarray, eps: float, gain: np.ndarray,
 TILE_BYTES = 256 * 1024
 
 
-def batch_norm_train(x, gain, bias, eps: float, stats=None, relu: bool = False):
-    """Standardize scalar channels over the site axis with learned affine:
-    (x - mean) * (1 / sqrt(var + eps)) * gain + bias, then max(., 0) when
-    `relu`, with ReLU's subgradient 0 at the kink.
-
-    `stats`, a (mean, var) pair of (p,) arrays, replaces the batch
-    statistics. Returns (out, mean, var), the stats as plain (p,) arrays.
+def batch_norm_train(x, gain, bias, eps: float, *, relu: bool = False):
+    """Standardize scalar channels over the site axis by their batch
+    statistics, with learned affine: (x - mean) * (1 / sqrt(var + eps)) *
+    gain + bias, then max(., 0) when `relu`, with ReLU's subgradient 0 at
+    the kink. Returns (out, mean, var), the stats as plain (p,) arrays.
 
     Forward and backward run one tile of channel rows at a time. Every
     reduction is along a row, so the bits are those of the whole-array
@@ -597,19 +591,12 @@ def batch_norm_train(x, gain, bias, eps: float, stats=None, relu: bool = False):
     rows = max(1, min(p, TILE_BYTES // max(1, 8 * count)))
     tiles = [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
     xhat, out = np.empty((p, count)), np.empty((p, count))
-    if stats is None:
-        mean, var = np.empty(p), np.empty(p)
-    else:
-        mean, var = stats
-    inv = np.empty((p, 1))
+    mean, var, inv = np.empty(p), np.empty(p), np.empty((p, 1))
     for t in tiles:
         x_t, xhat_t, out_t = x.data[t], xhat[t], out[t]
-        if stats is None:
-            mean[t] = x_t.mean(axis=1)
-            np.subtract(x_t, mean[t, None], out=xhat_t)  # centered here, standardized below
-            var[t] = np.multiply(xhat_t, xhat_t, out=out_t).mean(axis=1)
-        else:
-            np.subtract(x_t, mean[t, None], out=xhat_t)
+        mean[t] = x_t.mean(axis=1)
+        np.subtract(x_t, mean[t, None], out=xhat_t)  # centered here, standardized below
+        var[t] = np.multiply(xhat_t, xhat_t, out=out_t).mean(axis=1)
         inv[t] = norm_affine(xhat_t, var[t], eps, gain.data[t], bias.data[t], out_t)
         if relu:
             np.maximum(out_t, 0.0, out=out_t)
@@ -625,19 +612,16 @@ def batch_norm_train(x, gain, bias, eps: float, stats=None, relu: bool = False):
                 g_t = np.multiply(g_t, out[t] > 0, out=g_relu[:n])
             g_gain[t] = np.multiply(g_t, xhat_t, out=buf_t).sum(axis=1)
             g_bias[t] = g_t.sum(axis=1)
+            # the batch statistics depend on x too: inv / count * (count * gx
+            # - sum(gx) - xhat * sum(gx * xhat)), in place in the textbook order
             np.multiply(g_t, gain.data[t, None], out=gx_t)
-            if stats is None:  # the batch statistics depend on x too
-                # inv / count * (count * gx - sum(gx) - xhat * sum(gx * xhat)),
-                # in place in the textbook order
-                sum_gx = gx_t.sum(axis=1, keepdims=True)
-                np.multiply(gx_t, xhat_t, out=buf_t)
-                sum_gx_xhat = buf_t.sum(axis=1, keepdims=True)
-                gx_t *= count
-                gx_t -= sum_gx
-                gx_t -= np.multiply(xhat_t, sum_gx_xhat, out=buf_t)
-                gx_t *= inv[t] / count
-            else:
-                gx_t *= inv[t]
+            sum_gx = gx_t.sum(axis=1, keepdims=True)
+            np.multiply(gx_t, xhat_t, out=buf_t)
+            sum_gx_xhat = buf_t.sum(axis=1, keepdims=True)
+            gx_t *= count
+            gx_t -= sum_gx
+            gx_t -= np.multiply(xhat_t, sum_gx_xhat, out=buf_t)
+            gx_t *= inv[t] / count
         _accumulate(gain, g_gain)
         _accumulate(bias, g_bias)
         _accumulate(x, gx)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import binkernel
-from .errors import ParameterError
+from .errors import ParameterError, StateError
 
 MODES = ("full_precision", "binary_weight", "binary_full")
 
@@ -130,29 +130,36 @@ class SVBlockParams:
 # records; ±1 dot products are exact in float64, so both give the same bits.
 
 
-def _packs(params: LinearParams) -> bool:
-    """Whether a scalar layer runs on the packed route: binary_full, and no Tape active."""
-    return params.mode == "binary_full" and not ad.recording()
-
-
-def scalar_linear(x, params: LinearParams) -> ad.Tensor:
+def scalar_linear(x, params: LinearParams, finish=None) -> ad.Tensor:
     """Linear layer on scalar features (in, N) -> (out, N), full_precision or
     binary_full; weight-only binarization belongs to the vector path. A
     binary_full layer takes `binkernel.ste_linear` under a tape and
-    `binkernel.packed_linear` otherwise."""
+    `binkernel.packed_linear` otherwise.
+
+    `finish`, an in-place step such as eval's normalization, runs on each
+    tile of sites of a packed product and on the whole fp product. It
+    writes over the layer's output, so it needs a forward that records
+    nothing.
+    """
     x = ad.as_tensor(x)
     w = ad.as_tensor(params.weight)
     if x.data.shape[0] != w.data.shape[0]:
         raise ParameterError(
             f"input channels {x.data.shape[0]} do not match weight rows {w.data.shape[0]}"
         )
+    records = ad.recording()
+    if finish is not None and records:
+        raise StateError("an in-place finish runs only where nothing records")
     if params.mode == "full_precision":
-        return ad.matmul(ad.transpose(w), x, params.bias)
+        out = ad.matmul(ad.transpose(w), x, params.bias)
+        if finish is not None:
+            finish(out.data)
+        return out
     if params.mode != "binary_full":
         raise ParameterError(f"scalar features cannot use precision mode {params.mode!r}")
-    if _packs(params):
-        return ad.Tensor(binkernel.packed_linear(x.data, params))
-    return binkernel.ste_linear(x, params)
+    if records:
+        return binkernel.ste_linear(x, params)
+    return ad.Tensor(binkernel.packed_linear(x.data, params, finish))
 
 
 def vector_mapping(v, params: LinearParams) -> ad.Tensor:
@@ -208,17 +215,18 @@ def _run_mlp(x, layers: list[tuple[LinearParams, str]]):
     return x
 
 
-def eval_norm_relu(norm: NormParams):
-    """Eval's scalar normalization by the running statistics, then ReLU, in
-    place on one tile of a layer's output: `ad.batch_norm_train` with
-    stats and relu=True, the same ufuncs in the same order."""
+def eval_norm(norm: NormParams, relu: bool):
+    """Eval's scalar normalization by the running statistics, then ReLU when
+    `relu`, in place on a layer's output or one tile of it:
+    (x - mean) * (1 / sqrt(var + eps)) * gain + bias by `ad.norm_affine`."""
     mean = norm.running_mean[:, None]
     gain, bias = _data(norm.scalar_gain), _data(norm.scalar_bias)
 
     def finish(tile):
         tile -= mean
         ad.norm_affine(tile, norm.running_var, NORM_EPS, gain, bias, out=tile)
-        np.maximum(tile, 0.0, out=tile)
+        if relu:
+            np.maximum(tile, 0.0, out=tile)
 
     return finish
 
@@ -243,8 +251,11 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     batch-mean norm scales linearly with its gate).
 
     Training normalizes by the batch statistics and folds them into the
-    running ones; eval normalizes by the running statistics.
+    running ones. Eval normalizes by the running statistics in place on
+    the last layer's output and records nothing, so it raises under a Tape.
     """
+    if not train and ad.recording():
+        raise StateError("an eval forward records nothing; run it outside a Tape")
     s, v = ad.as_tensor(x.scalars), ad.as_tensor(x.vectors)
     n = s.data.shape[1]
     if groups < 1 or n % groups != 0:
@@ -257,29 +268,24 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     *hidden, (last, last_tag) = params.scalar_mlp
     s_out = _run_mlp(s_out, hidden)
     norm = params.norm
-    # eval's norm and ReLU run on each cache-resident tile of a packed product
-    fused = norm is not None and not train and last_tag == "relu" and _packs(last)
-    if fused:
-        s_out = ad.Tensor(binkernel.packed_linear(s_out.data, last, eval_norm_relu(norm)))
-    else:
-        s_out = scalar_linear(s_out, last)
+    relu = last_tag == "relu"
+    # a normed layer's ReLU runs inside the norm: in eval in place on the
+    # product (on each cache-resident tile of a packed one), in training so
+    # that no separate node keeps the norm's output
+    finish = None if train or norm is None else eval_norm(norm, relu)
+    s_out = scalar_linear(s_out, last, finish)
     v_out = vector_mapping(v, params.vector_map)
-
-    normed = norm is not None and s_out.data.shape[0] > 0 and not fused
-    # the norm applies a ReLU itself, so that no separate node keeps its output
-    norm_relu = normed and last_tag == "relu"
-    if normed:
-        running = (norm.running_mean, norm.running_var)
+    batch_normed = train and norm is not None and s_out.data.shape[0] > 0
+    if batch_normed:
         s_out, *batch = ad.batch_norm_train(s_out, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
-                                            None if train else running, relu=norm_relu)
-        if train:
-            _update_running(running, batch)
+                                            relu=relu)
+        _update_running((norm.running_mean, norm.running_var), batch)
     if norm is not None and v_out.data.shape[1]:
         v_out, mean_norm = ad.vector_norm_scale_train(v_out, norm.vector_log_scale, NORM_EPS,
                                                       None if train else norm.running_norm)
         if train:
             _update_running((norm.running_norm,), (mean_norm,))
-    if not (fused or norm_relu):
+    if not (relu and (finish is not None or batch_normed)):
         s_out = _activate(s_out, last_tag)
 
     if params.gate_mlp:

@@ -10,6 +10,8 @@ from collections import Counter
 import numpy as np
 
 import svpoint.autodiff as ad
+import svpoint.binkernel as bk
+import svpoint.svcore as sv
 from svpoint.svcore import SVFeature, _data
 
 
@@ -127,6 +129,59 @@ def ste_operands(rng, in_dim, out_dim, n, sites_major, nans):
         x[4, 6] = np.nan
         w[1, out_dim - 1] = np.nan
     return (np.asfortranarray(x) if sites_major else x), beta, w, rng.standard_normal(out_dim)
+
+
+def batch_norm_textbook(x, gain, bias, eps, g, stats=None):
+    """Whole-array forward and backward of a scalar normalization: the
+    output, the stats and the gradients of x, gain and bias. With a
+    (mean, var) `stats` pair it is eval's normalization by running
+    statistics, held fixed in backward; without, `ad.batch_norm_train`."""
+    if stats is None:
+        mu = x.mean(axis=1, keepdims=True)
+        xhat = x - mu
+        var = (xhat * xhat).mean(axis=1)
+    else:
+        mu, var = stats[0][:, None], stats[1]
+        xhat = x - mu
+    inv = 1.0 / np.sqrt(var + eps)[:, None]
+    xhat = xhat * inv
+    out = xhat * gain[:, None] + bias[:, None]
+    gx = g * gain[:, None]
+    if stats is None:
+        count = x.shape[1]
+        gx = (gx * count - gx.sum(axis=1, keepdims=True)
+              - xhat * (gx * xhat).sum(axis=1, keepdims=True)) * (inv / count)
+    else:
+        gx = gx * inv
+    return out, mu[:, 0], var, gx, (g * xhat).sum(axis=1), g.sum(axis=1)
+
+
+def _ste_packed_linear(x, params, finish=None) -> np.ndarray:
+    out = bk.ste_linear(x, params).data
+    if finish is not None:
+        finish(out)
+    return out
+
+
+def _textbook_eval_norm(norm, relu):
+    stats = (norm.running_mean, norm.running_var)
+    gain, bias = _data(norm.scalar_gain), _data(norm.scalar_bias)
+
+    def finish(out):
+        y = batch_norm_textbook(out, gain, bias, sv.NORM_EPS, np.zeros_like(out), stats)[0]
+        out[...] = np.maximum(y, 0.0) if relu else y
+
+    return finish
+
+
+def patch_eval_oracle(monkeypatch) -> None:
+    """Turn the untaped eval forward into its float oracle: each
+    binary_full layer's `binkernel.packed_linear` becomes `ste_linear` with
+    the finish run once on the whole product, and `svcore.eval_norm` the
+    textbook running-statistics formula, computed out of place and written
+    back, so that fp layers face an independent formula too."""
+    monkeypatch.setattr(bk, "packed_linear", _ste_packed_linear)
+    monkeypatch.setattr(sv, "eval_norm", _textbook_eval_norm)
 
 
 def node_kinds(tape) -> Counter:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
-from helpers import (finite_difference_check, same_bits, same_bits_but_nan, ste_chain,
-                     ste_operands, total, weighted, weighted_sum)
+from helpers import (batch_norm_textbook, finite_difference_check, same_bits, same_bits_but_nan,
+                     ste_chain, ste_operands, total, weighted, weighted_sum)
 from svpoint.errors import ParameterError, StateError
-from svpoint.svcore import LinearParams, scalar_linear, vector_mapping
+from svpoint.svcore import LinearParams, NormParams, eval_norm, scalar_linear, vector_mapping
 
 
 # ---------------------------------------------------------------------------
@@ -435,33 +435,10 @@ def test_pair_contract_exact_at_scale():
     assert np.array_equal(scaled.data, v * (np.exp(log_scale) / (mean_norm + 1e-5))[None, :, None])
 
 
-def batch_norm_textbook(x, gain, bias, eps, g, stats=None):
-    """Whole-array forward and backward of `ad.batch_norm_train`: the
-    output, the stats and the gradients of x, gain and bias."""
-    if stats is None:
-        mu = x.mean(axis=1, keepdims=True)
-        xhat = x - mu
-        var = (xhat * xhat).mean(axis=1)
-    else:
-        mu, var = stats[0][:, None], stats[1]
-        xhat = x - mu
-    inv = 1.0 / np.sqrt(var + eps)[:, None]
-    xhat = xhat * inv
-    out = xhat * gain[:, None] + bias[:, None]
-    gx = g * gain[:, None]
-    if stats is None:
-        count = x.shape[1]
-        gx = (gx * count - gx.sum(axis=1, keepdims=True)
-              - xhat * (gx * xhat).sum(axis=1, keepdims=True)) * (inv / count)
-    else:
-        gx = gx * inv
-    return out, mu[:, 0], var, gx, (g * xhat).sum(axis=1), g.sum(axis=1)
-
-
 def test_batch_norm_tiles_match_textbook_bit_for_bit():
     """Across several row tiles with a ragged last one, and across one-row
     tiles, the tiled op gives the whole-array formula's output, stats and
-    three gradients bit for bit, with batch and with running stats."""
+    three gradients bit for bit."""
     rng = np.random.default_rng(35)
     rows = ad.TILE_BYTES // (8 * 1000)
     assert 1 < rows < 37 and 37 % rows  # several tiles, the last one ragged
@@ -470,22 +447,20 @@ def test_batch_norm_tiles_match_textbook_bit_for_bit():
         data = rng.standard_normal((p, n)) * 3.0 + rng.standard_normal((p, 1))
         gain0, bias0 = rng.standard_normal(p) * 0.3 + 1.0, rng.standard_normal(p) * 0.2
         g = rng.standard_normal((p, n))
-        running = (rng.standard_normal(p), rng.random(p) + 0.5)
-        for stats in (None, running):
-            x, gain, bias = ad.parameter(data), ad.parameter(gain0), ad.parameter(bias0)
-            with ad.Tape() as tape:
-                out, mean, var = ad.batch_norm_train(x, gain, bias, 1e-5, stats)
-                loss = weighted_sum(out, g)
-            tape.backward(loss)
-            ref = batch_norm_textbook(data, gain0, bias0, 1e-5, g, stats)
-            got = (out.data, mean, var, x.grad, gain.grad, bias.grad)
-            for name, a, b in zip(("out", "mean", "var", "x", "gain", "bias"), got, ref):
-                assert same_bits(a, b), (p, n, stats is None, name)
+        x, gain, bias = ad.parameter(data), ad.parameter(gain0), ad.parameter(bias0)
+        with ad.Tape() as tape:
+            out, mean, var = ad.batch_norm_train(x, gain, bias, 1e-5)
+            loss = weighted_sum(out, g)
+        tape.backward(loss)
+        ref = batch_norm_textbook(data, gain0, bias0, 1e-5, g)
+        got = (out.data, mean, var, x.grad, gain.grad, bias.grad)
+        for name, a, b in zip(("out", "mean", "var", "x", "gain", "bias"), got, ref):
+            assert same_bits(a, b), (p, n, name)
 
 
 def test_batch_norm_relu_is_relu_of_batch_norm_bit_for_bit():
     """relu=True gives `ad.relu` of the norm's output and its gradients bit
-    for bit, with inputs and outputs at 0, -0.0 and NaN."""
+    for bit, with inputs at 0, -0.0 and NaN."""
     rng = np.random.default_rng(36)
     p, n = 6, 50
     data = rng.standard_normal((p, n))
@@ -497,24 +472,51 @@ def test_batch_norm_relu_is_relu_of_batch_norm_bit_for_bit():
     bias0 = rng.standard_normal(p) * 0.2
     bias0[:4] = [0.0, -0.0, 0.0, -0.0]
     g = rng.standard_normal((p, n))
-    # column 3 equals the running mean: xhat is 0, so the output is +-0.0 on the first rows
-    running = (np.zeros(p), rng.random(p) + 0.5)
-    for stats in (None, running):
-        results = []
-        for fused in (True, False):
-            x, gain, bias = ad.parameter(data), ad.parameter(gain0), ad.parameter(bias0)
-            with ad.Tape() as tape:
-                out = ad.batch_norm_train(x, gain, bias, 1e-5, stats, relu=fused)[0]
-                if not fused:
-                    out = ad.relu(out)
-                loss = weighted_sum(out, g)
-            tape.backward(loss)
-            results.append((out.data, x.grad, gain.grad, bias.grad))
-        for name, a, b in zip(("out", "x", "gain", "bias"), *results):
-            assert same_bits(a, b), (stats is None, name)
-    pre = ad.batch_norm_train(data, gain0, bias0, 1e-5, running)[0].data
-    assert same_bits(pre[:4, 3], [0.0, -0.0, 0.0, -0.0])  # the kink, at both zeros
-    assert np.isnan(pre[:, 2]).tolist() == [False] * 5 + [True]
+    results = []
+    for fused in (True, False):
+        x, gain, bias = ad.parameter(data), ad.parameter(gain0), ad.parameter(bias0)
+        with ad.Tape() as tape:
+            out = ad.batch_norm_train(x, gain, bias, 1e-5, relu=fused)[0]
+            if not fused:
+                out = ad.relu(out)
+            loss = weighted_sum(out, g)
+        tape.backward(loss)
+        results.append((out.data, x.grad, gain.grad, bias.grad))
+    for name, a, b in zip(("out", "x", "gain", "bias"), *results):
+        assert same_bits(a, b), name
+    assert np.isnan(results[0][0][5]).all() and not np.isnan(results[0][0][:5]).any()
+
+
+def test_eval_norm_is_the_textbook_running_norm_bit_for_bit():
+    """`svcore.eval_norm`, in place on a whole product or on tiles of its
+    sites, gives the textbook normalization by the running statistics bit
+    for bit, then its ReLU when asked: with outputs of 0.0 and -0.0 at the
+    kink, a NaN input and a NaN running mean, which fills its row."""
+    rng = np.random.default_rng(39)
+    p, n = 6, 50
+    data = rng.standard_normal((p, n))
+    data[:, 3] = 0.0  # the running mean below: xhat is 0, the output gain * 0 + bias
+    data[4, 2] = np.nan
+    norm = NormParams.create(p, 0)
+    norm.scalar_gain.data[...] = rng.standard_normal(p) * 0.3 + 1.0
+    norm.scalar_gain.data[1::2] *= -1.0
+    norm.scalar_bias.data[...] = rng.standard_normal(p) * 0.2
+    norm.scalar_bias.data[:4] = [0.0, -0.0, 0.0, -0.0]
+    norm.running_var[...] = rng.random(p) + 0.5
+    norm.running_mean[5] = np.nan
+    stats = (norm.running_mean, norm.running_var)
+    ref = batch_norm_textbook(data, norm.scalar_gain.data, norm.scalar_bias.data, 1e-5,
+                              np.zeros((p, n)), stats)[0]
+    assert same_bits(ref[:4, 3], [0.0, -0.0, 0.0, -0.0])  # the kink, at both zeros
+    assert np.isnan(ref).sum(axis=1).tolist() == [0] * 4 + [1, n]
+    for relu in (False, True):
+        finish = eval_norm(norm, relu)
+        whole, tiled = data.copy(), data.copy()
+        finish(whole)
+        for lo in range(0, n, 16):
+            finish(tiled[:, lo:lo + 16])
+        want = np.maximum(ref, 0.0) if relu else ref
+        assert same_bits(whole, want) and same_bits(tiled, want), relu
 
 
 def test_matmul_bias_matches_add_composition():
@@ -571,25 +573,24 @@ def test_fused_primitive_peak_allocations():
 
 def test_batch_norm_tiled_backward_peak():
     """The tiled backward allocates the input gradient and tile-sized
-    buffers only, with batch and with running stats, with and without ReLU."""
+    buffers only, with and without ReLU."""
     import tracemalloc
 
     rng = np.random.default_rng(38)
     x = ad.parameter(rng.standard_normal((130, 32768)))
     gain, bias = ad.parameter(np.ones(130)), ad.parameter(np.zeros(130))
     g = rng.standard_normal(x.data.shape)
-    for stats in (None, (np.zeros(130), np.ones(130))):
-        for relu in (False, True):
-            with ad.Tape():
-                out, _, _ = ad.batch_norm_train(x, gain, bias, 1e-5, stats, relu=relu)
-            x.grad = gain.grad = bias.grad = None
-            tracemalloc.start()
-            try:
-                out._grad_fn(g)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.25 * x.data.nbytes, (stats is None, relu, peak)
+    for relu in (False, True):
+        with ad.Tape():
+            out, _, _ = ad.batch_norm_train(x, gain, bias, 1e-5, relu=relu)
+        x.grad = gain.grad = bias.grad = None
+        tracemalloc.start()
+        try:
+            out._grad_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * x.data.nbytes, (relu, peak)
 
 
 def test_fd_vector_feature_ops():
@@ -611,13 +612,11 @@ def test_fd_fused_normalization():
         [x, gain, bias],
     )
     assert rel <= 1e-6
-    running = (np.random.default_rng(47).standard_normal(5), np.full(5, 0.8))
-    for stats in (None, running):
-        rel = finite_difference_check(
-            weighted(lambda x, g, b: ad.batch_norm_train(x, g, b, 1e-5, stats, relu=True)[0], 48),
-            [x, gain, bias],
-        )
-        assert rel <= 1e-6
+    rel = finite_difference_check(
+        weighted(lambda x, g, b: ad.batch_norm_train(x, g, b, 1e-5, relu=True)[0], 48),
+        [x, gain, bias],
+    )
+    assert rel <= 1e-6
     v = rand_t((3, 4, 30), 44)
     ls = ad.parameter(np.random.default_rng(45).standard_normal(4) * 0.1)
     rel = finite_difference_check(

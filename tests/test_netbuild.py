@@ -15,7 +15,7 @@ import svpoint.autodiff as ad
 import svpoint.binkernel as bk
 import svpoint.cli as cli
 import svpoint.netbuild as nb
-from helpers import node_kinds
+from helpers import node_kinds, patch_eval_oracle
 from svpoint.errors import CheckpointError, ConfigError, ParameterError, StateError
 from svpoint.geometry import PointCloud
 
@@ -358,46 +358,57 @@ def test_binary_dgcnn_training_deterministic_bitwise():
         assert np.array_equal(first[name], second[name]), name
 
 
-def _eval_binary_model(cfg, seed=6):
-    """A binary model as it is evaluated: built, binarized (the two-step
+def _eval_model(cfg, seed=6):
+    """A model as it is evaluated: built, binarized (the two-step
     switch for `two_step`), with running statistics moved by a train-mode
-    forward."""
+    forward and norm gains and biases moved off 1 and 0 as training moves
+    them."""
     model = nb.build_model(cfg, rng_seed=seed)
     if cfg.binarize == "two_step":
         nb.binarize_plan(model)
     model.forward(random_clouds(3, 16, seed), stats_mode="train")
+    rng = np.random.default_rng(seed)
+    for blk in model.blocks:
+        for affine in (blk.norm.scalar_gain, blk.norm.scalar_bias):
+            affine.data += rng.standard_normal(affine.data.shape) * 0.3
     return model
 
 
 @pytest.mark.parametrize("backbone", ["pointnet_like", "dgcnn_like"])
-def test_eval_forward_packed_is_the_taped_forward_bit_for_bit(backbone):
-    """With no tape, eval runs every binary_full layer on packed bits (with
-    each block's norm and ReLU on the product's tiles); under a tape it
-    takes the STE route. The logits are equal bit for bit across binarize
-    modes, with the boundary layers binary or not, for 0-row and 0-column
-    scalar layers (sv_ratio 0, both interaction toggles off), and where
-    block 0 has GEMM_BLOCK - 1 and GEMM_BLOCK edge sites."""
+def test_eval_forward_matches_the_float_oracle_bit_for_bit(backbone, monkeypatch):
+    """An eval forward runs every binary_full layer on packed bits (with
+    each block's norm and ReLU on the product's tiles) and each fp block's
+    norm and ReLU in place on its product. The logits equal those of the
+    float oracle (the STE route and the textbook running-statistics norm)
+    bit for bit across precisions and binarize modes, with the boundary
+    layers binary or not, for 0-row and 0-column scalar layers (sv_ratio
+    0, both interaction toggles off), and where block 0 has GEMM_BLOCK - 1
+    and GEMM_BLOCK edge sites."""
     shapes = [dict(), dict(sv_ratio=0.0, channels=(3, 6)),
               dict(sv_ratio=0.0, channels=(3, 6), scalar_concat=False, vector_reweight=False),
               dict(scalar_concat=False, vector_reweight=False)]
     cases = [(small_cfg(backbone=backbone, binarize=mode, keep_first_last_fp=keep, **shape), 3, 12)
              for mode in ("vanilla", "two_step") for keep in (True, False) for shape in shapes]
-    cases += [(small_cfg(backbone=backbone, binarize="vanilla", k=5), 3, 273),  # 4095 edges
-              (small_cfg(backbone=backbone, binarize="vanilla", k=4), 4, 256)]  # 4096 edges
+    cases += [(small_cfg(backbone=backbone, **shape), 3, 12) for shape in shapes]
+    for mode in ("none", "vanilla"):
+        cases += [(small_cfg(backbone=backbone, binarize=mode, k=5), 3, 273),  # 4095 edges
+                  (small_cfg(backbone=backbone, binarize=mode, k=4), 4, 256)]  # 4096 edges
     for cfg, count, n in cases:
-        model = _eval_binary_model(cfg)
+        model = _eval_model(cfg)
         clouds = random_clouds(count, n, 7)
         logits = model.forward(clouds).data
-        with ad.Tape():
-            taped = model.forward(clouds).data
+        with monkeypatch.context() as m:
+            patch_eval_oracle(m)
+            want = model.forward(clouds).data
         assert np.isfinite(logits).all()
-        assert np.array_equal(logits, taped), cfg
+        assert np.array_equal(logits, want), cfg
 
 
 def test_eval_forward_runs_the_xnor_kernel_only_untaped(monkeypatch):
     """The binary pointnet's four binary_full layers (three blocks and
-    final0) each make one XNOR GEMM call per eval forward with no tape,
-    and none under a tape."""
+    final0) each make one XNOR GEMM call per eval forward. Under a tape an
+    eval forward raises one StateError line, and a training forward makes
+    no XNOR call."""
     calls = []
     gemm = bk.xnor_popcount_gemm
 
@@ -412,7 +423,10 @@ def test_eval_forward_runs_the_xnor_kernel_only_untaped(monkeypatch):
     assert calls == [34, 65, 130, 512]
     calls.clear()
     with ad.Tape():
-        model.forward(clouds)
+        with pytest.raises(StateError, match="outside a Tape") as raised:
+            model.forward(clouds)
+        model.forward(clouds, stats_mode="train")
+    assert "\n" not in str(raised.value)
     assert calls == []
 
 
@@ -430,6 +444,22 @@ def test_binary_eval_forward_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 35e6, peak
+
+
+def test_fp_eval_forward_memory_bound():
+    """One fp pointnet eval forward (8 clouds of 256 points, k=16) peaks
+    under 34 MB of traced numpy memory: each block normalizes its layer's
+    product in place, with no xhat or output array beside it (39.9 MB when
+    eval ran the training norm with running statistics)."""
+    model = nb.build_model(nb.ModelConfig(), rng_seed=1)
+    clouds = random_clouds(8, 256, 9)
+    tracemalloc.start()
+    try:
+        model.forward(clouds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34e6, peak
 
 
 def test_layout_allocates_no_temporary_beside_a_weight(monkeypatch):

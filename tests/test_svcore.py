@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
-from helpers import rotate_feature, rotate_vectors
-from svpoint.errors import ParameterError
+from helpers import patch_eval_oracle, rotate_feature, rotate_vectors
+from svpoint.errors import ParameterError, StateError
 from svpoint.geometry import random_rotation, signed_permutation_rotation
 from svpoint.svcore import (LinearParams, NormParams, SVBlockParams, SVFeature, aggregate,
                             invariant_head, invariant_projection, regroup_edges,
@@ -365,14 +365,17 @@ def test_norm_eval_is_the_explicit_affine_bit_for_bit():
         assert np.array_equal(kept, now)
 
 
-def binary_block(p_in, q_in, p_out, q_out, concat, seed):
-    """A block whose scalar layer is binary_full, with random running
-    statistics and affine norm parameters."""
+def eval_block(p_in, q_in, p_out, q_out, concat, seed, binary):
+    """A block with random running statistics and affine norm parameters,
+    whose scalar layer is binary_full if `binary`, else fp."""
     rng = np.random.default_rng(seed)
     block = make_block(p_in, q_in, p_out, q_out, seed=seed, concat=concat)
     lin = block.scalar_mlp[0][0]
-    lin.mode, lin.bias = "binary_full", None
-    lin.beta, lin.gamma = rng.standard_normal(lin.in_dim) * 0.3, rng.standard_normal(p_out)
+    if binary:
+        lin.mode, lin.bias = "binary_full", None
+        lin.beta, lin.gamma = rng.standard_normal(lin.in_dim) * 0.3, rng.standard_normal(p_out)
+    else:
+        lin.bias = rng.standard_normal(p_out)
     norm = block.norm
     norm.scalar_gain.data[...] = rng.standard_normal(p_out)
     norm.scalar_bias.data[...] = rng.standard_normal(p_out)
@@ -381,25 +384,32 @@ def binary_block(p_in, q_in, p_out, q_out, concat, seed):
     return block
 
 
-def test_block_eval_packed_route_is_the_taped_route_bit_for_bit():
-    """With nothing recording, an eval block runs its binary_full layer's
-    norm and ReLU on each tile of the packed product; the taped forward
-    takes the STE route and the batch_norm_train op. Both give the same
-    bits at site counts around the tile width, for 0-row and 0-column
-    scalar layers too."""
+def test_block_eval_matches_the_float_oracle_bit_for_bit(monkeypatch):
+    """An eval block runs its last scalar layer's norm and ReLU in place:
+    on each tile of a binary_full layer's packed product, and on an fp
+    layer's whole product. Both give the bits of the float oracle (the STE
+    route and the textbook running-statistics norm) at site counts around
+    the tile width, for 0-row and 0-column scalar layers too. Under a Tape
+    an eval block raises."""
     from svpoint.binkernel import GEMM_BLOCK
 
     shapes = ((4, 2, 5, 3, True), (0, 2, 3, 2, False), (3, 2, 0, 2, True))
     for n in (GEMM_BLOCK - 1, GEMM_BLOCK, 2 * GEMM_BLOCK + 17):
         for i, (p_in, q_in, p_out, q_out, concat) in enumerate(shapes):
-            block = binary_block(p_in, q_in, p_out, q_out, concat, seed=i)
-            feat = rand_feature(p_in, q_in, n, seed=i)
-            got = svblock_forward(feat, block, False, 1)
-            with ad.Tape():
-                want = svblock_forward(feat, block, False, 1)
-            assert np.array_equal(arr(got.scalars), arr(want.scalars)), (n, i)
-            assert np.array_equal(arr(got.vectors), arr(want.vectors)), (n, i)
-            assert arr(got.scalars).shape == (p_out, n)
+            for binary in (True, False):
+                block = eval_block(p_in, q_in, p_out, q_out, concat, i, binary)
+                feat = rand_feature(p_in, q_in, n, seed=i)
+                got = svblock_forward(feat, block, False, 1)
+                with monkeypatch.context() as m:
+                    patch_eval_oracle(m)
+                    want = svblock_forward(feat, block, False, 1)
+                assert np.array_equal(arr(got.scalars), arr(want.scalars)), (n, i, binary)
+                assert np.array_equal(arr(got.vectors), arr(want.vectors)), (n, i, binary)
+                assert arr(got.scalars).shape == (p_out, n)
+
+    with ad.Tape(), pytest.raises(StateError, match="outside a Tape"):
+        svblock_forward(rand_feature(4, 2, 12, seed=0), eval_block(4, 2, 5, 3, True, 0, True),
+                        False, 1)
 
 
 # ---------------------------------------------------------------------------
