@@ -5,15 +5,15 @@
 Builds the vanilla binary pointnet with the benchmark's config (`k` and
 points per cloud from `perfbench/workloads.py`) and reads its
 `binary_full` layers by name from `Model.layers`. Each layer runs two
-ways, as an eval forward with nothing recording runs it and as it ran
-before on the float STE route:
+ways, as an eval forward with nothing recording runs it and as a float
+±1 chain in numpy:
 
-- model: `binkernel.packed_linear`, which finishes each tile of sites
-  with γ and, for a block's layer, `svcore.eval_norm` (the running-
-  statistics norm and ReLU); `final0` gets its ReLU afterwards;
-- float: `binkernel.ste_linear`, then for a block's layer the
-  running-statistics norm in `autodiff.norm_affine`'s order, each step
-  writing a fresh array, then `autodiff.relu`.
+- model: `binkernel.linear`, which finishes each tile of sites with γ
+  and, for a block's layer, `svcore.eval_norm` (the running-statistics
+  norm and ReLU); `final0` gets its ReLU afterwards;
+- float: Sign(W)ᵀ · Sign(x − β) · γ as float64 ±1 matrices, then for a
+  block's layer the running-statistics norm in `autodiff.norm_affine`'s
+  order, each step writing a fresh array, then the ReLU.
 
 Each layer gets one standard-normal input of its real shape for a batch
 of clouds, and random norm parameters and running statistics, and the
@@ -80,16 +80,17 @@ def main(argv=None) -> int:
 
     def model_route(x, lin, norm):
         if norm is None:
-            return ad.relu(binkernel.packed_linear(x, lin)).data
-        return binkernel.packed_linear(x, lin, svcore.eval_norm(norm, relu=True))
+            return ad.relu(binkernel.linear(x, lin)).data
+        return binkernel.linear(x, lin, svcore.eval_norm(norm, relu=True)).data
 
     def float_route(x, lin, norm):
-        out = binkernel.ste_linear(x, lin).data
+        signs = np.where(x - lin.beta.data[:, None] >= 0, 1.0, -1.0)
+        out = np.where(lin.weight.data >= 0, 1.0, -1.0).T @ signs * lin.gamma.data[:, None]
         if norm is not None:
             inv = 1.0 / np.sqrt(norm.running_var + svcore.NORM_EPS)[:, None]
             out = ((out - norm.running_mean[:, None]) * inv * norm.scalar_gain.data[:, None]
                    + norm.scalar_bias.data[:, None])
-        return ad.relu(out).data
+        return np.maximum(out, 0.0)
 
     routes = {"model": model_route, "float": float_route}
     layers = []

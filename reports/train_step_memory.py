@@ -12,8 +12,9 @@ of the process, the tape of the last step and host facts as JSON. Run it
 alone: the step time is wall time.
 
 `tape_output_mb` counts the tape's node outputs only, not the arrays that
-backward closures hold beside them: the `binary_full` layers' `ste_matmul`
-nodes keep their booleans and int32 products there, 49 MiB in all at B=8.
+backward closures hold beside them: the `binary_full` layers'
+`binkernel.linear` nodes keep their booleans and int32 products there,
+49 MiB in all at B=8.
 So peak RSS, not the tape size, is the figure to compare across changes.
 """
 

@@ -235,78 +235,15 @@ def ste_backward(grad_out: np.ndarray, x_saved: np.ndarray) -> np.ndarray:
 def sign_ste(x) -> Tensor:
     """Elementwise Sign with the clipped straight-through backward rule."""
     x = as_tensor(x)
-    try:
-        out = sign(x.data)
-    except ParameterError:  # NaN has no sign: it stays NaN, so the loss shows the divergence
-        nan = np.isnan(x.data)
-        out = sign(np.where(nan, 0.0, x.data))
-        out[nan] = np.nan
+    out = np.where(x.data >= 0, 1.0, -1.0)  # sign's predicate
+    # NaN has no sign: it stays NaN, so the loss shows the divergence
+    out[np.isnan(x.data)] = np.nan
     saved = x.data
 
     def bw(g):
         _accumulate(x, ste_backward(g, saved))
 
     return _make(out, (x,), bw)
-
-
-def ste_matmul(x, beta, w_signs, gamma) -> Tensor:
-    """A binarized layer as one node: gamma * (w_signs^T . Sign(x - beta)),
-    with `sign_ste`'s straight-through rule on the activations.
-
-    x is (in, N) with sites along columns, beta (in,), gamma (out,), and
-    w_signs the (in, out) ±1 weight signs (NaN kept), as `sign_ste` gives
-    them. The ufuncs are those of the chain sub → sign_ste → transpose →
-    matmul → mul, in its order, so the output and every gradient carry
-    that chain's bits. A NaN in x - beta stays NaN, as in `sign_ste`.
-
-    The ±1 activations are never kept. Under a tape the node saves the
-    booleans x - beta >= 0 and the clip band, the products as int32 (exact,
-    since |product| <= in) and, only where x - beta holds a NaN, its NaN
-    positions; backward rebuilds the float ±1 matrix as a temporary.
-    Outside a tape it saves nothing.
-    """
-    x, beta, w_signs, gamma = (as_tensor(t) for t in (x, beta, w_signs, gamma))
-    parents = (x, beta, w_signs, gamma)
-    records = recording() and any(p.requires_grad for p in parents)
-    ws = w_signs.data
-    d = x.data - beta.data[:, None]
-    nan = np.isnan(d) if np.isnan(d.min(initial=0.0)) else None  # min propagates NaN
-    pos = np.greater_equal(d, 0.0, out=np.empty(d.shape, dtype=np.bool_))  # sign's predicate
-    band = ((d > -STE_CLIP) & (d < STE_CLIP)) if records else None
-    del d
-
-    def signs() -> np.ndarray:
-        # C order, the layout matmul gives its right operand
-        xs = np.where(pos, 1.0, -1.0)
-        if nan is not None:
-            xs[nan] = np.nan
-        return xs
-
-    prod = np.transpose(ws) @ signs()
-    out = prod * gamma.data[:, None]
-    if records:
-        with np.errstate(invalid="ignore"):  # NaN products: backward puts them back
-            counts = prod.astype(np.int32)
-    del prod
-
-    def bw(g):
-        g_prod = g * gamma.data[:, None]
-        if gamma.requires_grad:
-            prod = counts.astype(np.float64)
-            if nan is not None:  # a NaN activation fills its site's column
-                prod[:, nan.any(axis=0)] = np.nan
-            prod[np.isnan(ws).any(axis=0)] = np.nan  # a NaN weight its output's row
-            _accumulate(gamma, (g * prod).sum(axis=1))
-            del prod
-        if w_signs.requires_grad:
-            _accumulate(w_signs, np.transpose(g_prod @ signs().T))
-        if x.requires_grad or beta.requires_grad:
-            gx = (ws @ g_prod) * band
-            _accumulate(x, gx)
-            if beta.requires_grad:
-                _accumulate(beta, (-gx).sum(axis=1))
-
-    return _make(out, parents, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +276,22 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _make(out, tuple(parts), bw)
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, each column with the bits it gets beside other columns: BLAS
+    sums a matrix-vector product in another order than a column of a
+    matrix product, so a lone column is multiplied as two copies of itself
+    (a cloud's per-cloud features get the same bits alone as in a batch)."""
+    if b.ndim < 2 or b.shape[-1] != 1:
+        return a @ b
+    return np.ascontiguousarray((a @ np.repeat(b, 2, axis=-1))[..., :1])
+
+
 def matmul(a, b, bias=None) -> Tensor:
     """a @ b, plus a (p,) `bias` added in place to each row of a (p, N) product."""
     a, b = as_tensor(a), as_tensor(b)
     # BLAS rounds C and F order differently; C order makes the bits depend on values only
     b_data = np.ascontiguousarray(b.data)
-    out = a.data @ b_data
+    out = _product(a.data, b_data)
     parents = (a, b)
     if bias is not None:
         bias = as_tensor(bias)
@@ -497,7 +444,7 @@ def vector_map_raw(v, w, gamma=None) -> Tensor:
     # one GEMM per coordinate slice, all with the same shape: a signed
     # permutation of the coordinates only moves and negates whole slices,
     # so rotated inputs give bit-identical (rotated) outputs
-    out = np.matmul(w.data.T, v.data)
+    out = _product(w.data.T, v.data)
     parents = (v, w)
     if gamma is not None:
         gamma = as_tensor(gamma)
@@ -513,7 +460,7 @@ def vector_map_raw(v, w, gamma=None) -> Tensor:
     def bw(g):
         if gamma is not None:
             if gamma.requires_grad:
-                _accumulate(gamma, (g * np.matmul(w.data.T, v.data)).sum(axis=(0, 2)))
+                _accumulate(gamma, (g * _product(w.data.T, v.data)).sum(axis=(0, 2)))
             g = g * gamma.data[None, :, None]
         if v.requires_grad:
             _accumulate(v, np.matmul(w.data, g))

@@ -1,26 +1,25 @@
 """XNOR-popcount linear algebra for the fully binarized scalar layers.
 
-The kernel sits below `svcore`, whose `scalar_linear` picks one of its two
-routes for a `binary_full` layer. The STE route (`ste_linear`) is a float
-±1 product on autodiff primitives (`autodiff.ste_matmul`, which keeps
-bits, not floats, for its backward): it records on a tape and trains with
-straight-through gradients. The packed route (`packed_linear`) runs when
-nothing records: it packs the booleans `x - beta >= 0` and `W >= 0`,
-`sign`'s own predicate, straight into bits, and writes no float ±1
-matrix. Both routes give the same bits, since ±1 dot products are exact
-integers either way. `autodiff.sign` is re-exported for callers that
-binarize by hand.
+The kernel sits below `svcore`, whose `scalar_linear` runs a `binary_full`
+layer as `linear`, in training and in eval alike. It packs the booleans
+`x - beta >= 0` and `W >= 0`, `sign`'s own predicate, straight into bits,
+multiplies them by XOR and popcount, and writes no float ±1 matrix; under
+a tape it keeps bits for a straight-through backward. `binary_linear_full`
+checks it against a float ±1 product, which gives the same bits, since ±1
+dot products are exact integers either way.
 
 Sign matrices are packed one bit per element (bit set means +1),
 little-endian within each 64-bit word, rows padded with zero bits, which
-never differ between two rows and so drop out of every dot product. The
-GEMM tiles the right operand's rows (the layer's sites) by `GEMM_BLOCK`.
+never differ between two rows and so drop out of every dot product. A
+layer's sites are the columns of its (in, N) activations, so `bitpack`
+packs the transpose of its input, by 8×8 bit-block transposes. The GEMM
+tiles the right operand's rows (the layer's sites) by `GEMM_BLOCK`.
 Within a tile it takes one word at a time: XOR into a reused uint64
 buffer, popcount into a reused uint8 buffer, double it in place, and
 subtract it from the int64 tile, which the first word sets to
-`cols - 2·popcount`. The packed layer finishes each tile while it is in
-cache (γ, then an optional in-place step such as eval's normalization)
-and writes it into its float64 output, so no temporary grows with the
+`cols - 2·popcount`. The layer finishes each tile while it is in cache
+(γ, then an optional in-place step such as eval's normalization) and
+writes it into its float64 output, so no temporary grows with the
 product's size.
 """
 
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import sign  # noqa: F401  (re-exported as binkernel.sign)
+from .autodiff import sign  # noqa: F401  (binkernel.sign: read by perfbench's tracer only)
 from .errors import ParameterError
 
 WORD_BITS = 64
@@ -64,7 +63,15 @@ class PackedSignMatrix:
 
 def bitpack(signs: np.ndarray) -> PackedSignMatrix:
     """Pack a ±1 matrix, or a boolean one (True means +1), row-major;
-    padding bits are forced to zero."""
+    padding bits are forced to zero.
+
+    Packing runs on m = signs.T, C-ordered when signs is a layer's
+    (sites, in) view of its activations, whose bytewise copy into C order
+    took 45 ms at 256 × 32768 on 2 vCPUs. m's rows are packed along their
+    contiguous axis, the bytes of 8 rows at one byte column gather into a
+    word, and each word's 8×8 bit block is transposed in place
+    (transpose8, Hacker's Delight section 7-3): 5 ms.
+    """
     signs = np.asarray(signs)
     if signs.ndim != 2:
         raise ParameterError("bitpack expects a 2-d matrix")
@@ -74,13 +81,20 @@ def bitpack(signs: np.ndarray) -> PackedSignMatrix:
             raise ParameterError("bitpack input must contain only +1 and -1")
         signs = signs > 0
     rows, cols = signs.shape
-    # C order, padded to whole words: the packed bytes are reinterpreted as words row-wise
-    bits = np.empty((rows, cols + (-cols) % WORD_BITS), dtype=np.bool_)
-    bits[:, :cols] = signs
-    bits[:, cols:] = False
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = packed.view("<u8").astype(np.uint64, copy=False)
-    return PackedSignMatrix(rows=rows, cols=cols, words=words)
+    kb, nb = -(-cols // 8), -(-rows // 8)  # whole bytes along each axis
+    m = np.zeros((8 * kb, 8 * nb), dtype=np.bool_)
+    m[:cols, :rows] = signs.T
+    # word (g, j) holds byte j of m's rows 8g..8g + 7, one row per byte
+    row_bytes = np.packbits(m, axis=1, bitorder="little").reshape(kb, 8, nb)
+    blocks = np.ascontiguousarray(row_bytes.transpose(0, 2, 1)).view("<u8")
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
+        t = ((blocks >> np.uint64(shift)) ^ blocks) & np.uint64(mask)
+        blocks ^= t ^ (t << np.uint64(shift))
+    # byte c of word (g, j) now holds the bits 8g..8g + 7 of signs' row 8j + c
+    words = np.zeros((rows, -(-cols // WORD_BITS) * 8), dtype=np.uint8)
+    words[:, :kb] = blocks.view(np.uint8).reshape(kb, 8 * nb).T[:rows]
+    return PackedSignMatrix(rows=rows, cols=cols,
+                            words=words.view("<u8").astype(np.uint64, copy=False))
 
 
 def xnor_popcount_gemm(a: PackedSignMatrix, b: PackedSignMatrix, finish=None):
@@ -128,8 +142,7 @@ def xnor_popcount_gemm(a: PackedSignMatrix, b: PackedSignMatrix, finish=None):
 
 def _operands(x, params):
     """A binary_full layer's checked operands: x (in, N), W (in, out), beta, gamma."""
-    x = np.asarray(x, dtype=np.float64)
-    w = _arr(params.weight)
+    x, w = _arr(x), _arr(params.weight)
     if params.mode != "binary_full":
         raise ParameterError(f"a binary_full layer is needed, got mode {params.mode!r}")
     if x.ndim != 2 or w.ndim != 2 or x.shape[0] != w.shape[0]:
@@ -140,55 +153,92 @@ def _operands(x, params):
     return x, w, beta, gamma
 
 
-def _nan_columns(m: np.ndarray) -> np.ndarray:
-    """Which columns of a 2-d array hold a NaN: min propagates NaN, and a
-    column holding both infinities has a finite minimum."""
-    return np.isnan(m.min(axis=0, initial=0.0))
+def linear(x, params, finish=None) -> ad.Tensor:
+    """A binary_full layer, y = gamma * (Sign(W)^T . Sign(x - beta)), on
+    packed bits, with straight-through gradients through both signs.
 
+    x is (in_dim, N) with sites along columns. W's signs are their own
+    `ad.sign_ste` node; the booleans x - beta >= 0 (`sign`'s predicate, so
+    -0.0 and 0 count as +1) and W's signs are packed and multiplied by one
+    `xnor_popcount_gemm` call. Each tile of sites is copied into the
+    float64 (out_dim, N) output while it is in cache, its NaN lines filled
+    (a NaN in x - beta fills its site's column, a NaN in W its output
+    channel's row), scaled by gamma, and then passed to `finish(tile)`, an
+    optional in-place step such as eval's normalization.
 
-def ste_linear(x, params) -> ad.Tensor:
-    """y = gamma * (Sign(x - beta) . Sign(W)) as two autodiff nodes,
-    `sign_ste` on W and `ste_matmul`, with straight-through gradients
-    through both signs.
-
-    x is (in_dim, N) with sites along columns. A NaN in x - beta keeps no
-    sign, so it fills its site's column with NaN; a NaN in W fills its
-    output channel's row.
+    Under a tape the node keeps bits, not floats: the booleans, the clip
+    band, the products as int32 (written by the same tile pass; exact,
+    since |product| <= in_dim) and, only where x - beta holds a NaN, its
+    NaN positions. Backward rebuilds the float ±1 activations as a
+    temporary, and its ufuncs are those of the chain sub -> sign_ste ->
+    transpose -> matmul -> mul, in its order, so every gradient carries
+    that chain's bits. Outside a tape the layer keeps nothing.
     """
-    return ad.ste_matmul(x, params.beta, ad.sign_ste(params.weight), params.gamma)
-
-
-def packed_linear(x, params, finish=None) -> np.ndarray:
-    """`ste_linear`'s bits on packed signs, for a forward that records nothing.
-
-    One `xnor_popcount_gemm` call; each tile of sites is copied into the
-    float64 (out_dim, N) output and scaled by gamma there, while it is in
-    cache, and then `finish(tile)`, if given, runs in place on it. NaN
-    lines come out as on the STE route: a NaN in x - beta fills its
-    site's column, a NaN in W its output channel's row, before gamma.
-    """
-    x, w, beta, gamma = _operands(x, params)
-    d = x - beta[:, None]
-    nan_sites = _nan_columns(d)
-    sites = bitpack(d.T >= 0)  # `sign`'s predicate d >= 0, so -0.0 and d = 0 pack as +1
+    _operands(x, params)
+    x, beta, gamma = (ad.as_tensor(t) for t in (x, params.beta, params.gamma))
+    w_signs = ad.sign_ste(params.weight)
+    parents = (x, beta, w_signs, gamma)
+    records = ad.recording() and any(p.requires_grad for p in parents)
+    ws = w_signs.data
+    d = x.data - beta.data[:, None]
+    nan = np.isnan(d) if np.isnan(d.min(initial=0.0)) else None  # min propagates NaN
+    nan_sites = None if nan is None else nan.any(axis=0)
+    nan_outs = np.isnan(ws).any(axis=0)
+    # sign's predicate, so -0.0 and d = 0 count as +1; C order, as backward rebuilds it
+    pos = np.greater_equal(d, 0.0, out=np.empty(d.shape, dtype=np.bool_))
+    band = None
+    if records:
+        band = d > -ad.STE_CLIP
+        band &= d < ad.STE_CLIP
     del d  # freed before the output, which is larger
-    nan_outs = _nan_columns(w)
-    any_nan = nan_sites.any() or nan_outs.any()
-    out = np.empty((w.shape[1], x.shape[1]))
-    scale = gamma[:, None]
+    sites = bitpack(pos.T)
+    out = np.empty((ws.shape[1], x.data.shape[1]))
+    counts = np.empty(out.shape, dtype=np.int32) if records else None
+    scale = gamma.data[:, None]
 
-    def tile(counts, lo, hi):
+    def tile(acc, lo, hi):
         y = out[:, lo:hi]
-        np.copyto(y, counts)
-        if any_nan:
+        np.copyto(y, acc)
+        if records:
+            counts[:, lo:hi] = acc
+        if nan_sites is not None:
             y[:, nan_sites[lo:hi]] = np.nan
-            y[nan_outs] = np.nan
+        y[nan_outs] = np.nan
         y *= scale
         if finish:
             finish(y)
 
-    xnor_popcount_gemm(bitpack(w.T >= 0), sites, tile)
-    return out
+    xnor_popcount_gemm(bitpack(ws.T >= 0), sites, tile)
+    if not records:
+        return ad.Tensor(out)
+
+    def signs() -> np.ndarray:
+        # C order, the layout matmul gives its right operand
+        xs = pos.astype(np.float64)
+        xs *= 2
+        xs -= 1
+        if nan is not None:
+            xs[nan] = np.nan
+        return xs
+
+    def bw(g):
+        g_prod = g * gamma.data[:, None]
+        if gamma.requires_grad:
+            prod = counts.astype(np.float64)
+            if nan is not None:  # a NaN activation fills its site's column
+                prod[:, nan_sites] = np.nan
+            prod[nan_outs] = np.nan  # a NaN weight its output's row
+            ad._accumulate(gamma, (g * prod).sum(axis=1))
+            del prod
+        if w_signs.requires_grad:
+            ad._accumulate(w_signs, np.transpose(g_prod @ signs().T))
+        if x.requires_grad or beta.requires_grad:
+            gx = (ws @ g_prod) * band
+            ad._accumulate(x, gx)
+            if beta.requires_grad:
+                ad._accumulate(beta, (-gx).sum(axis=1))
+
+    return ad._make(out, parents, bw)
 
 
 def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.ndarray:
@@ -197,12 +247,18 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
     x is (in_dim, N) with sites along columns; `params` is a binary_full
     `svcore.LinearParams` whose W is (in_dim, out_dim), whose beta shifts
     input channels and whose gamma scales output channels. The packed
-    route is `packed_linear`, the float route `ste_linear`: two
-    computations that give the same bits. NaN has no sign, so an input
-    that holds one raises on either route.
+    route is `linear`, for a forward that records nothing; the float route
+    multiplies the ±1 matrices in float64, an independent computation that
+    gives the same bits, since ±1 dot products are exact integers either
+    way. NaN has no sign, so an input that holds one raises on either
+    route.
     """
-    x = _operands(x, params)[0]
-    out = packed_linear(x, params) if use_packed else ste_linear(x, params).data
+    x, w, beta, gamma = _operands(x, params)
+    if not use_packed:
+        out = ad.sign(w).T @ ad.sign(x - beta[:, None])
+        out *= gamma[:, None]
+        return out
+    out = linear(x, params).data
     # a NaN input fills a whole row or column, so row 0 and column 0 show it
     if out.size and (np.isnan(out[0]).any() or np.isnan(out[:, 0]).any()):
         raise ParameterError("sign of NaN is undefined")

@@ -126,18 +126,16 @@ class SVBlockParams:
 # precision-mode linear layers
 #
 # The binary forwards run sign_ste, so they train with straight-through
-# gradients. A binary_full layer runs on packed bits whenever nothing
-# records; ±1 dot products are exact in float64, so both give the same bits.
+# gradients. A binary_full layer is `binkernel.linear`, on packed bits in
+# training and in eval alike.
 
 
 def scalar_linear(x, params: LinearParams, finish=None) -> ad.Tensor:
     """Linear layer on scalar features (in, N) -> (out, N), full_precision or
-    binary_full; weight-only binarization belongs to the vector path. A
-    binary_full layer takes `binkernel.ste_linear` under a tape and
-    `binkernel.packed_linear` otherwise.
+    binary_full; weight-only binarization belongs to the vector path.
 
     `finish`, an in-place step such as eval's normalization, runs on each
-    tile of sites of a packed product and on the whole fp product. It
+    tile of sites of a binary_full product and on the whole fp product. It
     writes over the layer's output, so it needs a forward that records
     nothing.
     """
@@ -147,8 +145,7 @@ def scalar_linear(x, params: LinearParams, finish=None) -> ad.Tensor:
         raise ParameterError(
             f"input channels {x.data.shape[0]} do not match weight rows {w.data.shape[0]}"
         )
-    records = ad.recording()
-    if finish is not None and records:
+    if finish is not None and ad.recording():
         raise StateError("an in-place finish runs only where nothing records")
     if params.mode == "full_precision":
         out = ad.matmul(ad.transpose(w), x, params.bias)
@@ -157,9 +154,7 @@ def scalar_linear(x, params: LinearParams, finish=None) -> ad.Tensor:
         return out
     if params.mode != "binary_full":
         raise ParameterError(f"scalar features cannot use precision mode {params.mode!r}")
-    if records:
-        return binkernel.ste_linear(x, params)
-    return ad.Tensor(binkernel.packed_linear(x.data, params, finish))
+    return binkernel.linear(x, params, finish)
 
 
 def vector_mapping(v, params: LinearParams) -> ad.Tensor:

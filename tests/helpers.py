@@ -104,8 +104,9 @@ def _sub(a, b) -> ad.Tensor:
 
 
 def ste_chain(x, beta, w_signs, gamma) -> ad.Tensor:
-    """`ad.ste_matmul` as the five nodes it replaces: sub, sign_ste,
-    transpose, matmul and mul (with the reshapes of beta and gamma)."""
+    """A binary_full layer's float oracle, `bk.linear` after W's sign_ste,
+    as five nodes: sub, sign_ste, transpose, matmul and mul (with the
+    reshapes of beta and gamma)."""
     x, beta, gamma = ad.as_tensor(x), ad.as_tensor(beta), ad.as_tensor(gamma)
     xs = ad.sign_ste(_sub(x, ad.reshape(beta, (-1, 1))))
     out = ad.matmul(ad.transpose(w_signs), xs)
@@ -156,10 +157,10 @@ def batch_norm_textbook(x, gain, bias, eps, g, stats=None):
     return out, mu[:, 0], var, gx, (g * xhat).sum(axis=1), g.sum(axis=1)
 
 
-def _ste_packed_linear(x, params, finish=None) -> np.ndarray:
-    out = bk.ste_linear(x, params).data
+def _float_linear(x, params, finish=None) -> ad.Tensor:
+    out = ste_chain(x, params.beta, ad.sign_ste(params.weight), params.gamma)
     if finish is not None:
-        finish(out)
+        finish(out.data)
     return out
 
 
@@ -176,11 +177,11 @@ def _textbook_eval_norm(norm, relu):
 
 def patch_eval_oracle(monkeypatch) -> None:
     """Turn the untaped eval forward into its float oracle: each
-    binary_full layer's `binkernel.packed_linear` becomes `ste_linear` with
-    the finish run once on the whole product, and `svcore.eval_norm` the
+    binary_full layer's `binkernel.linear` becomes `ste_chain` with the
+    finish run once on the whole product, and `svcore.eval_norm` the
     textbook running-statistics formula, computed out of place and written
     back, so that fp layers face an independent formula too."""
-    monkeypatch.setattr(bk, "packed_linear", _ste_packed_linear)
+    monkeypatch.setattr(bk, "linear", _float_linear)
     monkeypatch.setattr(sv, "eval_norm", _textbook_eval_norm)
 
 

@@ -284,14 +284,13 @@ def test_criterion_4_kernel_exactness(capsys):
                                  beta=rng.standard_normal(inner),
                                  gamma=rng.standard_normal(n))
         a = bk.binary_linear_full(x, params, use_packed=True)
-        with ad.Tape():  # the layer as the model trains it: the STE route
-            b = sv.scalar_linear(x, params).data
+        b = bk.binary_linear_full(x, params, use_packed=False)  # float ±1 reference
         packed_fail += int(not np.array_equal(a, b))
 
     ok = gemm_fail == 0 and packed_fail == 0 and non_multiple > 9000
     verdict(capsys, 4, "kernel bit-exactness", ok,
             f"xnor==naive on 10000/10000 instances ({non_multiple} with "
-            f"non-word-multiple inner dim), packed==scalar_linear on 100/100")
+            f"non-word-multiple inner dim), packed==float on 100/100")
 
 
 # ---------------------------------------------------------------------------

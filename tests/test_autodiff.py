@@ -5,7 +5,7 @@ import pytest
 
 import svpoint.autodiff as ad
 from helpers import (batch_norm_textbook, finite_difference_check, same_bits, same_bits_but_nan,
-                     ste_chain, ste_operands, total, weighted, weighted_sum)
+                     total, weighted, weighted_sum)
 from svpoint.errors import ParameterError, StateError
 from svpoint.svcore import LinearParams, NormParams, eval_norm, scalar_linear, vector_mapping
 
@@ -154,66 +154,6 @@ def test_sign_ste_outside_clip_blocks():
     tape.backward(loss)
     assert out.data[0] == 1.0 and np.isnan(out.data[1])
     assert x.grad.tolist() == [0.0, 0.0]
-
-
-def test_ste_matmul_matches_the_chain_bit_for_bit():
-    """`ste_matmul` gives the output and the x, beta, W and gamma gradients
-    of the sub → sign_ste → transpose → matmul → mul chain it replaces, bit
-    for bit and with NaN at the same positions, on ragged shapes and
-    sites-major inputs, with every operand or only one of them trained."""
-    rng = np.random.default_rng(71)
-    for in_dim, out_dim, n, sites_major, nans in ((7, 3, 9, False, False),
-                                                  (65, 7, 130, True, False),
-                                                  (13, 4, 33, False, True),
-                                                  (70, 9, 301, True, True)):
-        arrays = ste_operands(rng, in_dim, out_dim, n, sites_major, nans)
-        g = rng.standard_normal((out_dim, n))
-        for trained in ((0, 1, 2, 3), (0,), (1,), (2,), (3,)):
-            results = []
-            for op in (ad.ste_matmul, ste_chain):
-                ops = [ad.parameter(a) if i in trained else ad.as_tensor(a)
-                       for i, a in enumerate(arrays)]
-                x, beta, w, gamma = ops
-                with ad.Tape() as tape:
-                    out = op(x, beta, ad.sign_ste(w), gamma)
-                    loss = weighted_sum(out, g)
-                tape.backward(loss)
-                results.append([out.data] + [t.grad for t in ops])
-            case = (in_dim, n, trained)
-            for name, a, b in zip(("out", "x", "beta", "w", "gamma"), *results):
-                if a is None or b is None:
-                    assert a is None and b is None, (case, name)
-                else:
-                    assert same_bits_but_nan(a, b), (case, name)
-            if nans:
-                assert np.isnan(results[0][0][:, 6]).all() and np.isnan(results[0][0][-1]).all()
-
-
-def test_ste_matmul_saves_bits_only_under_a_tape():
-    """Under a tape the node keeps bools, int32 products and its output,
-    no float ±1 matrix; outside a tape it keeps nothing but its output."""
-    import tracemalloc
-
-    rng = np.random.default_rng(72)
-    in_dim, out_dim, n = 130, 64, 8192
-    x = ad.parameter(rng.standard_normal((in_dim, n)))
-    beta, gamma = ad.parameter(rng.standard_normal(in_dim)), ad.parameter(np.ones(out_dim))
-    ws = ad.as_tensor(ad.sign(rng.standard_normal((in_dim, out_dim))))
-    out_bytes = 8 * out_dim * n
-    for taped, kept in ((False, out_bytes), (True, out_bytes + 2 * in_dim * n + 4 * out_dim * n)):
-        tracemalloc.start()
-        try:
-            if taped:
-                with ad.Tape():
-                    out = ad.ste_matmul(x, beta, ws, gamma)
-            else:
-                out = ad.ste_matmul(x, beta, ws, gamma)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert (out._grad_fn is not None) == taped
-        assert retained <= kept + 64 * 1024, (taped, retained)
-        del out
 
 
 def test_scaled_vector_map_matches_mul_bit_for_bit():

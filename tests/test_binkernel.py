@@ -76,11 +76,12 @@ def test_bitpack_full_word():
 
 def test_bitpack_round_trip():
     rng = np.random.default_rng(2)
-    for cols in (1, 63, 64, 65, 1000):
-        signs = bk.sign(rng.standard_normal((7, cols)))
-        raw = bk.bitpack(signs).words.astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(raw.reshape(7, -1), axis=1, bitorder="little")
-        assert np.array_equal(bits[:, :cols] * 2.0 - 1.0, signs)
+    for rows in (1, 7, 8, 13, 130):
+        for cols in (1, 7, 63, 64, 65, 1000):
+            signs = ad.sign(rng.standard_normal((rows, cols)))
+            raw = bk.bitpack(signs).words.astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(raw.reshape(rows, -1), axis=1, bitorder="little")
+            assert np.array_equal(bits[:, :cols] * 2.0 - 1.0, signs), (rows, cols)
 
 
 def test_bitpack_padding_zero():
@@ -102,15 +103,19 @@ def test_packed_matrix_rejects_set_padding_bits():
 
 
 def test_bitpack_bool_matches_pm1():
-    """A boolean matrix packs True as +1: the same words as its ±1 twin."""
+    """A boolean matrix packs True as +1: the same words as its ±1 twin.
+    A transposed (Fortran-ordered) view, which packs by 8×8 bit-block
+    transposes, gives the words of a C-ordered copy, for row and column
+    counts on both sides of a byte and of a word."""
     rng = np.random.default_rng(12)
-    for cols in (1, 63, 64, 65, 1000):
-        mask = rng.standard_normal((7, cols)) >= 0
-        got = bk.bitpack(mask)
-        assert (got.rows, got.cols) == (7, cols)
-        assert np.array_equal(got.words, bk.bitpack(np.where(mask, 1.0, -1.0)).words)
-        # a transposed (Fortran-ordered) view packs the same as a C-ordered copy
-        assert np.array_equal(bk.bitpack(mask.T.copy().T).words, got.words)
+    for rows in (1, 7, 8, 13, 130):
+        for cols in (1, 7, 63, 64, 65, 1000):
+            mask = rng.standard_normal((rows, cols)) >= 0
+            got = bk.bitpack(mask)
+            assert (got.rows, got.cols) == (rows, cols)
+            assert np.array_equal(got.words, bk.bitpack(np.where(mask, 1.0, -1.0)).words)
+            transposed = bk.bitpack(mask.T.copy().T)
+            assert np.array_equal(transposed.words, got.words), (rows, cols)
 
 
 def test_bitpack_bool_padding_zero():
@@ -138,15 +143,15 @@ def test_gemm_hand_cases():
     b = bk.bitpack(np.array([[1.0, -1.0, -1.0, 1.0]]))
     assert bk.xnor_popcount_gemm(a, b)[0, 0] == 0
 
-    row = bk.sign(np.random.default_rng(3).standard_normal((1, 130)))
+    row = ad.sign(np.random.default_rng(3).standard_normal((1, 130)))
     same = bk.bitpack(row)
     assert bk.xnor_popcount_gemm(same, same)[0, 0] == 130
 
 
 def test_gemm_matches_naive_large():
     rng = np.random.default_rng(4)
-    a = bk.sign(rng.standard_normal((256, 256)))
-    b = bk.sign(rng.standard_normal((256, 256)))
+    a = ad.sign(rng.standard_normal((256, 256)))
+    b = ad.sign(rng.standard_normal((256, 256)))
     got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
     assert np.array_equal(got, naive_pm1_gemm(a, b))
 
@@ -157,8 +162,8 @@ def test_gemm_matches_naive_odd_dims():
         m = int(rng.integers(1, 20))
         n = int(rng.integers(1, 200))
         p = int(rng.integers(1, 20))
-        a = bk.sign(rng.standard_normal((m, n)))
-        b = bk.sign(rng.standard_normal((p, n)))
+        a = ad.sign(rng.standard_normal((m, n)))
+        b = ad.sign(rng.standard_normal((p, n)))
         got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
         assert np.array_equal(got, naive_pm1_gemm(a, b)), f"trial {trial} ({m}x{n}x{p})"
 
@@ -167,8 +172,8 @@ def test_gemm_small_block_path():
     # an operand of more rows than one block spans a full and a partial block:
     # the right operand's rows are tiled, the left operand's are not
     rng = np.random.default_rng(6)
-    long = bk.sign(rng.standard_normal((bk.GEMM_BLOCK + 77, 65)))
-    short = bk.sign(rng.standard_normal((30, 65)))
+    long = ad.sign(rng.standard_normal((bk.GEMM_BLOCK + 77, 65)))
+    short = ad.sign(rng.standard_normal((30, 65)))
     for a, b in ((long, short), (short, long)):
         got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
         assert np.array_equal(got, naive_pm1_gemm(a, b))
@@ -179,8 +184,8 @@ def test_gemm_finish_sees_every_tile_once():
     the plain product's columns; an empty inner dimension gives zeros."""
     rng = np.random.default_rng(14)
     for cols in (0, 1, 65):
-        a = bk.sign(rng.standard_normal((5, cols)))
-        b = bk.sign(rng.standard_normal((2 * bk.GEMM_BLOCK + 17, cols)))
+        a = ad.sign(rng.standard_normal((5, cols)))
+        b = ad.sign(rng.standard_normal((2 * bk.GEMM_BLOCK + 17, cols)))
         want = naive_pm1_gemm(a, b)
         seen = []
 
@@ -228,7 +233,7 @@ def test_binary_full_matches_sign_multiply_oracle():
         w = np.asarray(params.weight.data)
         beta = np.asarray(params.beta.data)
         gamma = np.asarray(params.gamma.data)
-        oracle = gamma[:, None] * (bk.sign(w).T @ bk.sign(x - beta[:, None]))
+        oracle = gamma[:, None] * (ad.sign(w).T @ ad.sign(x - beta[:, None]))
         assert np.array_equal(bk.binary_linear_full(x, params), oracle)
 
 
@@ -246,10 +251,11 @@ def test_binary_full_packed_equals_unpacked():
 
 
 def test_binary_full_packed_equals_scalar_linear_across_tiles():
-    """The packed route gives the bits of `svcore.scalar_linear` as the
-    model trains it (under a tape, on the STE route) at site counts on
-    both sides of a tile edge, over one to three words, with d = 0, -0.0
-    and infinite inputs, which all take sign's x >= 0 predicate."""
+    """The packed layer, untaped and as `svcore.scalar_linear` runs it in
+    training (under a tape), gives the bits of the float ±1 chain at site
+    counts on both sides of a tile edge, over one to three words, with
+    d = 0, -0.0 and infinite inputs, which all take sign's x >= 0
+    predicate."""
     rng = np.random.default_rng(13)
     for n in (bk.GEMM_BLOCK - 1, bk.GEMM_BLOCK, 2 * bk.GEMM_BLOCK + 17):
         for in_dim in (12, 64, 65, 128, 130):
@@ -267,8 +273,10 @@ def test_binary_full_packed_equals_scalar_linear_across_tiles():
                                   gamma=rng.standard_normal(7))
             got = bk.binary_linear_full(x, params, use_packed=True)
             with ad.Tape():
-                trained = scalar_linear(x, params).data
-            assert np.array_equal(got, trained), (n, in_dim)
+                trained = scalar_linear(ad.parameter(x), params).data
+                want = ste_chain(ad.parameter(x), beta, ad.sign_ste(w), params.gamma).data
+            assert np.array_equal(got, want), (n, in_dim)
+            assert np.array_equal(trained, want), (n, in_dim)
 
 
 def test_binary_full_mode_and_shape_checks():
@@ -296,8 +304,9 @@ def test_binary_full_mode_and_shape_checks():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_packed_and_ste_routes_fill_the_same_nan_lines():
     """A NaN in x - beta fills its site's column and a NaN in W its output
-    channel's row, on both routes; infinities, 0 and -0.0 have signs and
-    stay finite. A finish runs on the filled tile as on any other."""
+    channel's row, in the packed layer and in the float ±1 chain alike;
+    infinities, 0 and -0.0 have signs and stay finite. A finish runs on the
+    filled tile as on any other."""
     rng = np.random.default_rng(15)
     for in_dim, n in ((5, 11), (70, bk.GEMM_BLOCK + 3)):
         w = rng.standard_normal((in_dim, 6))
@@ -313,51 +322,114 @@ def test_packed_and_ste_routes_fill_the_same_nan_lines():
         x[4, 7] = np.nan
         params = LinearParams(weight=w, mode="binary_full", beta=beta,
                               gamma=rng.standard_normal(6))
-        packed = bk.packed_linear(x, params)
-        ste = bk.ste_linear(x, params).data
+        packed = bk.linear(x, params).data
+        ste = ste_chain(x, beta, ad.sign_ste(w), params.gamma).data
         nan = np.isnan(ste)
         assert np.array_equal(np.isnan(packed), nan)
         assert nan[:, [5, 7]].all() and nan[4].all() and nan.sum() == 2 * 6 + n - 2
         assert not nan[np.ix_([0, 1, 2, 3, 5], [0, 1, 2, 3, n - 1])].any()
         assert np.array_equal(packed, ste, equal_nan=True)
-        finished = bk.packed_linear(x, params, lambda tile: np.maximum(tile, 0.0, out=tile))
+        finished = bk.linear(x, params, lambda tile: np.maximum(tile, 0.0, out=tile)).data
         assert np.array_equal(finished, np.maximum(ste, 0.0), equal_nan=True)
         for use_packed in (True, False):
             with pytest.raises(ParameterError, match="sign of NaN is undefined"):
                 bk.binary_linear_full(x, params, use_packed=use_packed)
 
 
-def test_ste_linear_is_the_chain_bit_for_bit():
-    """The STE route, as the model trains it, gives the output and the x,
-    beta, W and gamma gradients of the sub → sign_ste → transpose → matmul
-    → mul chain bit for bit, with NaN at the same positions, at site counts
-    on both sides of a tile edge and on sites-major (edge) inputs."""
-    rng = np.random.default_rng(17)
-    for in_dim, out_dim, n, sites_major, nans in ((12, 7, bk.GEMM_BLOCK - 1, False, True),
-                                                  (130, 64, bk.GEMM_BLOCK + 17, True, False),
-                                                  (65, 5, 2 * bk.GEMM_BLOCK + 3, True, True)):
+def test_linear_matches_the_chain_bit_for_bit():
+    """The layer gives the output and the x, beta, W and gamma gradients of
+    the sub → sign_ste → transpose → matmul → mul chain after W's
+    sign_ste, bit for bit and with NaN at the same positions, on ragged
+    shapes, at site counts on both sides of a tile edge and on sites-major
+    (edge) inputs, with every operand or only one of them trained."""
+    rng = np.random.default_rng(71)
+    cases = [((7, 3, 9, False, False), True), ((65, 7, 130, True, False), True),
+             ((13, 4, 33, False, True), True), ((70, 9, 301, True, True), True),
+             ((12, 7, bk.GEMM_BLOCK - 1, False, True), False),
+             ((130, 64, bk.GEMM_BLOCK + 17, True, False), False),
+             ((65, 5, 2 * bk.GEMM_BLOCK + 3, True, True), False)]
+    for (in_dim, out_dim, n, sites_major, nans), each_alone in cases:
         arrays = ste_operands(rng, in_dim, out_dim, n, sites_major, nans)
         g = rng.standard_normal((out_dim, n))
-        results = []
-        for fused in (True, False):
-            x, beta, w, gamma = (ad.parameter(a) for a in arrays)
-            params = LinearParams(weight=w, mode="binary_full", beta=beta, gamma=gamma)
-            with ad.Tape() as tape:
-                if fused:
-                    out = bk.ste_linear(x, params)
+        for trained in ((0, 1, 2, 3), (0,), (1,), (2,), (3,)) if each_alone else ((0, 1, 2, 3),):
+            results = []
+            for packed in (True, False):
+                ops = [ad.parameter(a) if i in trained else ad.as_tensor(a)
+                       for i, a in enumerate(arrays)]
+                x, beta, w, gamma = ops
+                with ad.Tape() as tape:
+                    if packed:
+                        out = bk.linear(x, LinearParams(weight=w, mode="binary_full",
+                                                        beta=beta, gamma=gamma))
+                    else:
+                        out = ste_chain(x, beta, ad.sign_ste(w), gamma)
+                    loss = weighted_sum(out, g)
+                tape.backward(loss)
+                results.append([out.data] + [t.grad for t in ops])
+            case = (in_dim, n, trained)
+            for name, a, b in zip(("out", "x", "beta", "w", "gamma"), *results):
+                if a is None or b is None:
+                    assert a is None and b is None, (case, name)
                 else:
-                    out = ste_chain(x, beta, ad.sign_ste(w), gamma)
-                loss = weighted_sum(out, g)
-            tape.backward(loss)
-            results.append((out.data, x.grad, beta.grad, w.grad, gamma.grad))
-        for name, a, b in zip(("out", "x", "beta", "w", "gamma"), *results):
-            assert same_bits_but_nan(a, b), (in_dim, n, name)
+                    assert same_bits_but_nan(a, b), (case, name)
+            if nans:
+                assert np.isnan(results[0][0][:, 6]).all() and np.isnan(results[0][0][-1]).all()
 
 
-def test_ste_linear_untaped_peak():
-    """Outside a tape the STE route peaks no higher than x - beta, the ±1
-    activations, the product and the output together: the float route that
-    the xnor benchmark checks against keeps no backward state."""
+def test_linear_saves_bits_only_under_a_tape():
+    """Under a tape the node keeps bools, int32 products, W's signs and its
+    output, no float ±1 matrix; outside a tape it keeps nothing but its
+    output."""
+    rng = np.random.default_rng(72)
+    in_dim, out_dim, n = 130, 64, 8192
+    x = ad.parameter(rng.standard_normal((in_dim, n)))
+    params = LinearParams(weight=rng.standard_normal((in_dim, out_dim)), mode="binary_full",
+                          beta=ad.parameter(rng.standard_normal(in_dim)),
+                          gamma=ad.parameter(np.ones(out_dim)))
+    out_bytes = 8 * out_dim * n
+    kept_taped = out_bytes + 2 * in_dim * n + 4 * out_dim * n + 8 * in_dim * out_dim
+    for taped, kept in ((False, out_bytes), (True, kept_taped)):
+        tracemalloc.start()
+        try:
+            if taped:
+                with ad.Tape():
+                    out = bk.linear(x, params)
+            else:
+                out = bk.linear(x, params)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (out._grad_fn is not None) == taped
+        assert retained <= kept + 64 * 1024, (taped, retained)
+        del out
+
+
+def test_linear_taped_peak():
+    """A taped 256→130 forward over 32768 sites peaks under 96 MiB of
+    traced memory: x - beta, the booleans and the packed bits, then the
+    output and its int32 counts, with no float ±1 activations or product
+    beside them (the float ±1 product peaked at 112.8 MiB)."""
+    rng = np.random.default_rng(19)
+    in_dim, out_dim, n = 256, 130, 32768
+    x = ad.parameter(rng.standard_normal((in_dim, n)))
+    params = LinearParams(weight=ad.parameter(rng.standard_normal((in_dim, out_dim))),
+                          mode="binary_full", beta=ad.parameter(rng.standard_normal(in_dim)),
+                          gamma=ad.parameter(rng.standard_normal(out_dim)))
+    tracemalloc.start()
+    try:
+        with ad.Tape():
+            out = bk.linear(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out._grad_fn is not None
+    assert peak < 96 * 2**20, peak
+
+
+def test_float_route_untaped_peak():
+    """The float route peaks no higher than x - beta, the ±1 activations,
+    the product and the output together: the check of the xnor benchmark
+    keeps no backward state."""
     rng = np.random.default_rng(18)
     in_dim, out_dim, n = 130, 64, 32768
     x = rng.standard_normal((in_dim, n))
@@ -366,24 +438,24 @@ def test_ste_linear_untaped_peak():
                           gamma=ad.parameter(rng.standard_normal(out_dim)))
     tracemalloc.start()
     try:
-        out = bk.ste_linear(x, params)
+        out = bk.binary_linear_full(x, params, use_packed=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out._grad_fn is None
+    assert out.shape == (out_dim, n)
     assert peak <= 8 * (2 * in_dim * n + 2 * out_dim * n), peak
 
 
 def test_packed_route_empty_layers():
-    """0-row and 0-column layers give the STE route's (out, N) shape and bits."""
+    """0-row and 0-column layers give the float chain's (out, N) shape and bits."""
     rng = np.random.default_rng(16)
     for in_dim, out_dim in ((0, 4), (6, 0), (0, 0)):
         params = LinearParams(weight=rng.standard_normal((in_dim, out_dim)), mode="binary_full",
                               beta=rng.standard_normal(in_dim), gamma=rng.standard_normal(out_dim))
         x = rng.standard_normal((in_dim, bk.GEMM_BLOCK + 5))
-        ste = bk.ste_linear(x, params).data
+        ste = ste_chain(x, params.beta, ad.sign_ste(params.weight), params.gamma).data
         for finish in (None, lambda tile: np.maximum(tile, 0.0, out=tile)):
-            got = bk.packed_linear(x, params, finish)
+            got = bk.linear(x, params, finish).data
             assert got.shape == (out_dim, x.shape[1])
             assert np.array_equal(got, ste if finish is None else np.maximum(ste, 0.0))
 
@@ -418,6 +490,6 @@ def test_binary_weight_matches_dense_oracle():
         gamma = np.asarray(params.gamma.data)
         got = vector_mapping(v, params).data
         for c in range(3):
-            oracle = gamma[:, None] * (bk.sign(w).T @ v[c])
+            oracle = gamma[:, None] * (ad.sign(w).T @ v[c])
             assert np.abs(got[c] - oracle).max() < 1e-12
 

@@ -379,7 +379,7 @@ def test_eval_forward_matches_the_float_oracle_bit_for_bit(backbone, monkeypatch
     """An eval forward runs every binary_full layer on packed bits (with
     each block's norm and ReLU on the product's tiles) and each fp block's
     norm and ReLU in place on its product. The logits equal those of the
-    float oracle (the STE route and the textbook running-statistics norm)
+    float oracle (the float ±1 chain and the textbook running-statistics norm)
     bit for bit across precisions and binarize modes, with the boundary
     layers binary or not, for 0-row and 0-column scalar layers (sv_ratio
     0, both interaction toggles off), and where block 0 has GEMM_BLOCK - 1
@@ -406,9 +406,9 @@ def test_eval_forward_matches_the_float_oracle_bit_for_bit(backbone, monkeypatch
 
 def test_eval_forward_runs_the_xnor_kernel_only_untaped(monkeypatch):
     """The binary pointnet's four binary_full layers (three blocks and
-    final0) each make one XNOR GEMM call per eval forward. Under a tape an
-    eval forward raises one StateError line, and a training forward makes
-    no XNOR call."""
+    final0) each make one XNOR GEMM call per forward, in eval and in
+    training alike. Under a tape an eval forward raises one StateError
+    line."""
     calls = []
     gemm = bk.xnor_popcount_gemm
 
@@ -425,9 +425,25 @@ def test_eval_forward_runs_the_xnor_kernel_only_untaped(monkeypatch):
     with ad.Tape():
         with pytest.raises(StateError, match="outside a Tape") as raised:
             model.forward(clouds)
+        assert calls == []
         model.forward(clouds, stats_mode="train")
     assert "\n" not in str(raised.value)
-    assert calls == []
+    assert calls == [34, 65, 130, 512]
+
+
+def test_eval_logits_do_not_depend_on_the_batch():
+    """Each cloud's eval logits are bit-identical alone and in batches of
+    2, 3, 5 and 32, on pointnet and dgcnn, fp and binary, with running
+    statistics and norm affines off their initial values."""
+    clouds = random_clouds(32, 12, 11)
+    for backbone in ("pointnet_like", "dgcnn_like"):
+        for mode in ("none", "vanilla"):
+            model = _eval_model(small_cfg(backbone=backbone, binarize=mode))
+            batched = model.forward(clouds).data
+            for size in (1, 2, 3, 5):
+                for lo in range(0, len(clouds) - size + 1, size):
+                    got = model.forward(clouds[lo:lo + size]).data
+                    assert np.array_equal(got, batched[:, lo:lo + size]), (backbone, mode, lo)
 
 
 def test_binary_eval_forward_memory_bound():
@@ -555,7 +571,7 @@ def test_fp_training_step_records_no_separate_bias_or_relu():
 
 def test_binary_training_step_records_one_node_per_binary_layer():
     """A binary dgcnn training step (the fingerprint's dg_vanilla) records
-    each binary_full layer as one `ste_matmul` node beside its weight's
+    each binary_full layer as one `binkernel.linear` node beside its weight's
     `sign_ste`, and scales each binary vector map and frame inside
     `vector_map_raw`: the only `mul` nodes are the gates'."""
     from fingerprint import BASE, CONFIGS
@@ -570,7 +586,7 @@ def test_binary_training_step_records_one_node_per_binary_layer():
     modes = [lin.mode for _, lin, _, _ in model.layers]
     gated = [blk for blk in model.blocks if blk.gate_mlp]
     assert modes.count("binary_full") > 0 and gated
-    assert kinds["ste_matmul"] == modes.count("binary_full")
+    assert kinds["linear"] == modes.count("binary_full")
     assert kinds["sign_ste"] == len(modes) - modes.count("full_precision")
     assert kinds["mul"] == len(gated)
     vector_layers = [kind for _, _, kind, _ in model.layers if kind in ("frame", "vector")]

@@ -387,8 +387,8 @@ def eval_block(p_in, q_in, p_out, q_out, concat, seed, binary):
 def test_block_eval_matches_the_float_oracle_bit_for_bit(monkeypatch):
     """An eval block runs its last scalar layer's norm and ReLU in place:
     on each tile of a binary_full layer's packed product, and on an fp
-    layer's whole product. Both give the bits of the float oracle (the STE
-    route and the textbook running-statistics norm) at site counts around
+    layer's whole product. Both give the bits of the float oracle (the
+    float ±1 chain and the textbook running-statistics norm) at site counts around
     the tile width, for 0-row and 0-column scalar layers too. Under a Tape
     an eval block raises."""
     from svpoint.binkernel import GEMM_BLOCK
