@@ -340,32 +340,17 @@ def test_linear_matches_the_chain_bit_for_bit():
     """The layer gives the output and the x, beta, W and gamma gradients of
     the sub → sign_ste → transpose → matmul → mul chain after W's
     sign_ste, bit for bit and with NaN at the same positions, on ragged
-    shapes, at site counts on both sides of a tile edge and on sites-major
-    (edge) inputs, with every operand or only one of them trained."""
+    shapes and sites-major (edge) inputs, with every operand or only one
+    of them trained."""
     rng = np.random.default_rng(71)
-    cases = [((7, 3, 9, False, False), True), ((65, 7, 130, True, False), True),
-             ((13, 4, 33, False, True), True), ((70, 9, 301, True, True), True),
-             ((12, 7, bk.GEMM_BLOCK - 1, False, True), False),
-             ((130, 64, bk.GEMM_BLOCK + 17, True, False), False),
-             ((65, 5, 2 * bk.GEMM_BLOCK + 3, True, True), False)]
-    for (in_dim, out_dim, n, sites_major, nans), each_alone in cases:
+    for in_dim, out_dim, n, sites_major, nans in ((7, 3, 9, False, False),
+                                                  (65, 7, 130, True, False),
+                                                  (13, 4, 33, False, True),
+                                                  (70, 9, 301, True, True)):
         arrays = ste_operands(rng, in_dim, out_dim, n, sites_major, nans)
         g = rng.standard_normal((out_dim, n))
-        for trained in ((0, 1, 2, 3), (0,), (1,), (2,), (3,)) if each_alone else ((0, 1, 2, 3),):
-            results = []
-            for packed in (True, False):
-                ops = [ad.parameter(a) if i in trained else ad.as_tensor(a)
-                       for i, a in enumerate(arrays)]
-                x, beta, w, gamma = ops
-                with ad.Tape() as tape:
-                    if packed:
-                        out = bk.linear(x, LinearParams(weight=w, mode="binary_full",
-                                                        beta=beta, gamma=gamma))
-                    else:
-                        out = ste_chain(x, beta, ad.sign_ste(w), gamma)
-                    loss = weighted_sum(out, g)
-                tape.backward(loss)
-                results.append([out.data] + [t.grad for t in ops])
+        for trained in ((0, 1, 2, 3), (0,), (1,), (2,), (3,)):
+            results = linear_and_chain(arrays, g, trained)
             case = (in_dim, n, trained)
             for name, a, b in zip(("out", "x", "beta", "w", "gamma"), *results):
                 if a is None or b is None:
@@ -374,6 +359,44 @@ def test_linear_matches_the_chain_bit_for_bit():
                     assert same_bits_but_nan(a, b), (case, name)
             if nans:
                 assert np.isnan(results[0][0][:, 6]).all() and np.isnan(results[0][0][-1]).all()
+
+
+def test_ste_linear_is_the_chain_bit_for_bit():
+    """The layer under a tape, the STE route the model trains, gives the
+    output and the x, beta, W and gamma gradients of the sub → sign_ste →
+    transpose → matmul → mul chain bit for bit, with NaN at the same
+    positions, at site counts on both sides of a tile edge and on
+    sites-major (edge) inputs."""
+    rng = np.random.default_rng(17)
+    for in_dim, out_dim, n, sites_major, nans in ((12, 7, bk.GEMM_BLOCK - 1, False, True),
+                                                  (130, 64, bk.GEMM_BLOCK + 17, True, False),
+                                                  (65, 5, 2 * bk.GEMM_BLOCK + 3, True, True)):
+        arrays = ste_operands(rng, in_dim, out_dim, n, sites_major, nans)
+        g = rng.standard_normal((out_dim, n))
+        results = linear_and_chain(arrays, g, (0, 1, 2, 3))
+        for name, a, b in zip(("out", "x", "beta", "w", "gamma"), *results):
+            assert same_bits_but_nan(a, b), (in_dim, n, name)
+
+
+def linear_and_chain(arrays: list, g: np.ndarray, trained: tuple) -> list:
+    """The output and operand gradients of `bk.linear` and of the float
+    chain on the same (x, beta, W, gamma), with only `trained` as
+    parameters, under a weighted-sum loss with weights `g`."""
+    results = []
+    for packed in (True, False):
+        ops = [ad.parameter(a) if i in trained else ad.as_tensor(a)
+               for i, a in enumerate(arrays)]
+        x, beta, w, gamma = ops
+        with ad.Tape() as tape:
+            if packed:
+                out = bk.linear(x, LinearParams(weight=w, mode="binary_full",
+                                                beta=beta, gamma=gamma))
+            else:
+                out = ste_chain(x, beta, ad.sign_ste(w), gamma)
+            loss = weighted_sum(out, g)
+        tape.backward(loss)
+        results.append([out.data] + [t.grad for t in ops])
+    return results
 
 
 def test_linear_saves_bits_only_under_a_tape():
