@@ -25,17 +25,17 @@ from .errors import ParameterError, StateError
 # the sign of a zero result.
 
 
-def sorted_coord_sum(arr: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum `arr` along an axis of length 3, insensitive to axis order.
+def sorted_coord_sum(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum `arr` along its first axis, of length 3, insensitive to axis order.
 
     A three-element min/median/max network (cheaper than a generic sort)
     fixes the addition order by value, so any permutation of the three
     summands produces the same bits. The network needs two temporaries
     beside `out` (allocated when None, and not overlapping `arr`).
     """
-    if arr.shape[axis] != 3:
-        raise ParameterError(f"coordinate axis must have length 3, got {arr.shape[axis]}")
-    a, b, c = np.moveaxis(arr, axis, 0)
+    if arr.shape[0] != 3:
+        raise ParameterError(f"coordinate axis must have length 3, got {arr.shape[0]}")
+    a, b, c = arr
     lo_ab = np.asarray(np.minimum(a, b))  # arrays even for a 3-vector, so they take out=
     hi_ab = np.asarray(np.maximum(a, b))
     out = np.minimum(lo_ab, c, out=out)  # lo
@@ -261,17 +261,14 @@ def reshape(x, shape) -> Tensor:
     return _make(out, (x,), bw)
 
 
-def concat(parts, axis: int = 0) -> Tensor:
+def concat(parts) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    out = np.concatenate([p.data for p in parts])
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(sl)])
+            _accumulate(p, g[lo:hi])
 
     return _make(out, tuple(parts), bw)
 
@@ -576,17 +573,14 @@ def batch_norm_train(x, gain, bias, eps: float, *, relu: bool = False):
     return _make(out, (x, gain, bias), bw), mean, var
 
 
-def vector_norm_scale_train(v, log_scale, eps: float, mean_norm=None):
-    """Scale each vector channel by exp(log_scale) / (mean site norm + eps).
-
-    Directions never change, so the op is equivariant. A (q,) `mean_norm`
-    replaces the batch's mean site norms. Returns (out, mean_norm).
-    """
+def vector_norm_scale_train(v, log_scale, eps: float):
+    """Scale each vector channel by exp(log_scale) / (batch mean site norm
+    + eps), in training alone (eval scales in place by the running mean
+    norm). Directions never change, so the op is equivariant. Returns
+    (out, mean_norm)."""
     v, log_scale = as_tensor(v), as_tensor(log_scale)
-    norms = None
-    if mean_norm is None:
-        norms = _site_norms(v.data)  # (q, N)
-        mean_norm = norms.mean(axis=1)
+    norms = _site_norms(v.data)  # (q, N)
+    mean_norm = norms.mean(axis=1)
     denom = mean_norm + eps
     coef = np.exp(log_scale.data) / denom  # (q,)
     out = v.data * coef[None, :, None]
@@ -597,12 +591,11 @@ def vector_norm_scale_train(v, log_scale, eps: float, mean_norm=None):
         a = buf.sum(axis=(0, 2))  # (q,) inner product with the output direction
         _accumulate(log_scale, a * coef)
         gv = g * coef[None, :, None]
-        if norms is not None:  # the batch mean norm depends on v too
-            through_mean = (a * coef / denom / count)[None, :, None]
-            safe = np.where(norms > 0, norms, 1.0)[None, :, :]
-            np.divide(v.data, safe, out=buf)
-            buf *= through_mean
-            gv -= buf
+        through_mean = (a * coef / denom / count)[None, :, None]  # the mean norm depends on v
+        safe = np.where(norms > 0, norms, 1.0)[None, :, :]
+        np.divide(v.data, safe, out=buf)
+        buf *= through_mean
+        gv -= buf
         _accumulate(v, gv)
 
     return _make(out, (v, log_scale), bw), mean_norm

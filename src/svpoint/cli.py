@@ -134,6 +134,9 @@ def cmd_train(args) -> int:
         raise ParameterError("epochs and batch must be >= 1")
     if not 0 < args.lr < np.inf:  # also false for NaN
         raise ParameterError(f"--lr must be finite and > 0, got {args.lr}")
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():  # checked now, not after the first epoch
+        raise ParameterError(f"--out directory {out_dir} does not exist")
     cfg = netbuild.ModelConfig.from_file(args.config)
     train_rot, test_rot = _parse_protocol(args.protocol)
     for split in ("train", "test"):

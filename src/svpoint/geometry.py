@@ -164,7 +164,7 @@ def neighbor_tables(clouds, k: int, chunk: int = 32) -> list[np.ndarray]:
         with np.errstate(over="ignore"):
             diff = pts[:, :, None] - pts[:, None, :]  # (3, n, n), coordinate first
             diff *= diff
-            d2 = ad.sorted_coord_sum(diff, axis=0)
+            d2 = ad.sorted_coord_sum(diff)
         if not np.isfinite(d2).all():
             raise ParameterError(f"squared distances overflow float64 in cloud {i}; "
                                  f"its coordinates span too wide a range")

@@ -246,8 +246,9 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     batch-mean norm scales linearly with its gate).
 
     Training normalizes by the batch statistics and folds them into the
-    running ones. Eval normalizes by the running statistics in place on
-    the last layer's output and records nothing, so it raises under a Tape.
+    running ones. Eval records nothing (it raises under a Tape) and works
+    in place: the scalar norm on the last layer's output, and on the
+    vector map's output the running mean norm first, then the gate.
     """
     if not train and ad.recording():
         raise StateError("an eval forward records nothing; run it outside a Tape")
@@ -259,7 +260,7 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     # raises glibc's dynamic mmap threshold early, and the binary pointnet
     # eval benchmark's peak RSS went from 245 to 271 MB
     v_in = None if params.frame is None else invariant_projection(v, params.frame)
-    s_out = s if v_in is None else ad.concat([s, v_in], axis=0)
+    s_out = s if v_in is None else ad.concat([s, v_in])
     *hidden, (last, last_tag) = params.scalar_mlp
     s_out = _run_mlp(s_out, hidden)
     norm = params.norm
@@ -275,19 +276,25 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
         s_out, *batch = ad.batch_norm_train(s_out, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
                                             relu=relu)
         _update_running((norm.running_mean, norm.running_var), batch)
-    if norm is not None and v_out.data.shape[1]:
-        v_out, mean_norm = ad.vector_norm_scale_train(v_out, norm.vector_log_scale, NORM_EPS,
-                                                      None if train else norm.running_norm)
-        if train:
-            _update_running((norm.running_norm,), (mean_norm,))
+    q = v_out.data.shape[1]
+    if norm is not None and q and train:
+        v_out, mean_norm = ad.vector_norm_scale_train(v_out, norm.vector_log_scale, NORM_EPS)
+        _update_running((norm.running_norm,), (mean_norm,))
+    elif norm is not None and q:  # eval: the map's output is fresh, so scale it in place
+        coef = np.exp(_data(norm.vector_log_scale)) / (norm.running_norm + NORM_EPS)
+        v_out.data *= coef[None, :, None]
     if not (relu and (finish is not None or batch_normed)):
         s_out = _activate(s_out, last_tag)
 
     if params.gate_mlp:
         size = n // groups
         factors = _run_mlp(ad.pool_groups(s, size, "mean"), params.gate_mlp)  # (q_out, groups)
-        q = v_out.data.shape[1]
-        v_out = ad.mul(v_out, ad.reshape(ad.expand_groups(factors, size), (1, q, n)))
+        if train:
+            v_out = ad.mul(v_out, ad.reshape(ad.expand_groups(factors, size), (1, q, n)))
+        elif v_out.data.size:
+            sites = v_out.data.reshape(3, q, groups, size)
+            assert np.shares_memory(sites, v_out.data), "the gate would scale a copy"
+            sites *= _data(factors)[:, :, None]
     return SVFeature(scalars=s_out, vectors=v_out)
 
 
@@ -327,4 +334,4 @@ def invariant_head(x: SVFeature, frame: LinearParams | None) -> ad.Tensor:
     s = ad.as_tensor(x.scalars)
     if frame is None:
         return s
-    return ad.concat([s, invariant_projection(x.vectors, frame)], axis=0)
+    return ad.concat([s, invariant_projection(x.vectors, frame)])

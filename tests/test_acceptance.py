@@ -302,7 +302,7 @@ def test_criterion_5_gradients(capsys):
     t = lambda a: ad.parameter(np.asarray(a, dtype=np.float64))
     x34 = t(rng.standard_normal((3, 4)))
     y34 = t(rng.standard_normal((3, 4)) + 2.5)
-    pos = t(np.abs(rng.standard_normal((3, 4))) + 0.5)
+    rng.standard_normal((3, 4))  # skipped, so that the inputs drawn below stay fixed
     off0 = t(np.where(np.abs(z := rng.standard_normal((3, 4))) < 0.2, 0.5, z))
     v3 = t(rng.standard_normal((3, 3, 4)))
     wmap = t(rng.standard_normal((3, 2)))
@@ -315,21 +315,15 @@ def test_criterion_5_gradients(capsys):
     # a repeated neighbor and a node paired with itself, as kNN tables of
     # duplicate points give
     edge_table = np.array([[1, 2], [0, 0], [3, 2], [2, 3]])
-    # a running mean norm as eval passes it, held fixed; taken from `pos`
-    # so that the other cases keep their inputs
-    fixed_n = pos.data[:, 2].copy()
 
     cases = [
         ("vector_map_scaled", weighted(ad.vector_map_raw, 1), (v3, wmap, gamma2)),
         ("mul", weighted(ad.mul, 3), (x34, y34)),
         ("relu", weighted(ad.relu, 5), (off0,)),
         ("sigmoid", weighted(ad.sigmoid, 6), (x34,)),
-        ("vector_norm_scale_fixed",
-         weighted(lambda a, s: ad.vector_norm_scale_train(a, s, 1e-5, mean_norm=fixed_n)[0], 8),
-         (v3, t(np.full(3, 0.2)))),
         ("matmul", weighted(ad.matmul, 9), (x34, t(rng.standard_normal((4, 2))))),
         ("reshape", weighted(lambda a: ad.reshape(a, (4, 3)), 10), (x34,)),
-        ("concat", weighted(lambda a, b: ad.concat([a, b], axis=0), 11), (x34, y34)),
+        ("concat", weighted(lambda a, b: ad.concat([a, b]), 11), (x34, y34)),
         ("transpose", weighted(ad.transpose, 12), (x34,)),
         ("pool_mean", weighted(lambda a: ad.pool_groups(a, 2, "mean"), 14), (x34,)),
         ("pool_max", weighted(lambda a: ad.pool_groups(a, 2, "max"), 15), (off0,)),

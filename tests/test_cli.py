@@ -422,6 +422,12 @@ def test_command_error_paths(ws, tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error:"), argv
         assert captured.out == "", argv  # nothing on stdout before the diagnostic
     assert not (tmp_path / "x.ckpt").exists()
+    # an --out in a missing directory fails before any epoch runs, naming it
+    missing = tmp_path / "missing"
+    err = _one_error_line(["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
+                           "--epochs", "1", "--out", str(missing / "m.svnc")], capsys)
+    assert str(missing) in err and "m.svnc" not in err, err
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("label", ["x", "-1", "7"])

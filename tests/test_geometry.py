@@ -196,7 +196,7 @@ def stable_argsort_tables(clouds, k):
     pts = np.stack([c.points for c in clouds])
     n = pts.shape[1]
     diff = pts[:, :, None, :] - pts[:, None, :, :]
-    d2 = sorted_coord_sum(diff * diff, axis=3)
+    d2 = sorted_coord_sum(np.moveaxis(diff * diff, 3, 0))
     d2[:, np.arange(n), np.arange(n)] = np.inf
     return np.argsort(d2, axis=2, kind="stable")[:, :, :k]
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
-from helpers import patch_eval_oracle, rotate_feature, rotate_vectors
+import svpoint.svcore as sv
+from helpers import patch_eval_oracle, rotate_feature, rotate_vectors, same_bits
 from svpoint.errors import ParameterError, StateError
 from svpoint.geometry import random_rotation, signed_permutation_rotation
 from svpoint.svcore import (LinearParams, NormParams, SVBlockParams, SVFeature, aggregate,
@@ -410,6 +411,47 @@ def test_block_eval_matches_the_float_oracle_bit_for_bit(monkeypatch):
     with ad.Tape(), pytest.raises(StateError, match="outside a Tape"):
         svblock_forward(rand_feature(4, 2, 12, seed=0), eval_block(4, 2, 5, 3, True, 0, True),
                         False, 1)
+
+
+def test_block_eval_scales_vectors_by_norm_then_gate_bit_for_bit(monkeypatch):
+    """Eval scales the vector map's output in place, by the running mean
+    norm first and then by the per-cloud gate: the bits of the map's output
+    times the norm coefficient times the repeated gate factors, for fp and
+    binary_weight (γ) maps, gated and ungated blocks, with and without
+    vector channels out, over 1, 4 and one-site groups. It calls none of
+    the training ops and leaves the running statistics alone."""
+    def refuse(*_):
+        raise AssertionError("an eval forward ran a training op")
+
+    for name in ("vector_norm_scale_train", "expand_groups", "mul"):
+        monkeypatch.setattr(ad, name, refuse)
+    n = 12
+    for seed, (binary, gated, q_out) in enumerate(
+            (b, g, q) for b in (False, True) for g in (False, True) for q in (3, 0)):
+        rng = np.random.default_rng(40 + seed)
+        block = make_block(2, 2, 3, q_out, seed=seed, reweight=gated)
+        if binary:
+            block.vector_map = LinearParams(weight=rng.standard_normal((2, q_out)),
+                                            mode="binary_weight",
+                                            gamma=rng.standard_normal(q_out))
+        norm = block.norm
+        norm.vector_log_scale.data[...] = rng.standard_normal(q_out) * 0.3
+        norm.running_norm[...] = rng.random(q_out) * 2
+        running = [a.copy() for a in (norm.running_mean, norm.running_var, norm.running_norm)]
+        feat = rand_feature(2, 2, n, seed)
+        pure = arr(vector_mapping(feat.vectors, block.vector_map))
+        coef = np.exp(norm.vector_log_scale.data) / (running[2] + 1e-5)
+        for groups in (1, 4, n):
+            size = n // groups
+            want = pure * coef[None, :, None]
+            if gated:
+                means = arr(feat.scalars).reshape(2, groups, size).mean(axis=-1)
+                factors = arr(sv._run_mlp(means, block.gate_mlp))
+                want = want * np.repeat(factors, size, axis=-1)[None]
+            got = arr(svblock_forward(feat, block, False, groups).vectors)
+            assert same_bits(got, want), (binary, gated, q_out, groups)
+        for kept, now in zip(running, (norm.running_mean, norm.running_var, norm.running_norm)):
+            assert np.array_equal(kept, now)
 
 
 # ---------------------------------------------------------------------------
