@@ -338,17 +338,6 @@ def pool_groups(x, size: int, mode: str) -> Tensor:
     return _make(out, (x,), bw)
 
 
-def expand_groups(x, size: int) -> Tensor:
-    """Repeat each entry of the last axis `size` times: (..., G) -> (..., G*size)."""
-    x = as_tensor(x)
-    out = np.repeat(x.data, size, axis=-1)
-
-    def bw(g):
-        _accumulate(x, g.reshape(g.shape[:-1] + (x.data.shape[-1], size)).sum(axis=-1))
-
-    return _make(out, (x,), bw)
-
-
 def _scatter_sites(g: np.ndarray, idx: np.ndarray, n_cols: int) -> np.ndarray:
     """Scatter-add the last axis of g onto n_cols columns at non-negative idx.
 
@@ -495,8 +484,7 @@ def pair_contract(a, b) -> Tensor:
 #
 # Composing normalization from elementwise primitives works but costs a
 # dozen full-size passes per call; these fused forms do the textbook
-# backward in a few. Eval's scalar normalization records nothing: it runs
-# `norm_affine` in place on a layer's output (`svcore.eval_norm`).
+# backward in a few. Eval runs `norm_affine` and `vector_scale` in place.
 
 
 def norm_affine(xhat: np.ndarray, var: np.ndarray, eps: float, gain: np.ndarray,
@@ -573,20 +561,41 @@ def batch_norm_train(x, gain, bias, eps: float, *, relu: bool = False):
     return _make(out, (x, gain, bias), bw), mean, var
 
 
-def vector_norm_scale_train(v, log_scale, eps: float):
-    """Scale each vector channel by exp(log_scale) / (batch mean site norm
-    + eps), in training alone (eval scales in place by the running mean
-    norm). Directions never change, so the op is equivariant. Returns
-    (out, mean_norm)."""
+def vector_scale(v: np.ndarray, coef: np.ndarray, gate, out: np.ndarray) -> np.ndarray:
+    """out = v * coef per channel of (3, q, N) vectors, then each group of
+    sites times its factor in a (q, groups) `gate`, in place through a view:
+    every vector normalization's arithmetic, in one order. out may be v."""
+    np.multiply(v, coef[None, :, None], out=out)
+    if gate is not None and out.size:
+        sites = out.reshape(out.shape[:2] + gate.shape[1:] + (-1,))
+        assert np.shares_memory(sites, out), "the gate would scale a copy"
+        sites *= gate[:, :, None]
+    return out
+
+
+def vector_norm_scale_train(v, log_scale, eps: float, gate=None):
+    """`vector_scale` by exp(log_scale) / (batch mean site norm + eps) and a
+    `gate` if given, in training alone; equivariant, since no direction
+    changes. Returns (out, mean_norm). Gradients have the bits of the
+    ungated op followed by `mul` by the factors repeated over the sites."""
     v, log_scale = as_tensor(v), as_tensor(log_scale)
+    gate = None if gate is None else as_tensor(gate)
     norms = _site_norms(v.data)  # (q, N)
     mean_norm = norms.mean(axis=1)
     denom = mean_norm + eps
     coef = np.exp(log_scale.data) / denom  # (q,)
-    out = v.data * coef[None, :, None]
+    out = vector_scale(v.data, coef, None if gate is None else gate.data, np.empty(v.data.shape))
     count = v.data.shape[2]
 
     def bw(g):
+        if gate is not None:
+            sites = (3,) + gate.data.shape + (count // gate.data.shape[1],)
+            if gate.requires_grad:
+                buf = v.data * coef[None, :, None]  # the ungated output
+                buf *= g
+                _accumulate(gate, buf.sum(axis=0).reshape(sites[1:]).sum(axis=-1))
+                del buf  # before the norm's backward makes its own
+            g = (g.reshape(sites) * gate.data[:, :, None]).reshape(v.data.shape)
         buf = g * v.data
         a = buf.sum(axis=(0, 2))  # (q,) inner product with the output direction
         _accumulate(log_scale, a * coef)
@@ -598,7 +607,7 @@ def vector_norm_scale_train(v, log_scale, eps: float):
         gv -= buf
         _accumulate(v, gv)
 
-    return _make(out, (v, log_scale), bw), mean_norm
+    return _make(out, (v, log_scale) + (() if gate is None else (gate,)), bw), mean_norm
 
 
 # ---------------------------------------------------------------------------

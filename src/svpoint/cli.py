@@ -137,6 +137,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():  # checked now, not after the first epoch
         raise ParameterError(f"--out directory {out_dir} does not exist")
+    if Path(args.out).is_dir():
+        raise ParameterError(f"--out {args.out} is a directory, not a checkpoint file")
     cfg = netbuild.ModelConfig.from_file(args.config)
     train_rot, test_rot = _parse_protocol(args.protocol)
     for split in ("train", "test"):

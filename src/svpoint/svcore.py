@@ -119,7 +119,7 @@ class SVBlockParams:
     scalar_mlp: list[tuple[LinearParams, str]]  # (layer, nonlinearity tag)
     vector_map: LinearParams  # (q_in, q_out)
     gate_mlp: list[tuple[LinearParams, str]]  # ends with a sigmoid tag; [] for no gating
-    norm: NormParams | None = None
+    norm: NormParams
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +238,15 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
 
     Scalar path: frame projection and concat (when the block has a
     frame), the scalar layers, normalize, then the last layer's
-    nonlinearity. Vector path: channel map, divide each channel by its
-    mean site norm so directions are untouched, then gate by per-cloud
-    factors in (0, 1): the input scalars mean-pooled per cloud through the
-    gate MLP (when the block has one). Gating comes after normalization;
-    the other order would cancel the factors exactly (each channel's
-    batch-mean norm scales linearly with its gate).
+    nonlinearity. Vector path: channel map, then one scaling: each channel
+    divided by its mean site norm (directions stay), then times per-cloud
+    factors in (0, 1), the input scalars mean-pooled per cloud through the
+    gate MLP (when the block has one). Gating follows normalization: the
+    other order would cancel the factors (a mean norm scales with them).
 
     Training normalizes by the batch statistics and folds them into the
-    running ones. Eval records nothing (it raises under a Tape) and works
-    in place: the scalar norm on the last layer's output, and on the
-    vector map's output the running mean norm first, then the gate.
+    running ones. Eval records nothing (it raises under a Tape) and scales
+    both paths' outputs in place by the running statistics.
     """
     if not train and ad.recording():
         raise StateError("an eval forward records nothing; run it outside a Tape")
@@ -265,36 +263,27 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     s_out = _run_mlp(s_out, hidden)
     norm = params.norm
     relu = last_tag == "relu"
-    # a normed layer's ReLU runs inside the norm: in eval in place on the
-    # product (on each cache-resident tile of a packed one), in training so
-    # that no separate node keeps the norm's output
-    finish = None if train or norm is None else eval_norm(norm, relu)
-    s_out = scalar_linear(s_out, last, finish)
+    # the last layer's ReLU runs inside the norm: in eval in place on the product
+    # (on each cache-resident packed tile), in training in the norm's node
+    s_out = scalar_linear(s_out, last, None if train else eval_norm(norm, relu))
     v_out = vector_mapping(v, params.vector_map)
-    batch_normed = train and norm is not None and s_out.data.shape[0] > 0
-    if batch_normed:
+    p = s_out.data.shape[0]
+    if train and p:
         s_out, *batch = ad.batch_norm_train(s_out, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
                                             relu=relu)
         _update_running((norm.running_mean, norm.running_var), batch)
-    q = v_out.data.shape[1]
-    if norm is not None and q and train:
-        v_out, mean_norm = ad.vector_norm_scale_train(v_out, norm.vector_log_scale, NORM_EPS)
-        _update_running((norm.running_norm,), (mean_norm,))
-    elif norm is not None and q:  # eval: the map's output is fresh, so scale it in place
-        coef = np.exp(_data(norm.vector_log_scale)) / (norm.running_norm + NORM_EPS)
-        v_out.data *= coef[None, :, None]
-    if not (relu and (finish is not None or batch_normed)):
+    if not relu or (train and not p):  # a layer with no rows records no norm node
         s_out = _activate(s_out, last_tag)
 
-    if params.gate_mlp:
-        size = n // groups
-        factors = _run_mlp(ad.pool_groups(s, size, "mean"), params.gate_mlp)  # (q_out, groups)
-        if train:
-            v_out = ad.mul(v_out, ad.reshape(ad.expand_groups(factors, size), (1, q, n)))
-        elif v_out.data.size:
-            sites = v_out.data.reshape(3, q, groups, size)
-            assert np.shares_memory(sites, v_out.data), "the gate would scale a copy"
-            sites *= _data(factors)[:, :, None]
+    factors = (_run_mlp(ad.pool_groups(s, n // groups, "mean"), params.gate_mlp)
+               if params.gate_mlp else None)  # (q_out, groups)
+    if train and v_out.data.shape[1]:
+        v_out, mean_norm = ad.vector_norm_scale_train(v_out, norm.vector_log_scale, NORM_EPS,
+                                                      factors)
+        _update_running((norm.running_norm,), (mean_norm,))
+    elif not train:  # eval: the map's output is fresh, so scale it in place
+        coef = np.exp(_data(norm.vector_log_scale)) / (norm.running_norm + NORM_EPS)
+        ad.vector_scale(v_out.data, coef, None if factors is None else factors.data, v_out.data)
     return SVFeature(scalars=s_out, vectors=v_out)
 
 

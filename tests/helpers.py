@@ -103,6 +103,36 @@ def _sub(a, b) -> ad.Tensor:
     return ad._make(a.data - b.data, (a, b), bw)
 
 
+def _repeat_sites(x, size: int) -> ad.Tensor:
+    """Each entry of the last axis `size` times, as the primitive the gate
+    chain recorded: (q, groups) -> (q, groups * size)."""
+
+    def bw(g):
+        ad._accumulate(x, g.reshape(g.shape[:-1] + (x.data.shape[-1], size)).sum(axis=-1))
+
+    return ad._make(np.repeat(x.data, size, axis=-1), (x,), bw)
+
+
+def gated_norm_chain(v, log_scale, eps, gate):
+    """The gated `vector_norm_scale_train`'s oracle, as a training block
+    composed it: the ungated op, then `mul` by the factors repeated over
+    each group's sites (and reshaped to (1, q, N)). Returns (out, mean_norm)."""
+    v, gate = ad.as_tensor(v), ad.as_tensor(gate)
+    (q, groups), n = gate.data.shape, v.data.shape[2]
+    out, mean_norm = ad.vector_norm_scale_train(v, log_scale, eps)
+    return ad.mul(out, ad.reshape(_repeat_sites(gate, n // groups), (1, q, n))), mean_norm
+
+
+def identity_norm(p: int, q: int) -> sv.NormParams:
+    """An eval norm that is exactly the identity: running mean 0, running
+    variance and mean norm 1 - NORM_EPS, gain 1, bias 0, log-scale 0, so
+    that every coefficient is 1.0 and a block's eval output has the bits of
+    its layers' outputs."""
+    norm = sv.NormParams.create(p, q)
+    norm.running_var[...] = norm.running_norm[...] = 1 - sv.NORM_EPS
+    return norm
+
+
 def ste_chain(x, beta, w_signs, gamma) -> ad.Tensor:
     """A binary_full layer's float oracle, `bk.linear` after W's sign_ste,
     as five nodes: sub, sign_ste, transpose, matmul and mul (with the

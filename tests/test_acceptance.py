@@ -19,7 +19,8 @@ import svpoint.binkernel as bk
 import svpoint.cli as cli
 import svpoint.netbuild as nb
 import svpoint.svcore as sv
-from helpers import finite_difference_check, rotate_feature, rotate_vectors, weighted
+from helpers import (finite_difference_check, identity_norm, rotate_feature, rotate_vectors,
+                     weighted)
 from svpoint import geometry as geo
 
 REPO = Path(__file__).resolve().parent.parent
@@ -161,8 +162,8 @@ def test_criterion_2_equivariance_suite(capsys):
     )
     feat = sv.SVFeature(scalars=rng.standard_normal((2, 8)),
                          vectors=rng.standard_normal((3, 3, 8)))
-    # the vector update is the vectors of the gated block without its norm
-    gated = dataclasses.replace(blk, norm=None)
+    # the vector update is the vectors of the gated block with an identity norm
+    gated = dataclasses.replace(blk, norm=identity_norm(4, 2))
     upd_base = sv.svblock_forward(feat, gated, False, 1).vectors.data
     blk_base = sv.svblock_forward(feat, blk, False, 1)
     for rot in rots:
@@ -307,6 +308,7 @@ def test_criterion_5_gradients(capsys):
     v3 = t(rng.standard_normal((3, 3, 4)))
     wmap = t(rng.standard_normal((3, 2)))
     gamma2 = t(np.random.default_rng(2).standard_normal(2))  # its own stream: the draws above stay
+    gate32 = t(np.random.default_rng(16).random((3, 2)))  # two groups of two sites, own stream
     lin = sv.LinearParams(weight=t(rng.standard_normal((3, 2))),
                           bias=t(np.zeros(2)))
     vlin = sv.LinearParams(weight=t(rng.standard_normal((3, 2))))
@@ -327,7 +329,6 @@ def test_criterion_5_gradients(capsys):
         ("transpose", weighted(ad.transpose, 12), (x34,)),
         ("pool_mean", weighted(lambda a: ad.pool_groups(a, 2, "mean"), 14), (x34,)),
         ("pool_max", weighted(lambda a: ad.pool_groups(a, 2, "max"), 15), (off0,)),
-        ("expand", weighted(lambda a: ad.expand_groups(a, 3), 16), (x34,)),
         ("take", weighted(lambda a: ad.take_sites(a, np.array([2, 0, 1, 3, 3])), 17), (x34,)),
         ("edge_pairs", weighted(lambda a: ad.edge_pairs(a, edge_table), 25), (v3,)),
         ("vector_map", weighted(ad.vector_map_raw, 18), (v3, wmap)),
@@ -337,6 +338,9 @@ def test_criterion_5_gradients(capsys):
         ("vector_norm_scale",
          weighted(lambda a, s: ad.vector_norm_scale_train(a, s, 1e-5)[0], 22),
          (v3, t(np.zeros(3)))),
+        ("vector_norm_gated",
+         weighted(lambda a, s, f: ad.vector_norm_scale_train(a, s, 1e-5, f)[0], 16),
+         (v3, t(np.zeros(3)), gate32)),
         ("scalar_linear", weighted(lambda a, *_: sv.scalar_linear(a, lin), 23),
          (x34, lin.weight, lin.bias)),
         ("vector_linear", weighted(lambda a, *_: sv.vector_mapping(a, vlin), 24),

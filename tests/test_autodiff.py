@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
-from helpers import (batch_norm_textbook, finite_difference_check, same_bits, same_bits_but_nan,
-                     total, weighted, weighted_sum)
+from helpers import (batch_norm_textbook, finite_difference_check, gated_norm_chain, same_bits,
+                     same_bits_but_nan, total, weighted, weighted_sum)
 from svpoint.errors import ParameterError, StateError
 from svpoint.svcore import LinearParams, NormParams, eval_norm, scalar_linear, vector_mapping
 
@@ -234,14 +234,10 @@ def test_fd_structural_ops():
 def test_fd_pooling_ops():
     x = rand_t((3, 12), 21)
     w6 = np.random.default_rng(22).standard_normal((3, 6))
-    w12 = np.random.default_rng(23).standard_normal((3, 12))
     rel = finite_difference_check(lambda a: weighted_sum(ad.pool_groups(a, 2, "mean"), w6), [x])
     assert rel <= 1e-8
     rel = finite_difference_check(lambda a: weighted_sum(ad.pool_groups(a, 2, "max"), w6), [x])
     assert rel <= 1e-6
-    y = rand_t((3, 4), 24)
-    rel = finite_difference_check(lambda a: weighted_sum(ad.expand_groups(a, 3), w12), [y])
-    assert rel <= 1e-8
     idx = np.array([5, 0, 0, 7, 2, 11])
     wt = np.random.default_rng(25).standard_normal((3, 6))
     rel = finite_difference_check(lambda a: weighted_sum(ad.take_sites(a, idx), wt), [x])
@@ -373,6 +369,36 @@ def test_pair_contract_exact_at_scale():
     scaled, got_mean = ad.vector_norm_scale_train(v, log_scale, 1e-5)
     assert np.array_equal(got_mean, mean_norm)
     assert np.array_equal(scaled.data, v * (np.exp(log_scale) / (mean_norm + 1e-5))[None, :, None])
+
+
+def test_gated_vector_norm_scale_is_the_mul_chain_bit_for_bit():
+    """Given gate factors, `vector_norm_scale_train` gives the bits of the
+    ungated op followed by `mul` by the factors repeated over each group's
+    sites (`helpers.gated_norm_chain`): output, mean norm, and the gradients
+    of the map's input and weight, the log-scale and the factors, behind fp
+    and binary_weight (γ) maps, over 1, 4 and one-site groups."""
+    n, q_in, q = 96, 5, 4
+    for binary in (False, True):
+        for groups in (1, 4, n):
+            rng = np.random.default_rng(70 + groups + binary)
+            w0, gamma0 = rng.standard_normal((q_in, q)), rng.standard_normal(q)
+            v0, log_scale0 = rng.standard_normal((3, q_in, n)), rng.standard_normal(q) * 0.3
+            factors0, weights = rng.random((q, groups)), rng.standard_normal((3, q, n))
+            runs = []
+            for op in (ad.vector_norm_scale_train, gated_norm_chain):
+                v, log_scale, factors = (ad.parameter(a) for a in (v0, log_scale0, factors0))
+                params = LinearParams(weight=ad.parameter(w0))
+                if binary:
+                    params.mode, params.gamma = "binary_weight", ad.parameter(gamma0)
+                with ad.Tape() as tape:
+                    out, mean_norm = op(vector_mapping(v, params), log_scale, 1e-5, factors)
+                    loss = weighted_sum(out, weights)
+                tape.backward(loss)
+                grads = [t.grad for t in (v, params.weight, log_scale, factors)]
+                runs.append([out.data, mean_norm] + grads
+                            + ([params.gamma.grad] if binary else []))
+            for i, (got, want) in enumerate(zip(*runs)):
+                assert same_bits(got, want), (binary, groups, i)
 
 
 def test_batch_norm_tiles_match_textbook_bit_for_bit():

@@ -428,6 +428,13 @@ def test_command_error_paths(ws, tmp_path, capsys):
                            "--epochs", "1", "--out", str(missing / "m.svnc")], capsys)
     assert str(missing) in err and "m.svnc" not in err, err
     assert not missing.exists()
+    # so does an --out that names an existing directory (no epoch= line on stdout)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    err = _one_error_line(["train", "--config", str(ws / "net.ini"), "--data", str(ws / "data"),
+                           "--epochs", "1", "--out", str(folder)], capsys)
+    assert err == f"error: --out {folder} is a directory, not a checkpoint file", err
+    assert list(folder.iterdir()) == []
 
 
 @pytest.mark.parametrize("label", ["x", "-1", "7"])

@@ -576,8 +576,9 @@ def test_fp_training_step_records_no_separate_bias_or_relu():
 def test_binary_training_step_records_one_node_per_binary_layer():
     """A binary dgcnn training step (the fingerprint's dg_vanilla) records
     each binary_full layer as one `binkernel.linear` node beside its weight's
-    `sign_ste`, and scales each binary vector map and frame inside
-    `vector_map_raw`: the only `mul` nodes are the gates'."""
+    `sign_ste`, scales each binary vector map and frame inside
+    `vector_map_raw`, and normalizes and gates each block's vectors in one
+    `vector_norm_scale_train` node: no `mul` node is recorded."""
     from fingerprint import BASE, CONFIGS
 
     model = nb.build_model(nb.ModelConfig(**BASE, **CONFIGS["dg_vanilla"]), rng_seed=3)
@@ -592,7 +593,8 @@ def test_binary_training_step_records_one_node_per_binary_layer():
     assert modes.count("binary_full") > 0 and gated
     assert kinds["linear"] == modes.count("binary_full")
     assert kinds["sign_ste"] == len(modes) - modes.count("full_precision")
-    assert kinds["mul"] == len(gated)
+    assert kinds["mul"] == 0
+    assert kinds["vector_norm_scale_train"] == len(model.blocks)
     vector_layers = [kind for _, _, kind, _ in model.layers if kind in ("frame", "vector")]
     assert kinds["vector_map_raw"] == len(vector_layers)
 

@@ -1,11 +1,13 @@
 """Equivariant block algebra: maps, frames, projections, blocks, pooling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
 import svpoint.svcore as sv
-from helpers import patch_eval_oracle, rotate_feature, rotate_vectors, same_bits
+from helpers import identity_norm, patch_eval_oracle, rotate_feature, rotate_vectors, same_bits
 from svpoint.errors import ParameterError, StateError
 from svpoint.geometry import random_rotation, signed_permutation_rotation
 from svpoint.svcore import (LinearParams, NormParams, SVBlockParams, SVFeature, aggregate,
@@ -17,8 +19,7 @@ def arr(x):
     return np.asarray(x.data if isinstance(x, ad.Tensor) else x)
 
 
-def make_block(p_in, q_in, p_out, q_out, seed=0, concat=True, reweight=True,
-               with_norm=True):
+def make_block(p_in, q_in, p_out, q_out, seed=0, concat=True, reweight=True):
     # the layers are the wiring: concat adds the frame and widens the first
     # scalar layer by the 3*q_in projected rows, reweight adds the gate MLP
     rng = np.random.default_rng(seed)
@@ -31,7 +32,7 @@ def make_block(p_in, q_in, p_out, q_out, seed=0, concat=True, reweight=True,
         vector_map=LinearParams(weight=rng.standard_normal((q_in, q_out))),
         gate_mlp=[(LinearParams(weight=rng.standard_normal((p_in, q_out)),
                                 bias=np.zeros(q_out)), "sigmoid")] if reweight else [],
-        norm=NormParams.create(p_out, q_out) if with_norm else None,
+        norm=NormParams.create(p_out, q_out),
     )
 
 
@@ -165,13 +166,14 @@ def test_projection_flatten_is_frame_axis_major():
 
 def test_scalar_update_passthrough():
     # the last layer's nonlinearity belongs to the block, after normalization
-    params = make_block(3, 2, 3, 2, concat=False, with_norm=False)
+    params = make_block(3, 2, 3, 2, concat=False)
+    params.norm = identity_norm(3, 2)
     s = np.array([[1.0, -2.0], [0.5, 3.0], [-0.1, 0.0]])
     feat = SVFeature(scalars=s, vectors=np.zeros((3, 2, 2)))
     params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "none")]
-    assert np.array_equal(arr(svblock_forward(feat, params, True, 1).scalars), s)
+    assert np.array_equal(arr(svblock_forward(feat, params, False, 1).scalars), s)
     params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "relu")]
-    assert np.array_equal(arr(svblock_forward(feat, params, True, 1).scalars),
+    assert np.array_equal(arr(svblock_forward(feat, params, False, 1).scalars),
                           np.maximum(s, 0.0))
 
 
@@ -185,7 +187,7 @@ def test_block_rejects_unknown_last_scalar_tag():
 
 
 def test_scalar_update_zero_weights():
-    params = make_block(3, 2, 4, 2, with_norm=False)
+    params = make_block(3, 2, 4, 2)
     params.scalar_mlp = [(LinearParams(weight=np.zeros((9, 4)), bias=np.zeros(4)), "relu")]
     feat = SVFeature(scalars=np.ones((3, 5)), vectors=np.ones((3, 2, 5)))
     assert (arr(svblock_forward(feat, params, True, 1).scalars) == 0.0).all()
@@ -194,7 +196,7 @@ def test_scalar_update_zero_weights():
 def test_scalar_update_standard_split_dims():
     # a 256-channel block splits 130 scalar + 42 vector, so concat input
     # is exactly 130 + 3*42 = 256 rows
-    params = make_block(130, 42, 130, 42, with_norm=False)
+    params = make_block(130, 42, 130, 42)
     feat = SVFeature(scalars=np.ones((130, 4)), vectors=np.ones((3, 42, 4)))
     out = arr(svblock_forward(feat, params, True, 1).scalars)
     assert params.scalar_mlp[0][0].in_dim == 256
@@ -207,11 +209,12 @@ def test_scalar_update_standard_split_dims():
 
 def gate_probe(params, scalars, groups):
     """The gate factors (q_out, N) a block applies at each site: with an
-    identity vector map and unit vectors its output vectors are the factors."""
+    identity vector map, an identity norm and unit vectors its output
+    vectors are the factors."""
     (p, n), q = np.shape(scalars), params.vector_map.out_dim
     probe = SVBlockParams(frame=None, scalar_mlp=[(LinearParams(weight=np.eye(p)), "none")],
                           vector_map=LinearParams(weight=np.eye(q)),
-                          gate_mlp=params.gate_mlp, norm=None)
+                          gate_mlp=params.gate_mlp, norm=identity_norm(p, q))
     feat = SVFeature(scalars=scalars, vectors=np.ones((3, q, n)))
     return arr(svblock_forward(feat, probe, False, groups).vectors)[0]
 
@@ -250,17 +253,24 @@ def test_reweighting_factors_groups_and_errors():
 
 def test_vector_update_toggle_and_factors():
     feat = rand_feature(2, 2, 5, 9)
-    params = make_block(2, 2, 2, 3, reweight=False, with_norm=False)
+    params = make_block(2, 2, 2, 3, reweight=False)
+    params.norm = identity_norm(2, 3)
     pure = arr(vector_mapping(feat.vectors, params.vector_map))
-    assert np.array_equal(arr(svblock_forward(feat, params, True, 1).vectors), pure)
+    assert np.array_equal(arr(svblock_forward(feat, params, False, 1).vectors), pure)
 
-    params.gate_mlp = make_block(2, 2, 2, 3, with_norm=False).gate_mlp
+    params.gate_mlp = make_block(2, 2, 2, 3).gate_mlp
     for groups in (1, 5):  # one cloud, then one cloud per site
         factors = gate_probe(params, feat.scalars, groups)
-        gated = arr(svblock_forward(feat, params, True, groups).vectors)
+        gated = arr(svblock_forward(feat, params, False, groups).vectors)
         assert np.array_equal(gated, pure * factors[None])
+        # training gates its batch-normalized vectors by the same factors
+        trained = [arr(svblock_forward(feat, replace(params, gate_mlp=gate,
+                                                     norm=NormParams.create(2, 3)),
+                                       True, groups).vectors)
+                   for gate in ([], params.gate_mlp)]
+        assert same_bits(trained[1], trained[0] * factors[None])
     params.gate_mlp = [(LinearParams(weight=np.zeros((2, 3)), bias=np.zeros(3)), "sigmoid")]
-    halved = arr(svblock_forward(feat, params, True, 1).vectors)
+    halved = arr(svblock_forward(feat, params, False, 1).vectors)
     assert np.abs(halved - 0.5 * pure).max() < 1e-15
     with pytest.raises(ParameterError):
         svblock_forward(feat, params, True, 2)
@@ -268,7 +278,7 @@ def test_vector_update_toggle_and_factors():
 
 def test_vector_update_equivariant():
     rng = np.random.default_rng(10)
-    params = make_block(2, 3, 2, 2, concat=False, with_norm=False)
+    params = make_block(2, 3, 2, 2, concat=False)
     feat = SVFeature(scalars=rng.standard_normal((2, 6)), vectors=rng.standard_normal((3, 3, 6)))
     base = arr(svblock_forward(feat, params, True, 1).vectors)
     for seed in range(100):
@@ -423,7 +433,7 @@ def test_block_eval_scales_vectors_by_norm_then_gate_bit_for_bit(monkeypatch):
     def refuse(*_):
         raise AssertionError("an eval forward ran a training op")
 
-    for name in ("vector_norm_scale_train", "expand_groups", "mul"):
+    for name in ("vector_norm_scale_train", "mul"):
         monkeypatch.setattr(ad, name, refuse)
     n = 12
     for seed, (binary, gated, q_out) in enumerate(
