@@ -577,7 +577,11 @@ def vector_norm_scale_train(v, log_scale, eps: float, gate=None):
     """`vector_scale` by exp(log_scale) / (batch mean site norm + eps) and a
     `gate` if given, in training alone; equivariant, since no direction
     changes. Returns (out, mean_norm). Gradients have the bits of the
-    ungated op followed by `mul` by the factors repeated over the sites."""
+    ungated op followed by `mul` by the factors repeated over the sites.
+
+    Backward builds one full-size array, the gradient of v, and works one
+    (q, N) coordinate slab at a time beside it. Slab sums add in numpy's
+    own order: from +0.0, coordinates 0, 1, 2, each row summed whole."""
     v, log_scale = as_tensor(v), as_tensor(log_scale)
     gate = None if gate is None else as_tensor(gate)
     norms = _site_norms(v.data)  # (q, N)
@@ -588,23 +592,32 @@ def vector_norm_scale_train(v, log_scale, eps: float, gate=None):
     count = v.data.shape[2]
 
     def bw(g):
-        if gate is not None:
+        buf = np.empty(v.data.shape[1:])
+        if gate is None:
+            gv = np.multiply(g, coef[None, :, None])
+        else:
             sites = (3,) + gate.data.shape + (count // gate.data.shape[1],)
             if gate.requires_grad:
-                buf = v.data * coef[None, :, None]  # the ungated output
-                buf *= g
-                _accumulate(gate, buf.sum(axis=0).reshape(sites[1:]).sum(axis=-1))
-                del buf  # before the norm's backward makes its own
-            g = (g.reshape(sites) * gate.data[:, :, None]).reshape(v.data.shape)
-        buf = g * v.data
-        a = buf.sum(axis=(0, 2))  # (q,) inner product with the output direction
+                g_gate = np.zeros(buf.shape)  # the ungated output times g, summed over axis 0
+                for vi, gi in zip(v.data, g):
+                    np.multiply(vi, coef[:, None], out=buf)
+                    buf *= gi
+                    g_gate += buf
+                _accumulate(gate, g_gate.reshape(sites[1:]).sum(axis=-1))
+                del g_gate
+            g = np.multiply(g.reshape(sites), gate.data[:, :, None]).reshape(v.data.shape)
+        a = np.zeros(coef.shape)  # (q,) inner product with the output direction
+        for vi, gi in zip(v.data, g):
+            a += np.multiply(gi, vi, out=buf).sum(axis=1)
         _accumulate(log_scale, a * coef)
-        gv = g * coef[None, :, None]
-        through_mean = (a * coef / denom / count)[None, :, None]  # the mean norm depends on v
-        safe = np.where(norms > 0, norms, 1.0)[None, :, :]
-        np.divide(v.data, safe, out=buf)
-        buf *= through_mean
-        gv -= buf
+        if gate is not None:  # the gated g, ours, becomes the gradient of v
+            gv = np.multiply(g, coef[None, :, None], out=g)
+        through_mean = (a * coef / denom / count)[:, None]  # the mean norm depends on v
+        safe = np.where(norms > 0, norms, 1.0)
+        for vi, gvi in zip(v.data, gv):
+            np.divide(vi, safe, out=buf)
+            buf *= through_mean
+            gvi -= buf
         _accumulate(v, gv)
 
     return _make(out, (v, log_scale) + (() if gate is None else (gate,)), bw), mean_norm
@@ -683,8 +696,10 @@ def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
             raise ParameterError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}"
             )
-        m = store.moment1.setdefault(name, np.zeros_like(p.data))
-        v = store.moment2.setdefault(name, np.zeros_like(p.data))
+        if name not in store.moment1:  # a parameter's first step
+            store.moment1[name] = np.zeros_like(p.data)
+            store.moment2[name] = np.zeros_like(p.data)
+        m, v = store.moment1[name], store.moment2[name]
         m *= b1
         m += (1 - b1) * g
         v *= b2

@@ -170,7 +170,9 @@ def linear(x, params, finish=None) -> ad.Tensor:
     band, the products as int32 (written by the same tile pass; exact,
     since |product| <= in_dim) and, only where x - beta holds a NaN, its
     NaN positions. Backward rebuilds the float ±1 activations as a
-    temporary, and its ufuncs are those of the chain sub -> sign_ste ->
+    temporary, sums γ's and β's gradients one tile of rows at a time (each
+    row whole) and multiplies the band into x's gradient in place; its
+    ufuncs are those of the chain sub -> sign_ste ->
     transpose -> matmul -> mul, in its order, so every gradient carries
     that chain's bits. Outside a tape the layer keeps nothing.
     """
@@ -221,22 +223,36 @@ def linear(x, params, finish=None) -> ad.Tensor:
             xs[nan] = np.nan
         return xs
 
+    def row_tiles(p):
+        # the γ and β sums run over tiles of rows in a TILE_BYTES buffer
+        rows = max(1, ad.TILE_BYTES // max(1, 8 * out.shape[1]))
+        buf = np.empty((min(p, rows),) + out.shape[1:])
+        for lo in range(0, p, rows):
+            yield slice(lo, lo + rows), buf[:min(rows, p - lo)]
+
     def bw(g):
         g_prod = g * gamma.data[:, None]
         if gamma.requires_grad:
-            prod = counts.astype(np.float64)
-            if nan is not None:  # a NaN activation fills its site's column
-                prod[:, nan_sites] = np.nan
-            prod[nan_outs] = np.nan  # a NaN weight its output's row
-            ad._accumulate(gamma, (g * prod).sum(axis=1))
-            del prod
+            g_gamma = np.empty(gamma.data.shape)
+            for t, prod in row_tiles(len(g_gamma)):
+                np.copyto(prod, counts[t])
+                if nan is not None:  # a NaN activation fills its site's column
+                    prod[:, nan_sites] = np.nan
+                prod[nan_outs[t]] = np.nan  # a NaN weight its output's row
+                g_gamma[t] = np.multiply(g[t], prod, out=prod).sum(axis=1)
+            ad._accumulate(gamma, g_gamma)
         if w_signs.requires_grad:
             ad._accumulate(w_signs, np.transpose(g_prod @ signs().T))
         if x.requires_grad or beta.requires_grad:
-            gx = (ws @ g_prod) * band
+            gx = ws @ g_prod
+            del g_prod
+            gx *= band
             ad._accumulate(x, gx)
             if beta.requires_grad:
-                ad._accumulate(beta, (-gx).sum(axis=1))
+                g_beta = np.empty(beta.data.shape)
+                for t, neg in row_tiles(len(g_beta)):
+                    g_beta[t] = np.negative(gx[t], out=neg).sum(axis=1)
+                ad._accumulate(beta, g_beta)
 
     return ad._make(out, parents, bw)
 

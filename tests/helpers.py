@@ -5,6 +5,7 @@ A scalar loss reduces with primitives the model runs: the flattened output
 times a fixed weight column (`ad.matmul`), reshaped to a 0-d tensor.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -75,6 +76,18 @@ def finite_difference_check(op, inputs: list[ad.Tensor], h: float = 1e-6) -> flo
     return worst
 
 
+def traced_peak(fn, *args):
+    """Run fn(*args) with tracemalloc on. Returns (peak, result): the
+    largest traced memory, in bytes, that the call held at once (numpy
+    arrays included), and what fn returned."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 def same_bits(a, b) -> bool:
     """Equal shapes and bytes: tells -0.0 from 0.0 and compares NaNs."""
     a, b = np.asarray(a), np.asarray(b)
@@ -121,6 +134,22 @@ def gated_norm_chain(v, log_scale, eps, gate):
     (q, groups), n = gate.data.shape, v.data.shape[2]
     out, mean_norm = ad.vector_norm_scale_train(v, log_scale, eps)
     return ad.mul(out, ad.reshape(_repeat_sites(gate, n // groups), (1, q, n))), mean_norm
+
+
+def vector_norm_textbook(v, log_scale, eps, g):
+    """Whole-array forward and backward of the ungated
+    `vector_norm_scale_train`: the output, the mean norm and the gradients
+    of v and the log-scale, with every temporary full-size."""
+    norms = np.sqrt(ad.sorted_coord_sum(v * v))
+    mean_norm = norms.mean(axis=1)
+    denom = mean_norm + eps
+    coef = np.exp(log_scale) / denom
+    out = v * coef[None, :, None]
+    a = (g * v).sum(axis=(0, 2))
+    gv = g * coef[None, :, None]
+    safe = np.where(norms > 0, norms, 1.0)[None, :, :]
+    gv -= v / safe * (a * coef / denom / v.shape[2])[None, :, None]
+    return out, mean_norm, gv, a * coef
 
 
 def identity_norm(p: int, q: int) -> sv.NormParams:

@@ -5,7 +5,8 @@ import pytest
 
 import svpoint.autodiff as ad
 from helpers import (batch_norm_textbook, finite_difference_check, gated_norm_chain, same_bits,
-                     same_bits_but_nan, total, weighted, weighted_sum)
+                     same_bits_but_nan, total, traced_peak, vector_norm_textbook, weighted,
+                     weighted_sum)
 from svpoint.errors import ParameterError, StateError
 from svpoint.svcore import LinearParams, NormParams, eval_norm, scalar_linear, vector_mapping
 
@@ -101,20 +102,13 @@ def test_backward_releases_every_node():
 
 def test_backward_peak_memory_frees_consumed_gradients():
     """A chain of 12 products sweeps in a few live arrays, not one per node."""
-    import tracemalloc
-
     p = ad.parameter(np.random.default_rng(5).standard_normal(10**6))
     with ad.Tape() as tape:
         y = p
         for _ in range(12):
             y = ad.mul(y, 1.001)
         loss = total(y)
-    tracemalloc.start()
-    try:
-        tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(tape.backward, loss)
     assert np.abs(p.grad - 1.001**12).max() < 1e-12
     assert peak <= 4 * p.data.nbytes
 
@@ -401,6 +395,46 @@ def test_gated_vector_norm_scale_is_the_mul_chain_bit_for_bit():
                 assert same_bits(got, want), (binary, groups, i)
 
 
+def test_vector_norm_scale_is_the_whole_array_formula_bit_for_bit():
+    """The ungated op gives the whole-array formulas' output, mean norm and
+    gradients of v and the log-scale bit for bit (`helpers.
+    vector_norm_textbook`): with a zero-norm site, past numpy's 8192-item
+    buffer, and with gradient rows that are all -0.0 in one coordinate and
+    in a whole channel, whose sums start from +0.0."""
+    rng = np.random.default_rng(39)
+    for q, n in ((5, 96), (1, 7), (4, 9000)):
+        v0, log_scale0 = rng.standard_normal((3, q, n)), rng.standard_normal(q) * 0.3
+        v0[:, 0, 2] = 0.0
+        v0[1, 0], v0[:, -1] = np.abs(v0[1, 0]), np.abs(v0[:, -1])  # so g * v rows are -0.0
+        g = rng.standard_normal((3, q, n))
+        g[1, 0] = -0.0
+        g[:, -1] = -0.0
+        v, log_scale = ad.parameter(v0), ad.parameter(log_scale0)
+        with ad.Tape():
+            out, mean_norm = ad.vector_norm_scale_train(v, log_scale, 1e-5)
+        out._grad_fn(g)
+        got = (out.data, mean_norm, v.grad, log_scale.grad)
+        ref = vector_norm_textbook(v0, log_scale0, 1e-5, g)
+        for name, a, b in zip(("out", "mean_norm", "v", "log_scale"), got, ref):
+            assert same_bits(a, b), (q, n, name)
+        assert same_bits(log_scale.grad[-1], 0.0)
+
+
+def test_vector_norm_scale_backward_peak():
+    """At (3, 42, 32768) the backward, gated by (42, 8) factors or not,
+    builds the gradient of v and slab-sized buffers only: it peaks under
+    twice v's bytes (the whole-array backward took 3.38 and 2.38 times)."""
+    rng = np.random.default_rng(37)
+    v = ad.parameter(rng.standard_normal((3, 42, 32768)))
+    log_scale, g = ad.parameter(np.zeros(42)), rng.standard_normal(v.data.shape)
+    for gate in (ad.parameter(rng.random((42, 8))), None):
+        with ad.Tape():
+            out, _ = ad.vector_norm_scale_train(v, log_scale, 1e-5, gate)
+        v.grad = log_scale.grad = None
+        peak, _ = traced_peak(out._grad_fn, g)
+        assert peak <= 2 * v.data.nbytes, (gate is None, peak / v.data.nbytes)
+
+
 def test_batch_norm_tiles_match_textbook_bit_for_bit():
     """Across several row tiles with a ragged last one, and across one-row
     tiles, the tiled op gives the whole-array formula's output, stats and
@@ -512,36 +546,23 @@ def test_matmul_bias_matches_add_composition():
 def test_fused_primitive_peak_allocations():
     """The chunked contraction never builds its (3, a, q, N) product, and the
     batch-norm backward works in two full-size buffers."""
-    import tracemalloc
-
     rng = np.random.default_rng(29)
-
-    def traced_peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     a = rng.standard_normal((3, 3, 32768))
     b = rng.standard_normal((3, 42, 32768))
     out_bytes = 3 * 42 * 32768 * 8
-    assert traced_peak(ad.pair_contract, a, b) <= 1.5 * out_bytes
+    assert traced_peak(ad.pair_contract, a, b)[0] <= 1.5 * out_bytes
 
     x = ad.parameter(rng.standard_normal((130, 32768)))
     gain, bias = ad.parameter(np.ones(130)), ad.parameter(np.zeros(130))
     with ad.Tape():
         out, _, _ = ad.batch_norm_train(x, gain, bias, 1e-5)
     g = rng.standard_normal(out.data.shape)
-    assert traced_peak(out._grad_fn, g) <= 2.25 * x.data.nbytes
+    assert traced_peak(out._grad_fn, g)[0] <= 2.25 * x.data.nbytes
 
 
 def test_batch_norm_tiled_backward_peak():
     """The tiled backward allocates the input gradient and tile-sized
     buffers only, with and without ReLU."""
-    import tracemalloc
-
     rng = np.random.default_rng(38)
     x = ad.parameter(rng.standard_normal((130, 32768)))
     gain, bias = ad.parameter(np.ones(130)), ad.parameter(np.zeros(130))
@@ -550,12 +571,7 @@ def test_batch_norm_tiled_backward_peak():
         with ad.Tape():
             out, _, _ = ad.batch_norm_train(x, gain, bias, 1e-5, relu=relu)
         x.grad = gain.grad = bias.grad = None
-        tracemalloc.start()
-        try:
-            out._grad_fn(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(out._grad_fn, g)
         assert peak <= 1.25 * x.data.nbytes, (relu, peak)
 
 
@@ -705,6 +721,18 @@ def test_adam_uses_tape_grads_and_checks_shapes():
     assert store.params["w"].data[0] != 1.0
     with pytest.raises(ParameterError):
         step_with_grad(store, np.zeros(5), lr=0.1)
+
+
+def test_adam_creates_each_moment_once(monkeypatch):
+    """Adam allocates a parameter's two moments on its first step alone."""
+    store = make_store([1.0, 2.0])
+    step_with_grad(store, [0.5, -0.5], lr=0.1)
+    moments = store.moment1["w"], store.moment2["w"]
+    made = []
+    monkeypatch.setattr(ad.np, "zeros_like", lambda a: made.append(a) or np.zeros(a.shape))
+    step_with_grad(store, [0.5, -0.5], lr=0.1)
+    assert made == []
+    assert store.moment1["w"] is moments[0] and store.moment2["w"] is moments[1]
 
 
 def test_param_store_unique_names():

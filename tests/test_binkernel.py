@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import same_bits_but_nan, ste_chain, ste_operands, weighted_sum
+from helpers import same_bits_but_nan, ste_chain, ste_operands, traced_peak, weighted_sum
 from svpoint import autodiff as ad
 from svpoint import binkernel as bk
 from svpoint.errors import ParameterError
@@ -411,17 +411,17 @@ def test_linear_saves_bits_only_under_a_tape():
                           gamma=ad.parameter(np.ones(out_dim)))
     out_bytes = 8 * out_dim * n
     kept_taped = out_bytes + 2 * in_dim * n + 4 * out_dim * n + 8 * in_dim * out_dim
-    for taped, kept in ((False, out_bytes), (True, kept_taped)):
-        tracemalloc.start()
-        try:
-            if taped:
-                with ad.Tape():
-                    out = bk.linear(x, params)
-            else:
+
+    def run(taped):
+        if taped:
+            with ad.Tape():
                 out = bk.linear(x, params)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        else:
+            out = bk.linear(x, params)
+        return out, tracemalloc.get_traced_memory()[0]
+
+    for taped, kept in ((False, out_bytes), (True, kept_taped)):
+        _, (out, retained) = traced_peak(run, taped)
         assert (out._grad_fn is not None) == taped
         assert retained <= kept + 64 * 1024, (taped, retained)
         del out
@@ -438,15 +438,32 @@ def test_linear_taped_peak():
     params = LinearParams(weight=ad.parameter(rng.standard_normal((in_dim, out_dim))),
                           mode="binary_full", beta=ad.parameter(rng.standard_normal(in_dim)),
                           gamma=ad.parameter(rng.standard_normal(out_dim)))
-    tracemalloc.start()
-    try:
+
+    def taped_forward():
         with ad.Tape():
-            out = bk.linear(x, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+            return bk.linear(x, params)
+
+    peak, out = traced_peak(taped_forward)
     assert out._grad_fn is not None
     assert peak < 96 * 2**20, peak
+
+
+def test_linear_backward_peak():
+    """The 256→130 backward over 32768 sites holds x's gradient beside the
+    whole-matrix products' operands and tile-sized buffers only: it peaks
+    under 1.75 times x's bytes (2.51 times with whole-array γ and β sums,
+    an out-of-place band and the γ-scaled gradient kept to the end)."""
+    rng = np.random.default_rng(20)
+    in_dim, out_dim, n = 256, 130, 32768
+    x = ad.parameter(rng.standard_normal((in_dim, n)))
+    params = LinearParams(weight=ad.parameter(rng.standard_normal((in_dim, out_dim))),
+                          mode="binary_full", beta=ad.parameter(rng.standard_normal(in_dim)),
+                          gamma=ad.parameter(rng.standard_normal(out_dim)))
+    with ad.Tape() as tape:
+        out = bk.linear(x, params)
+    peak, _ = traced_peak(out._grad_fn, rng.standard_normal(out.data.shape))
+    assert x.grad is not None and tape.nodes[0].grad is not None
+    assert peak <= 1.75 * x.data.nbytes, peak / x.data.nbytes
 
 
 def test_float_route_untaped_peak():
@@ -459,12 +476,7 @@ def test_float_route_untaped_peak():
     params = LinearParams(weight=ad.parameter(rng.standard_normal((in_dim, out_dim))),
                           mode="binary_full", beta=ad.parameter(rng.standard_normal(in_dim)),
                           gamma=ad.parameter(rng.standard_normal(out_dim)))
-    tracemalloc.start()
-    try:
-        out = bk.binary_linear_full(x, params, use_packed=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, out = traced_peak(lambda: bk.binary_linear_full(x, params, use_packed=False))
     assert out.shape == (out_dim, n)
     assert peak <= 8 * (2 * in_dim * n + 2 * out_dim * n), peak
 

@@ -2,13 +2,12 @@
 features that `netbuild` builds from clouds and kNN tables."""
 
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import rotate_feature, rotate_vectors
+from helpers import rotate_feature, rotate_vectors, traced_peak
 from svpoint.autodiff import sorted_coord_sum
 from svpoint.errors import ParameterError
 from svpoint.geometry import (PointCloud, Rotation, apply_rotation, batch_graph,
@@ -265,15 +264,9 @@ def test_knn_memory_stays_at_one_cloud():
     """Distances are built one cloud at a time: 32 clouds of 256 points peak
     far below the 50 MB of a batch-wide (3, 32, 256, 256) difference tensor."""
     clouds = [synthesize_shapes(i % 4, 256, i) for i in range(32)]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tables = neighbor_tables(clouds, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, tables = traced_peak(neighbor_tables, clouds, 16)
     held = sum(t.nbytes for t in tables)
-    assert peak - before - held < 8 * 2**20, (peak - before, held)
+    assert peak - held < 8 * 2**20, (peak, held)
 
 
 def test_knn_permutation_consistent():

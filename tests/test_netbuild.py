@@ -15,7 +15,7 @@ import svpoint.autodiff as ad
 import svpoint.binkernel as bk
 import svpoint.cli as cli
 import svpoint.netbuild as nb
-from helpers import node_kinds, patch_eval_oracle
+from helpers import node_kinds, patch_eval_oracle, traced_peak
 from svpoint.errors import CheckpointError, ConfigError, ParameterError, StateError
 from svpoint.geometry import PointCloud
 
@@ -455,12 +455,7 @@ def test_binary_eval_forward_memory_bound():
     and the gate's `mul`)."""
     model = nb.build_model(nb.ModelConfig(binarize="vanilla"), rng_seed=1)
     clouds = random_clouds(8, 256, 9)
-    tracemalloc.start()
-    try:
-        model.forward(clouds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(model.forward, clouds)
     assert peak < 31e6, peak
 
 
@@ -473,12 +468,7 @@ def test_fp_eval_forward_memory_bound():
     gate's `mul`)."""
     model = nb.build_model(nb.ModelConfig(), rng_seed=1)
     clouds = random_clouds(8, 256, 9)
-    tracemalloc.start()
-    try:
-        model.forward(clouds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(model.forward, clouds)
     assert peak < 25e6, peak
 
 
@@ -497,11 +487,8 @@ def test_layout_allocates_no_temporary_beside_a_weight(monkeypatch):
         return lin
 
     monkeypatch.setattr(nb, "LinearParams", traced)
-    tracemalloc.start()
-    try:
-        model = nb.layout_model(nb.ModelConfig(channels=(400000,), head_dim=1, classes=2))
-    finally:
-        tracemalloc.stop()
+    config = nb.ModelConfig(channels=(400000,), head_dim=1, classes=2)
+    _, model = traced_peak(nb.layout_model, config)
     assert len(excess) == len(model.layers)
     assert max(excess) < 64 * 1024, excess
 
