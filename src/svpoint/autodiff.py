@@ -213,23 +213,12 @@ def sigmoid(x) -> Tensor:
 STE_CLIP = 1.2  # the straight-through gradient passes for |x| < STE_CLIP
 
 
-def sign(x: np.ndarray) -> np.ndarray:
-    """Elementwise two-valued sign: +1 for x >= 0, -1 otherwise."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.isnan(x).any():
-        raise ParameterError("sign of NaN is undefined")
-    return np.where(x >= 0, 1.0, -1.0)
-
-
-def ste_backward(grad_out: np.ndarray, x_saved: np.ndarray) -> np.ndarray:
-    """Straight-through gradient for sign: pass inside the strict clip band, else zero."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    x_saved = np.asarray(x_saved, dtype=np.float64)
-    if grad_out.shape != x_saved.shape:
-        raise ParameterError(
-            f"gradient shape {grad_out.shape} does not match saved input {x_saved.shape}"
-        )
-    return grad_out * ((x_saved > -STE_CLIP) & (x_saved < STE_CLIP))
+def ste_band(x: np.ndarray) -> np.ndarray:
+    """Where the straight-through gradient of sign passes: the strict clip
+    band -STE_CLIP < x < STE_CLIP, as booleans."""
+    band = x > -STE_CLIP
+    band &= x < STE_CLIP  # in place: one boolean temporary beside the band
+    return band
 
 
 def sign_ste(x) -> Tensor:
@@ -241,7 +230,7 @@ def sign_ste(x) -> Tensor:
     saved = x.data
 
     def bw(g):
-        _accumulate(x, ste_backward(g, saved))
+        _accumulate(x, g * ste_band(saved))
 
     return _make(out, (x,), bw)
 
@@ -593,9 +582,7 @@ def vector_norm_scale_train(v, log_scale, eps: float, gate=None):
 
     def bw(g):
         buf = np.empty(v.data.shape[1:])
-        if gate is None:
-            gv = np.multiply(g, coef[None, :, None])
-        else:
+        if gate is not None:
             sites = (3,) + gate.data.shape + (count // gate.data.shape[1],)
             if gate.requires_grad:
                 g_gate = np.zeros(buf.shape)  # the ungated output times g, summed over axis 0
@@ -610,8 +597,8 @@ def vector_norm_scale_train(v, log_scale, eps: float, gate=None):
         for vi, gi in zip(v.data, g):
             a += np.multiply(gi, vi, out=buf).sum(axis=1)
         _accumulate(log_scale, a * coef)
-        if gate is not None:  # the gated g, ours, becomes the gradient of v
-            gv = np.multiply(g, coef[None, :, None], out=g)
+        # a gated g is ours, so it becomes the gradient of v in place
+        gv = np.multiply(g, coef[None, :, None], out=None if gate is None else g)
         through_mean = (a * coef / denom / count)[:, None]  # the mean norm depends on v
         safe = np.where(norms > 0, norms, 1.0)
         for vi, gvi in zip(v.data, gv):

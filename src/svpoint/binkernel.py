@@ -5,15 +5,16 @@ layer as `linear`, in training and in eval alike. It packs the booleans
 `x - beta >= 0` and `W >= 0`, `sign`'s own predicate, straight into bits,
 multiplies them by XOR and popcount, and writes no float ±1 matrix; under
 a tape it keeps bits for a straight-through backward. `binary_linear_full`
-checks it against a float ±1 product, which gives the same bits, since ±1
-dot products are exact integers either way.
+checks it against a float ±1 product by `sign`, which gives the same bits,
+since ±1 dot products are exact integers either way.
 
-Sign matrices are packed one bit per element (bit set means +1),
+`bitpack` takes boolean matrices only, one bit per element (True means +1),
 little-endian within each 64-bit word, rows padded with zero bits, which
 never differ between two rows and so drop out of every dot product. A
 layer's sites are the columns of its (in, N) activations, so `bitpack`
 packs the transpose of its input, by 8×8 bit-block transposes. The GEMM
-tiles the right operand's rows (the layer's sites) by `GEMM_BLOCK`.
+tiles the right operand's rows (the layer's sites) by `GEMM_BLOCK` and
+hands each tile to the caller's finish; it builds no whole product.
 Within a tile it takes one word at a time: XOR into a reused uint64
 buffer, popcount into a reused uint8 buffer, double it in place, and
 subtract it from the int64 tile, which the first word sets to
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import sign  # noqa: F401  (binkernel.sign: read by perfbench's tracer only)
 from .errors import ParameterError
 
 WORD_BITS = 64
@@ -39,9 +39,12 @@ WORD_BITS = 64
 GEMM_BLOCK = 4096
 
 
-def _arr(v) -> np.ndarray:
-    # accept raw arrays or Tensor-like objects with a .data field
-    return np.asarray(getattr(v, "data", v), dtype=np.float64)
+def sign(x: np.ndarray) -> np.ndarray:
+    """Elementwise two-valued sign: +1 for x >= 0, -1 otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ParameterError("sign of NaN is undefined")
+    return np.where(x >= 0, 1.0, -1.0)
 
 
 @dataclass
@@ -62,8 +65,8 @@ class PackedSignMatrix:
 
 
 def bitpack(signs: np.ndarray) -> PackedSignMatrix:
-    """Pack a ±1 matrix, or a boolean one (True means +1), row-major;
-    padding bits are forced to zero.
+    """Pack a 2-d boolean matrix (True means +1) row-major; padding bits
+    are forced to zero.
 
     Packing runs on m = signs.T, C-ordered when signs is a layer's
     (sites, in) view of its activations, whose bytewise copy into C order
@@ -73,13 +76,8 @@ def bitpack(signs: np.ndarray) -> PackedSignMatrix:
     (transpose8, Hacker's Delight section 7-3): 5 ms.
     """
     signs = np.asarray(signs)
-    if signs.ndim != 2:
-        raise ParameterError("bitpack expects a 2-d matrix")
-    if signs.dtype != np.bool_:
-        signs = np.asarray(signs, dtype=np.float64)
-        if not np.isin(signs, (-1.0, 1.0)).all():
-            raise ParameterError("bitpack input must contain only +1 and -1")
-        signs = signs > 0
+    if signs.ndim != 2 or signs.dtype != np.bool_:
+        raise ParameterError(f"bitpack packs 2-d booleans, not {signs.dtype}{signs.shape}")
     rows, cols = signs.shape
     kb, nb = -(-cols // 8), -(-rows // 8)  # whole bytes along each axis
     m = np.zeros((8 * kb, 8 * nb), dtype=np.bool_)
@@ -97,8 +95,8 @@ def bitpack(signs: np.ndarray) -> PackedSignMatrix:
                             words=words.view("<u8").astype(np.uint64, copy=False))
 
 
-def xnor_popcount_gemm(a: PackedSignMatrix, b: PackedSignMatrix, finish=None):
-    """All-pairs ±1 dot products via XOR and popcount.
+def xnor_popcount_gemm(a: PackedSignMatrix, b: PackedSignMatrix, finish) -> None:
+    """All-pairs ±1 dot products via XOR and popcount, one tile at a time.
 
     Both operands pack the shared reduction axis, so for a logical
     product (m×n)·(n×p) the right operand is packed from its transpose.
@@ -107,23 +105,21 @@ def xnor_popcount_gemm(a: PackedSignMatrix, b: PackedSignMatrix, finish=None):
     rows: the zero padding bits never differ. The right operand's rows
     are taken `GEMM_BLOCK` at a time, one word at a time.
 
-    Returns the int64 (a.rows, b.rows) products. Given `finish`, it builds
-    no such array and returns None: it calls finish(counts, lo, hi) on
-    each tile, whose int64 (a.rows, hi - lo) counts are those of right
-    rows lo:hi, in a buffer the next tile reuses.
+    No product array is built: finish(counts, lo, hi) is called on each
+    tile in order, whose int64 (a.rows, hi - lo) counts are those of
+    right rows lo:hi, in a buffer the next tile reuses.
     """
     if a.cols != b.cols:
         raise ParameterError(f"inner dimensions differ: {a.cols} vs {b.cols}")
     n = np.int64(a.cols)
     tile = min(GEMM_BLOCK, b.rows)
-    out = None if finish else np.empty((a.rows, b.rows), dtype=np.int64)
-    counts = np.empty((a.rows, tile), dtype=np.int64) if finish else None
+    counts = np.empty((a.rows, tile), dtype=np.int64)
     xor = np.empty((a.rows, tile), dtype=np.uint64)
     twice = np.empty((a.rows, tile), dtype=np.uint8)
     b_words = np.ascontiguousarray(b.words.T)  # (words, b.rows): each word's sites contiguous
     for lo in range(0, b.rows, GEMM_BLOCK):
         hi = min(lo + GEMM_BLOCK, b.rows)
-        acc = counts[:, :hi - lo] if finish else out[:, lo:hi]
+        acc = counts[:, :hi - lo]
         x, c = xor[:, :hi - lo], twice[:, :hi - lo]
         if not len(b_words):  # no columns: every dot product is empty
             acc.fill(0)
@@ -135,19 +131,17 @@ def xnor_popcount_gemm(a: PackedSignMatrix, b: PackedSignMatrix, finish=None):
                 acc -= c
             else:
                 np.subtract(n, c, out=acc, dtype=np.int64)
-        if finish:
-            finish(acc, lo, hi)
-    return out
+        finish(acc, lo, hi)
 
 
 def _operands(x, params):
     """A binary_full layer's checked operands: x (in, N), W (in, out), beta, gamma."""
-    x, w = _arr(x), _arr(params.weight)
+    x, w = ad.as_tensor(x).data, ad.as_tensor(params.weight).data
     if params.mode != "binary_full":
         raise ParameterError(f"a binary_full layer is needed, got mode {params.mode!r}")
     if x.ndim != 2 or w.ndim != 2 or x.shape[0] != w.shape[0]:
         raise ParameterError(f"shape mismatch: x {x.shape} vs weight {w.shape}")
-    beta, gamma = _arr(params.beta), _arr(params.gamma)
+    beta, gamma = ad.as_tensor(params.beta).data, ad.as_tensor(params.gamma).data
     if beta.shape != (x.shape[0],) or gamma.shape != (w.shape[1],):
         raise ParameterError("beta must be per input channel, gamma per output channel")
     return x, w, beta, gamma
@@ -188,10 +182,7 @@ def linear(x, params, finish=None) -> ad.Tensor:
     nan_outs = np.isnan(ws).any(axis=0)
     # sign's predicate, so -0.0 and d = 0 count as +1; C order, as backward rebuilds it
     pos = np.greater_equal(d, 0.0, out=np.empty(d.shape, dtype=np.bool_))
-    band = None
-    if records:
-        band = d > -ad.STE_CLIP
-        band &= d < ad.STE_CLIP
+    band = ad.ste_band(d) if records else None
     del d  # freed before the output, which is larger
     sites = bitpack(pos.T)
     out = np.empty((ws.shape[1], x.data.shape[1]))
@@ -271,7 +262,7 @@ def binary_linear_full(x: np.ndarray, params, use_packed: bool = True) -> np.nda
     """
     x, w, beta, gamma = _operands(x, params)
     if not use_packed:
-        out = ad.sign(w).T @ ad.sign(x - beta[:, None])
+        out = sign(w).T @ sign(x - beta[:, None])
         out *= gamma[:, None]
         return out
     out = linear(x, params).data

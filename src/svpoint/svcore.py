@@ -22,10 +22,6 @@ from .errors import ParameterError, StateError
 MODES = ("full_precision", "binary_weight", "binary_full")
 
 
-def _data(x):
-    return x.data if isinstance(x, ad.Tensor) else np.asarray(x)
-
-
 @dataclass
 class SVFeature:
     """Paired invariant scalars (p, N) and equivariant vectors (3, q, N).
@@ -38,7 +34,7 @@ class SVFeature:
     vectors: object
 
     def __post_init__(self):
-        s, v = _data(self.scalars), _data(self.vectors)
+        s, v = ad.as_tensor(self.scalars).data, ad.as_tensor(self.vectors).data
         if s.ndim != 2 or v.ndim != 3 or v.shape[0] != 3:
             raise ParameterError(f"bad feature shapes scalars {s.shape}, vectors {v.shape}")
         if s.shape[1] != v.shape[2]:
@@ -67,19 +63,19 @@ class LinearParams:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"unknown precision mode {self.mode!r}")
-        w = _data(self.weight)
+        w = ad.as_tensor(self.weight).data
         if w.ndim != 2:
             raise ParameterError(f"weight must be 2-d, got shape {w.shape}")
-        if self.gamma is not None and not np.isfinite(_data(self.gamma)).all():
+        if self.gamma is not None and not np.isfinite(ad.as_tensor(self.gamma).data).all():
             raise ParameterError("gamma entries must be finite")
 
     @property
     def in_dim(self) -> int:
-        return _data(self.weight).shape[0]
+        return ad.as_tensor(self.weight).data.shape[0]
 
     @property
     def out_dim(self) -> int:
-        return _data(self.weight).shape[1]
+        return ad.as_tensor(self.weight).data.shape[1]
 
 
 # each training batch moves the running statistics by this share
@@ -215,7 +211,7 @@ def eval_norm(norm: NormParams, relu: bool):
     `relu`, in place on a layer's output or one tile of it:
     (x - mean) * (1 / sqrt(var + eps)) * gain + bias by `ad.norm_affine`."""
     mean = norm.running_mean[:, None]
-    gain, bias = _data(norm.scalar_gain), _data(norm.scalar_bias)
+    gain, bias = ad.as_tensor(norm.scalar_gain).data, ad.as_tensor(norm.scalar_bias).data
 
     def finish(tile):
         tile -= mean
@@ -267,22 +263,21 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     # (on each cache-resident packed tile), in training in the norm's node
     s_out = scalar_linear(s_out, last, None if train else eval_norm(norm, relu))
     v_out = vector_mapping(v, params.vector_map)
-    p = s_out.data.shape[0]
-    if train and p:
+    if train:
         s_out, *batch = ad.batch_norm_train(s_out, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
                                             relu=relu)
         _update_running((norm.running_mean, norm.running_var), batch)
-    if not relu or (train and not p):  # a layer with no rows records no norm node
+    if not relu:
         s_out = _activate(s_out, last_tag)
 
     factors = (_run_mlp(ad.pool_groups(s, n // groups, "mean"), params.gate_mlp)
                if params.gate_mlp else None)  # (q_out, groups)
-    if train and v_out.data.shape[1]:
+    if train:
         v_out, mean_norm = ad.vector_norm_scale_train(v_out, norm.vector_log_scale, NORM_EPS,
                                                       factors)
         _update_running((norm.running_norm,), (mean_norm,))
-    elif not train:  # eval: the map's output is fresh, so scale it in place
-        coef = np.exp(_data(norm.vector_log_scale)) / (norm.running_norm + NORM_EPS)
+    else:  # eval: the map's output is fresh, so scale it in place
+        coef = np.exp(ad.as_tensor(norm.vector_log_scale).data) / (norm.running_norm + NORM_EPS)
         ad.vector_scale(v_out.data, coef, None if factors is None else factors.data, v_out.data)
     return SVFeature(scalars=s_out, vectors=v_out)
 

@@ -13,7 +13,7 @@ import numpy as np
 import svpoint.autodiff as ad
 import svpoint.binkernel as bk
 import svpoint.svcore as sv
-from svpoint.svcore import SVFeature, _data
+from svpoint.svcore import SVFeature
 
 
 def weighted_sum(x, weights) -> ad.Tensor:
@@ -162,6 +162,18 @@ def identity_norm(p: int, q: int) -> sv.NormParams:
     return norm
 
 
+def xnor_product(a, b) -> np.ndarray:
+    """The whole int64 product of two packed sign matrices, collected from
+    the tiles `bk.xnor_popcount_gemm` passes to its finish."""
+    out = np.empty((a.rows, b.rows), dtype=np.int64)
+
+    def finish(counts, lo, hi):
+        out[:, lo:hi] = counts
+
+    bk.xnor_popcount_gemm(a, b, finish)
+    return out
+
+
 def ste_chain(x, beta, w_signs, gamma) -> ad.Tensor:
     """A binary_full layer's float oracle, `bk.linear` after W's sign_ste,
     as five nodes: sub, sign_ste, transpose, matmul and mul (with the
@@ -225,7 +237,7 @@ def _float_linear(x, params, finish=None) -> ad.Tensor:
 
 def _textbook_eval_norm(norm, relu):
     stats = (norm.running_mean, norm.running_var)
-    gain, bias = _data(norm.scalar_gain), _data(norm.scalar_bias)
+    gain, bias = ad.as_tensor(norm.scalar_gain).data, ad.as_tensor(norm.scalar_bias).data
 
     def finish(out):
         y = batch_norm_textbook(out, gain, bias, sv.NORM_EPS, np.zeros_like(out), stats)[0]
@@ -258,4 +270,5 @@ def rotate_vectors(vectors, rot) -> np.ndarray:
 
 def rotate_feature(feat: SVFeature, rot) -> SVFeature:
     """The group action on a feature: scalars untouched, vectors rotated."""
-    return SVFeature(_data(feat.scalars), rotate_vectors(_data(feat.vectors), rot))
+    return SVFeature(ad.as_tensor(feat.scalars).data,
+                     rotate_vectors(ad.as_tensor(feat.vectors).data, rot))

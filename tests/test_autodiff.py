@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
+import svpoint.binkernel as bk
 from helpers import (batch_norm_textbook, finite_difference_check, gated_norm_chain, same_bits,
                      same_bits_but_nan, total, traced_peak, vector_norm_textbook, weighted,
                      weighted_sum)
@@ -156,7 +157,7 @@ def test_scaled_vector_map_matches_mul_bit_for_bit():
     bit and with NaN at the same positions; gamma must be one per channel."""
     rng = np.random.default_rng(73)
     for q, p, n, special in ((4, 5, 9, False), (42, 13, 1000, True)):
-        v0, w0 = rng.standard_normal((3, q, n)), ad.sign(rng.standard_normal((q, p)))
+        v0, w0 = rng.standard_normal((3, q, n)), bk.sign(rng.standard_normal((q, p)))
         gamma0 = rng.standard_normal(p)
         if special:
             v0[0, 1, :3] = 0.0, -0.0, np.inf

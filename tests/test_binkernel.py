@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import same_bits_but_nan, ste_chain, ste_operands, traced_peak, weighted_sum
+from helpers import (same_bits_but_nan, ste_chain, ste_operands, traced_peak, weighted_sum,
+                     xnor_product)
 from svpoint import autodiff as ad
 from svpoint import binkernel as bk
 from svpoint.errors import ParameterError
@@ -17,45 +18,46 @@ def naive_pm1_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.int64) @ b.T.astype(np.int64))
 
 
+def packed_pm1_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The XNOR product of two ±1 matrices, packed as their booleans a > 0."""
+    return xnor_product(bk.bitpack(a > 0), bk.bitpack(b > 0))
+
+
 # ---------------------------------------------------------------------------
-# sign and STE, which live in autodiff beside sign_ste
+# sign, and the straight-through band that lives in autodiff beside sign_ste
 
 
 def test_sign_values():
     x = np.array([0.0, -0.0, -0.3, 1.2, -1e-300, 5.0])
-    assert ad.sign(x).tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+    assert bk.sign(x).tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
 
 
 def test_sign_nan_rejected():
     with pytest.raises(ParameterError):
-        ad.sign(np.array([1.0, np.nan]))
+        bk.sign(np.array([1.0, np.nan]))
 
 
 def test_sign_scale_invariant():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((40,))
     for c in (0.5, 2.0, 1e6, 1e-6):
-        assert np.array_equal(ad.sign(c * x), ad.sign(x))
+        assert np.array_equal(bk.sign(c * x), bk.sign(x))
 
 
 def test_ste_pointwise():
-    assert ad.ste_backward(np.array(2.0), np.array(0.5)) == 2.0
-    assert ad.ste_backward(np.array(2.0), np.array(1.3)) == 0.0
     # band edges excluded on both sides
-    assert ad.ste_backward(np.array(1.0), np.array(-1.2)) == 0.0
-    assert ad.ste_backward(np.array(1.0), np.array(1.2)) == 0.0
+    assert ad.ste_band(np.array([0.5, 1.3, -1.2, 1.2])).tolist() == [True, False, False, False]
+    assert ad.ste_band(np.array(0.5)) and not ad.ste_band(np.array(-1.2))  # 0-d inputs too
 
 
 def test_ste_grid_matches_piecewise_definition():
-    x = np.arange(-2.0, 2.0001, 0.01)
-    g = np.random.default_rng(1).standard_normal(x.shape)
-    expect = np.where((x > -1.2) & (x < 1.2), g, 0.0)
-    assert np.array_equal(ad.ste_backward(g, x), expect)
-
-
-def test_ste_shape_mismatch():
-    with pytest.raises(ParameterError):
-        ad.ste_backward(np.zeros(3), np.zeros(4))
+    x = ad.parameter(np.arange(-2.0, 2.0001, 0.01))
+    g = np.random.default_rng(1).standard_normal(x.data.shape)
+    expect = np.where((x.data > -1.2) & (x.data < 1.2), g, 0.0)
+    with ad.Tape() as tape:
+        loss = weighted_sum(ad.sign_ste(x), g)
+    tape.backward(loss)
+    assert np.array_equal(x.grad, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +65,14 @@ def test_ste_shape_mismatch():
 
 
 def test_bitpack_low_bits():
-    packed = bk.bitpack(np.array([[1.0, 1.0, -1.0, -1.0]]))
-    # bit i set iff entry i is +1, little-endian within the word
+    packed = bk.bitpack(np.array([[True, True, False, False]]))
+    # bit i set iff entry i is True (+1), little-endian within the word
     assert packed.words[0, 0] & np.uint64(0xF) == np.uint64(0b0011)
     assert packed.rows == 1 and packed.cols == 4
 
 
 def test_bitpack_full_word():
-    packed = bk.bitpack(np.ones((1, 64)))
+    packed = bk.bitpack(np.ones((1, 64), dtype=bool))
     assert packed.words[0, 0] == np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -78,14 +80,14 @@ def test_bitpack_round_trip():
     rng = np.random.default_rng(2)
     for rows in (1, 7, 8, 13, 130):
         for cols in (1, 7, 63, 64, 65, 1000):
-            signs = ad.sign(rng.standard_normal((rows, cols)))
-            raw = bk.bitpack(signs).words.astype("<u8", copy=False).view(np.uint8)
+            signs = bk.sign(rng.standard_normal((rows, cols)))
+            raw = bk.bitpack(signs > 0).words.astype("<u8", copy=False).view(np.uint8)
             bits = np.unpackbits(raw.reshape(rows, -1), axis=1, bitorder="little")
             assert np.array_equal(bits[:, :cols] * 2.0 - 1.0, signs), (rows, cols)
 
 
 def test_bitpack_padding_zero():
-    packed = bk.bitpack(np.ones((2, 65)))
+    packed = bk.bitpack(np.ones((2, 65), dtype=bool))
     assert packed.words.shape == (2, 2)
     assert (packed.words[:, 1] == np.uint64(1)).all()  # only bit 64 set
 
@@ -93,27 +95,30 @@ def test_bitpack_padding_zero():
 def test_packed_matrix_rejects_set_padding_bits():
     """The kernel counts XOR bits over whole words, so a set padding bit
     would shift a dot product; such words are refused."""
-    good = bk.bitpack(np.ones((2, 65)))
+    good = bk.bitpack(np.ones((2, 65), dtype=bool))
     bad = good.words.copy()
     bad[1, 1] |= np.uint64(1 << 5)
     with pytest.raises(ParameterError, match="padding bits"):
         bk.PackedSignMatrix(rows=2, cols=65, words=bad)
-    full = bk.bitpack(np.ones((1, 64)))  # no padding: every bit may be set
+    full = bk.bitpack(np.ones((1, 64), dtype=bool))  # no padding: every bit may be set
     assert bk.PackedSignMatrix(rows=1, cols=64, words=full.words).cols == 64
 
 
 def test_bitpack_bool_matches_pm1():
-    """A boolean matrix packs True as +1: the same words as its ±1 twin.
-    A transposed (Fortran-ordered) view, which packs by 8×8 bit-block
-    transposes, gives the words of a C-ordered copy, for row and column
-    counts on both sides of a byte and of a word."""
+    """A boolean matrix packs True as +1, one bit per element: the words
+    of `np.packbits` on its rows, zero-padded to whole words. A transposed
+    (Fortran-ordered) view, which packs by 8×8 bit-block transposes, gives
+    the words of a C-ordered copy, for row and column counts on both sides
+    of a byte and of a word."""
     rng = np.random.default_rng(12)
     for rows in (1, 7, 8, 13, 130):
         for cols in (1, 7, 63, 64, 65, 1000):
             mask = rng.standard_normal((rows, cols)) >= 0
             got = bk.bitpack(mask)
             assert (got.rows, got.cols) == (rows, cols)
-            assert np.array_equal(got.words, bk.bitpack(np.where(mask, 1.0, -1.0)).words)
+            raw = np.zeros((rows, 8 * got.words.shape[1]), dtype=np.uint8)
+            raw[:, :-(-cols // 8)] = np.packbits(mask, axis=1, bitorder="little")
+            assert np.array_equal(got.words, raw.view("<u8")), (rows, cols)
             transposed = bk.bitpack(mask.T.copy().T)
             assert np.array_equal(transposed.words, got.words), (rows, cols)
 
@@ -129,6 +134,8 @@ def test_bitpack_rejects_other_values():
     with pytest.raises(ParameterError):
         bk.bitpack(np.array([[1.0, 0.0]]))
     with pytest.raises(ParameterError):
+        bk.bitpack(np.array([[1.0, -1.0], [-1.0, 1.0]]))  # ±1 floats: only booleans pack
+    with pytest.raises(ParameterError):
         bk.bitpack(np.ones(4))  # 1-d
     with pytest.raises(ParameterError):
         bk.bitpack(np.ones(4, dtype=bool))  # 1-d boolean
@@ -139,20 +146,18 @@ def test_bitpack_rejects_other_values():
 
 
 def test_gemm_hand_cases():
-    a = bk.bitpack(np.array([[1.0, 1.0, -1.0, -1.0]]))
-    b = bk.bitpack(np.array([[1.0, -1.0, -1.0, 1.0]]))
-    assert bk.xnor_popcount_gemm(a, b)[0, 0] == 0
+    assert packed_pm1_gemm(np.array([[1.0, 1.0, -1.0, -1.0]]),
+                           np.array([[1.0, -1.0, -1.0, 1.0]]))[0, 0] == 0
 
-    row = ad.sign(np.random.default_rng(3).standard_normal((1, 130)))
-    same = bk.bitpack(row)
-    assert bk.xnor_popcount_gemm(same, same)[0, 0] == 130
+    row = bk.sign(np.random.default_rng(3).standard_normal((1, 130)))
+    assert packed_pm1_gemm(row, row)[0, 0] == 130
 
 
 def test_gemm_matches_naive_large():
     rng = np.random.default_rng(4)
-    a = ad.sign(rng.standard_normal((256, 256)))
-    b = ad.sign(rng.standard_normal((256, 256)))
-    got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
+    a = bk.sign(rng.standard_normal((256, 256)))
+    b = bk.sign(rng.standard_normal((256, 256)))
+    got = packed_pm1_gemm(a, b)
     assert np.array_equal(got, naive_pm1_gemm(a, b))
 
 
@@ -162,9 +167,9 @@ def test_gemm_matches_naive_odd_dims():
         m = int(rng.integers(1, 20))
         n = int(rng.integers(1, 200))
         p = int(rng.integers(1, 20))
-        a = ad.sign(rng.standard_normal((m, n)))
-        b = ad.sign(rng.standard_normal((p, n)))
-        got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
+        a = bk.sign(rng.standard_normal((m, n)))
+        b = bk.sign(rng.standard_normal((p, n)))
+        got = packed_pm1_gemm(a, b)
         assert np.array_equal(got, naive_pm1_gemm(a, b)), f"trial {trial} ({m}x{n}x{p})"
 
 
@@ -172,20 +177,20 @@ def test_gemm_small_block_path():
     # an operand of more rows than one block spans a full and a partial block:
     # the right operand's rows are tiled, the left operand's are not
     rng = np.random.default_rng(6)
-    long = ad.sign(rng.standard_normal((bk.GEMM_BLOCK + 77, 65)))
-    short = ad.sign(rng.standard_normal((30, 65)))
+    long = bk.sign(rng.standard_normal((bk.GEMM_BLOCK + 77, 65)))
+    short = bk.sign(rng.standard_normal((30, 65)))
     for a, b in ((long, short), (short, long)):
-        got = bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b))
+        got = packed_pm1_gemm(a, b)
         assert np.array_equal(got, naive_pm1_gemm(a, b))
 
 
 def test_gemm_finish_sees_every_tile_once():
-    """With a finish, each tile's counts reach it in site order and equal
-    the plain product's columns; an empty inner dimension gives zeros."""
+    """Each tile's counts reach the finish once, in site order, and equal
+    the naive product's columns; an empty inner dimension gives zeros."""
     rng = np.random.default_rng(14)
     for cols in (0, 1, 65):
-        a = ad.sign(rng.standard_normal((5, cols)))
-        b = ad.sign(rng.standard_normal((2 * bk.GEMM_BLOCK + 17, cols)))
+        a = bk.sign(rng.standard_normal((5, cols)))
+        b = bk.sign(rng.standard_normal((2 * bk.GEMM_BLOCK + 17, cols)))
         want = naive_pm1_gemm(a, b)
         seen = []
 
@@ -194,15 +199,15 @@ def test_gemm_finish_sees_every_tile_once():
             seen.append((lo, hi))
             assert np.array_equal(counts, want[:, lo:hi])
 
-        assert bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b), finish) is None
+        assert bk.xnor_popcount_gemm(bk.bitpack(a > 0), bk.bitpack(b > 0), finish) is None
         assert [lo for lo, _ in seen] == list(range(0, b.shape[0], bk.GEMM_BLOCK))
         assert seen[-1][1] == b.shape[0]
-        assert np.array_equal(bk.xnor_popcount_gemm(bk.bitpack(a), bk.bitpack(b)), want)
 
 
 def test_gemm_dim_mismatch():
     with pytest.raises(ParameterError):
-        bk.xnor_popcount_gemm(bk.bitpack(np.ones((2, 5))), bk.bitpack(np.ones((2, 6))))
+        bk.xnor_popcount_gemm(bk.bitpack(np.ones((2, 5), dtype=bool)),
+                              bk.bitpack(np.ones((2, 6), dtype=bool)), lambda *tile: None)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +238,7 @@ def test_binary_full_matches_sign_multiply_oracle():
         w = np.asarray(params.weight.data)
         beta = np.asarray(params.beta.data)
         gamma = np.asarray(params.gamma.data)
-        oracle = gamma[:, None] * (ad.sign(w).T @ ad.sign(x - beta[:, None]))
+        oracle = gamma[:, None] * (bk.sign(w).T @ bk.sign(x - beta[:, None]))
         assert np.array_equal(bk.binary_linear_full(x, params), oracle)
 
 
@@ -525,6 +530,6 @@ def test_binary_weight_matches_dense_oracle():
         gamma = np.asarray(params.gamma.data)
         got = vector_mapping(v, params).data
         for c in range(3):
-            oracle = gamma[:, None] * (ad.sign(w).T @ v[c])
+            oracle = gamma[:, None] * (bk.sign(w).T @ v[c])
             assert np.abs(got[c] - oracle).max() < 1e-12
 
