@@ -403,13 +403,11 @@ def transpose(x) -> Tensor:
 # vector-feature primitives (coordinate axis first, length 3)
 
 
-def vector_map_raw(v, w, gamma=None) -> Tensor:
-    """Channel-mixing map shared across coordinates: (3,q,N),(q,p) -> (3,p,N),
-    each output channel then scaled by a (p,) `gamma` when one is given.
+def vector_map_raw(v, w) -> Tensor:
+    """Channel-mixing map shared across coordinates: (3,q,N),(q,p) -> (3,p,N).
 
-    The scaled map gives the bits of the unscaled one times `gamma` by
-    `mul`, gradients included, and keeps only the scaled output: backward
-    recomputes the product for gamma's gradient.
+    A binary_weight layer passes its signs already scaled by γ (see
+    `svcore.vector_mapping`), so this one map serves every precision mode.
     """
     v, w = as_tensor(v), as_tensor(w)
     if v.data.shape[1] != w.data.shape[0]:
@@ -420,29 +418,14 @@ def vector_map_raw(v, w, gamma=None) -> Tensor:
     # permutation of the coordinates only moves and negates whole slices,
     # so rotated inputs give bit-identical (rotated) outputs
     out = _product(w.data.T, v.data)
-    parents = (v, w)
-    if gamma is not None:
-        gamma = as_tensor(gamma)
-        if gamma.data.shape != w.data.shape[1:]:
-            raise ParameterError(
-                f"gamma of shape {gamma.data.shape} for {w.data.shape[1]} channels")
-        # a new array, not in place: scaling in place raised the binary
-        # pointnet eval benchmark's peak RSS from 180 to 197 MB (glibc's
-        # dynamic mmap threshold)
-        out = out * gamma.data[None, :, None]
-        parents += (gamma,)
 
     def bw(g):
-        if gamma is not None:
-            if gamma.requires_grad:
-                _accumulate(gamma, (g * _product(w.data.T, v.data)).sum(axis=(0, 2)))
-            g = g * gamma.data[None, :, None]
         if v.requires_grad:
             _accumulate(v, np.matmul(w.data, g))
         if w.requires_grad:
             _accumulate(w, np.matmul(v.data, g.swapaxes(1, 2)).sum(axis=0))  # sum of v[c] @ g[c].T
 
-    return _make(out, parents, bw)
+    return _make(out, (v, w), bw)
 
 
 def pair_contract(a, b) -> Tensor:

@@ -547,7 +547,7 @@ def load_checkpoint(path) -> Model:
             except ConfigError as exc:
                 raise CheckpointError(f"embedded config invalid: {exc}") from None
             model = layout_model(cfg)
-            if not model.binarized and any(name.endswith(".gamma") for name in members):
+            if cfg.binarize == "two_step" and any(name.endswith(".gamma") for name in members):
                 binarize_plan(model)  # switched after its fp phase by two-step training
             registry = dict(model.state_arrays())
             if set(members) != set(registry):

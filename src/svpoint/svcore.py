@@ -158,7 +158,9 @@ def vector_mapping(v, params: LinearParams) -> ad.Tensor:
 
     Only full_precision and binary_weight are legal here: shifting or
     binarizing the activations themselves would break equivariance, and a
-    bias would translate vectors.
+    bias would translate vectors. A binary_weight layer maps by its signs
+    times γ, one scale per output channel (W ≈ γ·sign(W), as in XNOR-Net):
+    the (q, q') weight is scaled, not the (3, q', N) output.
     """
     v = ad.as_tensor(v)
     if v.data.ndim != 3 or v.data.shape[0] != 3:
@@ -168,7 +170,10 @@ def vector_mapping(v, params: LinearParams) -> ad.Tensor:
         return ad.vector_map_raw(v, w)
     if params.mode != "binary_weight":
         raise ParameterError(f"vector features cannot use precision mode {params.mode!r}")
-    return ad.vector_map_raw(v, ad.sign_ste(w), params.gamma)
+    gamma = ad.as_tensor(params.gamma)
+    if gamma.data.shape != w.data.shape[1:]:  # mul would broadcast a (1,) γ in silence
+        raise ParameterError(f"gamma of shape {gamma.data.shape} for {w.data.shape[1]} channels")
+    return ad.vector_map_raw(v, ad.mul(ad.sign_ste(w), gamma))
 
 
 # ---------------------------------------------------------------------------

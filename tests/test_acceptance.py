@@ -319,7 +319,8 @@ def test_criterion_5_gradients(capsys):
     edge_table = np.array([[1, 2], [0, 0], [3, 2], [2, 3]])
 
     cases = [
-        ("vector_map_scaled", weighted(ad.vector_map_raw, 1), (v3, wmap, gamma2)),
+        ("vector_map_scaled",
+         weighted(lambda a, w, g: ad.vector_map_raw(a, ad.mul(w, g)), 1), (v3, wmap, gamma2)),
         ("mul", weighted(ad.mul, 3), (x34, y34)),
         ("relu", weighted(ad.relu, 5), (off0,)),
         ("sigmoid", weighted(ad.sigmoid, 6), (x34,)),

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import svpoint.autodiff as ad
-import svpoint.binkernel as bk
 from helpers import (batch_norm_textbook, finite_difference_check, gated_norm_chain, same_bits,
-                     same_bits_but_nan, total, traced_peak, vector_norm_textbook, weighted,
-                     weighted_sum)
+                     total, traced_peak, vector_norm_textbook, weighted, weighted_sum)
 from svpoint.errors import ParameterError, StateError
 from svpoint.svcore import LinearParams, NormParams, eval_norm, scalar_linear, vector_mapping
 
@@ -149,36 +147,6 @@ def test_sign_ste_outside_clip_blocks():
     tape.backward(loss)
     assert out.data[0] == 1.0 and np.isnan(out.data[1])
     assert x.grad.tolist() == [0.0, 0.0]
-
-
-def test_scaled_vector_map_matches_mul_bit_for_bit():
-    """`vector_map_raw(v, w, gamma)` gives the output and the v, w and gamma
-    gradients of `vector_map_raw` then `mul` by the reshaped gamma, bit for
-    bit and with NaN at the same positions; gamma must be one per channel."""
-    rng = np.random.default_rng(73)
-    for q, p, n, special in ((4, 5, 9, False), (42, 13, 1000, True)):
-        v0, w0 = rng.standard_normal((3, q, n)), bk.sign(rng.standard_normal((q, p)))
-        gamma0 = rng.standard_normal(p)
-        if special:
-            v0[0, 1, :3] = 0.0, -0.0, np.inf
-            v0[2, 3, 7] = np.nan
-            w0[0, 1] = np.nan
-        g = rng.standard_normal((3, p, n))
-        results = []
-        for fused in (True, False):
-            v, w, gamma = ad.parameter(v0), ad.parameter(w0), ad.parameter(gamma0)
-            with ad.Tape() as tape:
-                if fused:
-                    out = ad.vector_map_raw(v, w, gamma)
-                else:
-                    out = ad.mul(ad.vector_map_raw(v, w), ad.reshape(gamma, (1, -1, 1)))
-                loss = weighted_sum(out, g)
-            tape.backward(loss)
-            results.append((out.data, v.grad, w.grad, gamma.grad))
-        for name, a, b in zip(("out", "v", "w", "gamma"), *results):
-            assert same_bits_but_nan(a, b), (q, name)
-    with pytest.raises(ParameterError, match="gamma of shape"):
-        ad.vector_map_raw(v0, w0, np.ones(p + 1))
 
 
 # ---------------------------------------------------------------------------

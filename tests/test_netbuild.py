@@ -448,15 +448,17 @@ def test_eval_logits_do_not_depend_on_the_batch():
 
 def test_binary_eval_forward_memory_bound():
     """One binary pointnet eval forward (8 clouds of 256 points, k=16)
-    peaks under 31 MB of traced numpy memory: block 0's (34, 32768)
+    peaks under fp's 25 MB of traced numpy memory: block 0's (34, 32768)
     output is written once, with no int64 product, γ, norm or ReLU array
-    beside it (the float chain peaked at 39.9 MB), and each block scales
-    its vectors in place (32.5 MB when eval ran the training vector norm
-    and the gate's `mul`)."""
+    beside it (the float chain peaked at 39.9 MB), each block scales its
+    vectors in place (32.5 MB when eval ran the training vector norm and
+    the gate's `mul`), and each binary frame and vector map scales its
+    signs by γ, not its output (29.9 MB when γ scaled a copy of the
+    (3, q, N) output)."""
     model = nb.build_model(nb.ModelConfig(binarize="vanilla"), rng_seed=1)
     clouds = random_clouds(8, 256, 9)
     peak, _ = traced_peak(model.forward, clouds)
-    assert peak < 31e6, peak
+    assert peak < 25e6, peak
 
 
 def test_fp_eval_forward_memory_bound():
@@ -563,9 +565,9 @@ def test_fp_training_step_records_no_separate_bias_or_relu():
 def test_binary_training_step_records_one_node_per_binary_layer():
     """A binary dgcnn training step (the fingerprint's dg_vanilla) records
     each binary_full layer as one `binkernel.linear` node beside its weight's
-    `sign_ste`, scales each binary vector map and frame inside
-    `vector_map_raw`, and normalizes and gates each block's vectors in one
-    `vector_norm_scale_train` node: no `mul` node is recorded."""
+    `sign_ste`, scales each binary_weight layer's signs by γ in one `mul`
+    node before its `vector_map_raw`, and normalizes and gates each block's
+    vectors in one `vector_norm_scale_train` node."""
     from fingerprint import BASE, CONFIGS
 
     model = nb.build_model(nb.ModelConfig(**BASE, **CONFIGS["dg_vanilla"]), rng_seed=3)
@@ -577,10 +579,10 @@ def test_binary_training_step_records_one_node_per_binary_layer():
     tape.backward(loss)
     modes = [lin.mode for _, lin, _, _ in model.layers]
     gated = [blk for blk in model.blocks if blk.gate_mlp]
-    assert modes.count("binary_full") > 0 and gated
+    assert modes.count("binary_full") > 0 and modes.count("binary_weight") > 0 and gated
     assert kinds["linear"] == modes.count("binary_full")
     assert kinds["sign_ste"] == len(modes) - modes.count("full_precision")
-    assert kinds["mul"] == 0
+    assert kinds["mul"] == modes.count("binary_weight")
     assert kinds["vector_norm_scale_train"] == len(model.blocks)
     vector_layers = [kind for _, _, kind, _ in model.layers if kind in ("frame", "vector")]
     assert kinds["vector_map_raw"] == len(vector_layers)
@@ -1007,6 +1009,25 @@ def test_checkpoint_phase_two_state_flag(tmp_path):
     fp = tmp_path / "fp.ckpt"
     nb.save_checkpoint(nb.build_model(small_cfg(binarize="two_step")), fp)
     assert not nb.load_checkpoint(fp).binarized
+
+
+def test_checkpoint_gamma_members_switch_only_a_two_step_model(tmp_path):
+    """`*.gamma` members switch a model to binary only when its config says
+    `two_step`: a binary checkpoint whose config member says `none` fails
+    in one line naming the tensors the fp model does not know, where it
+    once loaded as a binarized model."""
+    vanilla = nb.build_model(small_cfg(binarize="vanilla"), rng_seed=4)
+    two_step = nb.build_model(small_cfg(binarize="two_step"), rng_seed=4)
+    nb.binarize_plan(two_step)
+    fp_text = small_cfg(binarize="none").to_text().encode()
+    crafted = tmp_path / "crafted.ckpt"
+    for model in (vanilla, two_step):
+        members = [("config", _npy(np.frombuffer(fp_text, dtype=np.uint8)))]
+        members += [(key, _npy(arr)) for key, arr in model.state_arrays()]
+        _archive(crafted, members)
+        _rejects(crafted, r"tensors unknown: \['block0\.frame\.gamma', "
+                          r"'block0\.scalar0\.beta', 'block0\.scalar0\.gamma', "
+                          r"'block0\.vector_map\.gamma'\], missing: \['block0\.scalar0\.bias'")
 
 
 def test_loading_and_counting_draw_nothing(tmp_path, monkeypatch):

@@ -92,6 +92,12 @@ def test_vector_mapping_shape_errors():
         vector_mapping(np.ones((3, 2, 4)), LinearParams(weight=np.ones((3, 2))))
     with pytest.raises(ParameterError):
         vector_mapping(np.ones((2, 4)), LinearParams(weight=np.ones((2, 2))))
+    # a binary map scales its signs by γ through `mul`, which would
+    # broadcast a γ of another shape in silence
+    for shape in ((1,), (4,), (3, 1), (1, 3), ()):
+        params = LinearParams(weight=np.ones((2, 3)), mode="binary_weight", gamma=np.ones(shape))
+        with pytest.raises(ParameterError, match="gamma of shape"):
+            vector_mapping(np.ones((3, 2, 4)), params)
 
 
 def test_coordinate_frame_cases():
@@ -428,14 +434,23 @@ def test_block_eval_scales_vectors_by_norm_then_gate_bit_for_bit(monkeypatch):
     norm first and then by the per-cloud gate: the bits of the map's output
     times the norm coefficient times the repeated gate factors, for fp and
     binary_weight (γ) maps, gated and ungated blocks, with and without
-    vector channels out, over 1, 4 and one-site groups. It calls none of
-    the training ops and leaves the running statistics alone."""
+    vector channels out, over 1, 4 and one-site groups. It runs no
+    `vector_norm_scale_train`, `mul` on no operand with a site axis (only
+    on a binary map's sign weights and γ), and leaves the running
+    statistics alone."""
+    n = 12
+    real_mul = ad.mul
+
     def refuse(*_):
         raise AssertionError("an eval forward ran a training op")
 
-    for name in ("vector_norm_scale_train", "mul"):
-        monkeypatch.setattr(ad, name, refuse)
-    n = 12
+    def weight_mul(*operands):  # a binary map scales its (q_in, q_out) signs by γ
+        if any(np.shape(arr(x))[-1:] == (n,) for x in operands):
+            raise AssertionError("an eval forward ran `mul` on sites")
+        return real_mul(*operands)
+
+    monkeypatch.setattr(ad, "vector_norm_scale_train", refuse)
+    monkeypatch.setattr(ad, "mul", weight_mul)
     for seed, (binary, gated, q_out) in enumerate(
             (b, g, q) for b in (False, True) for g in (False, True) for q in (3, 0)):
         rng = np.random.default_rng(40 + seed)
