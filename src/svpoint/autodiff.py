@@ -2,9 +2,14 @@
 
 Tensors wrap float64 numpy arrays. Recording happens only inside a Tape
 context; outside of one, ops run as plain numpy with no graph overhead.
-Backward traverses the recorded forward order reversed, accumulates
-gradients additively at fan-out points, and frees each node's gradient
-as soon as it is consumed, so a tape sweeps once.
+Each tensor's gradient, backward closure and requires_grad flag live in
+a `GradSlot` apart from its data. A closure holds its parents' slots and
+only the arrays its backward reads (a shape where it reads only a
+shape), so backward keeps an output alive only where a closure reads
+it. The tape holds its output tensors until backward starts, then only
+their slots. Backward traverses the recorded forward order reversed,
+accumulates gradients additively at fan-out points, and lets go of each
+slot as soon as it is consumed, so a tape sweeps once.
 """
 
 from __future__ import annotations
@@ -80,7 +85,8 @@ class Tape:
     """Records primitive applications in forward order for reverse sweep."""
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        # the recorded outputs; from the start of backward, their slots
+        self.nodes: list[Tensor | GradSlot] = []
         self.swept = False
 
     def __enter__(self) -> "Tape":
@@ -95,10 +101,13 @@ class Tape:
         """Seed d(loss) and sweep the recorded nodes in reverse.
 
         Gradients land in the .grad of every leaf tensor with
-        requires_grad, parameters included. Each recorded node lets go of
-        its gradient and its backward closure (with the arrays that
-        closure saved) as soon as the sweep passes it, so a tape sweeps
-        once; node data stays.
+        requires_grad, parameters included. The sweep starts by trading
+        the recorded output tensors for their slots, so every output that
+        no closure saved and the caller does not hold is freed then; the
+        caller's tensors keep their data. Each slot lets go of its
+        gradient and its backward closure (with the arrays that closure
+        saved) as soon as the sweep passes it, and the tape ends empty,
+        so a tape sweeps once.
         """
         if self.swept:
             raise StateError("backward already ran on this tape; record a new forward")
@@ -107,10 +116,14 @@ class Tape:
         if loss._grad_fn is None and not loss.requires_grad:
             raise StateError("loss tensor was not recorded on this tape")
         self.swept = True
+        nodes = self.nodes
+        for i in range(len(nodes)):  # in place, so the swap itself allocates nothing
+            nodes[i] = nodes[i].slot
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            grad, grad_fn = node.grad, node._grad_fn
-            node.grad = node._grad_fn = None
+        while nodes:
+            slot = nodes.pop()
+            grad, grad_fn = slot.grad, slot.grad_fn
+            slot.grad = slot.grad_fn = None
             if grad is not None and grad_fn is not None:
                 grad_fn(grad)
 
@@ -120,14 +133,35 @@ def recording() -> bool:
     return bool(_ACTIVE_TAPES)
 
 
+class GradSlot:
+    """A tensor's part in the sweep: its gradient, its backward closure and
+    whether it takes a gradient. Closures hold their parents' slots, so
+    holding a slot keeps no data alive."""
+
+    __slots__ = ("grad", "grad_fn", "requires_grad")
+
+    def __init__(self, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.grad_fn = None
+        self.requires_grad = requires_grad
+
+
+def _slot_field(name: str) -> property:
+    return property(lambda t: getattr(t.slot, name),
+                    lambda t, value: setattr(t.slot, name, value))
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_grad_fn")
+    __slots__ = ("data", "slot")
+
+    # read and assigned through the slot, which closures and the sweep share
+    grad = _slot_field("grad")
+    requires_grad = _slot_field("requires_grad")
+    _grad_fn = _slot_field("grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._grad_fn = None
+        self.slot = GradSlot(requires_grad)
 
     @property
     def shape(self):
@@ -148,7 +182,7 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: GradSlot | Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
 
@@ -157,8 +191,8 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     tape = _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
     out = Tensor(data)
     if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._grad_fn = grad_fn
+        out.slot.requires_grad = True
+        out.slot.grad_fn = grad_fn
         tape.nodes.append(out)
     return out
 
@@ -180,12 +214,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
+    sa, sb, a_shape, b_shape = a.slot, b.slot, a.data.shape, b.data.shape
+    # each factor's gradient reads the other factor
+    a_data = a.data if sb.requires_grad else None
+    b_data = b.data if sa.requires_grad else None
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if sa.requires_grad:
+            _accumulate(sa, _unbroadcast(g * b_data, a_shape))
+        if sb.requires_grad:
+            _accumulate(sb, _unbroadcast(g * a_data, b_shape))
 
     return _make(out, (a, b), bw)
 
@@ -193,9 +231,10 @@ def mul(a, b) -> Tensor:
 def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.data, 0.0)
+    sx, x_data = x.slot, x.data
 
     def bw(g):
-        _accumulate(x, g * (x.data > 0))  # subgradient 0 at the kink
+        _accumulate(sx, g * (x_data > 0))  # subgradient 0 at the kink
 
     return _make(out, (x,), bw)
 
@@ -203,9 +242,10 @@ def relu(x) -> Tensor:
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     s = 1.0 / (1.0 + np.exp(-x.data))
+    sx = x.slot
 
     def bw(g):
-        _accumulate(x, g * s * (1.0 - s))
+        _accumulate(sx, g * s * (1.0 - s))
 
     return _make(s, (x,), bw)
 
@@ -227,10 +267,10 @@ def sign_ste(x) -> Tensor:
     out = np.where(x.data >= 0, 1.0, -1.0)  # sign's predicate
     # NaN has no sign: it stays NaN, so the loss shows the divergence
     out[np.isnan(x.data)] = np.nan
-    saved = x.data
+    sx, saved = x.slot, x.data
 
     def bw(g):
-        _accumulate(x, g * ste_band(saved))
+        _accumulate(sx, g * ste_band(saved))
 
     return _make(out, (x,), bw)
 
@@ -242,10 +282,10 @@ def sign_ste(x) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     out = x.data.reshape(shape)
-    old = x.data.shape
+    sx, old = x.slot, x.data.shape
 
     def bw(g):
-        _accumulate(x, g.reshape(old))
+        _accumulate(sx, g.reshape(old))
 
     return _make(out, (x,), bw)
 
@@ -254,10 +294,11 @@ def concat(parts) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts])
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+    slots = [p.slot for p in parts]
 
     def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
+        for sp, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+            _accumulate(sp, g[lo:hi])
 
     return _make(out, tuple(parts), bw)
 
@@ -285,14 +326,18 @@ def matmul(a, b, bias=None) -> Tensor:
             raise ParameterError(f"bias of shape {bias.data.shape} for a product of {out.shape}")
         out += bias.data[:, None]
         parents += (bias,)
+    sa, sb, s_bias = a.slot, b.slot, None if bias is None else bias.slot
+    # each factor's gradient reads the other factor
+    a_data = a.data if sb.requires_grad else None
+    b_data = b_data if sa.requires_grad else None
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b_data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=1))
+        if sa.requires_grad:
+            _accumulate(sa, g @ b_data.T)
+        if sb.requires_grad:
+            _accumulate(sb, a_data.T @ g)
+        if s_bias is not None and s_bias.requires_grad:
+            _accumulate(s_bias, g.sum(axis=1))
 
     return _make(out, parents, bw)
 
@@ -307,20 +352,21 @@ def pool_groups(x, size: int, mode: str) -> Tensor:
     if size < 1 or n % size != 0:
         raise ParameterError(f"site count {n} not divisible by group size {size}")
     grouped = x.data.reshape(x.data.shape[:-1] + (n // size, size))
+    sx, x_shape, grouped_shape = x.slot, x.data.shape, grouped.shape
     if mode == "mean":
         out = grouped.mean(axis=-1)
 
         def bw(g):
-            _accumulate(x, np.repeat(g / size, size, axis=-1))
+            _accumulate(sx, np.repeat(g / size, size, axis=-1))
 
     elif mode == "max":
         arg = grouped.argmax(axis=-1)
         out = np.take_along_axis(grouped, arg[..., None], axis=-1)[..., 0]
 
         def bw(g):
-            gg = np.zeros_like(grouped)
+            gg = np.zeros(grouped_shape)
             np.put_along_axis(gg, arg[..., None], g[..., None], axis=-1)
-            _accumulate(x, gg.reshape(x.data.shape))
+            _accumulate(sx, gg.reshape(x_shape))
 
     else:
         raise ParameterError(f"unknown pooling mode {mode!r}")
@@ -347,9 +393,10 @@ def take_sites(x, idx: np.ndarray) -> Tensor:
     out = x.data[..., idx]  # raises on out-of-range indices
     n_cols = x.data.shape[-1]
     idx = np.where(idx < 0, idx + n_cols, idx)  # negative indices count from the end
+    sx = x.slot
 
     def bw(g):
-        _accumulate(x, _scatter_sites(g, idx, n_cols))
+        _accumulate(sx, _scatter_sites(g, idx, n_cols))
 
     return _make(out, (x,), bw)
 
@@ -378,12 +425,13 @@ def edge_pairs(x, neighbors: np.ndarray) -> Tensor:
     x_i = out[..., :c, :]
     x_i[...] = x.data[..., center_idx]
     np.subtract(x.data[..., neigh_idx], x_i, out=out[..., c:, :])
+    sx = x.slot
 
     def bw(g):
         g_diff = g[..., c:, :]
-        _accumulate(x, _scatter_sites(g_diff, neigh_idx, n))
+        _accumulate(sx, _scatter_sites(g_diff, neigh_idx, n))
         # a - b is a + (-b) exactly, so this equals the unfused center gradient
-        _accumulate(x, _scatter_sites(g[..., :c, :] - g_diff, center_idx, n))
+        _accumulate(sx, _scatter_sites(g[..., :c, :] - g_diff, center_idx, n))
 
     return _make(out, (x,), bw)
 
@@ -392,9 +440,10 @@ def transpose(x) -> Tensor:
     """Reverse the axes; a matrix's transpose."""
     x = as_tensor(x)
     out = np.transpose(x.data)
+    sx = x.slot
 
     def bw(g):
-        _accumulate(x, np.transpose(g))
+        _accumulate(sx, np.transpose(g))
 
     return _make(out, (x,), bw)
 
@@ -418,12 +467,16 @@ def vector_map_raw(v, w) -> Tensor:
     # permutation of the coordinates only moves and negates whole slices,
     # so rotated inputs give bit-identical (rotated) outputs
     out = _product(w.data.T, v.data)
+    sv, sw = v.slot, w.slot
+    # each factor's gradient reads the other factor
+    v_data = v.data if sw.requires_grad else None
+    w_data = w.data if sv.requires_grad else None
 
     def bw(g):
-        if v.requires_grad:
-            _accumulate(v, np.matmul(w.data, g))
-        if w.requires_grad:
-            _accumulate(w, np.matmul(v.data, g.swapaxes(1, 2)).sum(axis=0))  # sum of v[c] @ g[c].T
+        if sv.requires_grad:
+            _accumulate(sv, np.matmul(w_data, g))
+        if sw.requires_grad:
+            _accumulate(sw, np.matmul(v_data, g.swapaxes(1, 2)).sum(axis=0))  # sum of v[c] @ g[c].T
 
     return _make(out, (v, w), bw)
 
@@ -441,12 +494,16 @@ def pair_contract(a, b) -> Tensor:
     out = np.empty(a.data.shape[1:2] + b.data.shape[1:])
     for i in range(out.shape[0]):
         _coord_dot(a.data[:, i : i + 1], b.data, out[i])
+    sa, sb = a.slot, b.slot
+    # each factor's gradient reads the other factor
+    a_data = a.data if sb.requires_grad else None
+    b_data = b.data if sa.requires_grad else None
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, np.einsum("aqn,cqn->can", g, b.data))
-        if b.requires_grad:
-            _accumulate(b, np.einsum("aqn,can->cqn", g, a.data))
+        if sa.requires_grad:
+            _accumulate(sa, np.einsum("aqn,cqn->can", g, b_data))
+        if sb.requires_grad:
+            _accumulate(sb, np.einsum("aqn,can->cqn", g, a_data))
 
     return _make(out, (a, b), bw)
 
@@ -504,6 +561,8 @@ def batch_norm_train(x, gain, bias, eps: float, *, relu: bool = False):
         inv[t] = norm_affine(xhat_t, var[t], eps, gain.data[t], bias.data[t], out_t)
         if relu:
             np.maximum(out_t, 0.0, out=out_t)
+    sx, s_gain, s_bias, gain_data = x.slot, gain.slot, bias.slot, gain.data
+    relu_out = out if relu else None  # ReLU's mask is read from the output
 
     def bw(g):
         buf, g_relu = np.empty((2, rows, count))
@@ -513,12 +572,12 @@ def batch_norm_train(x, gain, bias, eps: float, *, relu: bool = False):
             n = t.stop - t.start
             g_t, xhat_t, gx_t, buf_t = g[t], xhat[t], gx[t], buf[:n]
             if relu:
-                g_t = np.multiply(g_t, out[t] > 0, out=g_relu[:n])
+                g_t = np.multiply(g_t, relu_out[t] > 0, out=g_relu[:n])
             g_gain[t] = np.multiply(g_t, xhat_t, out=buf_t).sum(axis=1)
             g_bias[t] = g_t.sum(axis=1)
             # the batch statistics depend on x too: inv / count * (count * gx
             # - sum(gx) - xhat * sum(gx * xhat)), in place in the textbook order
-            np.multiply(g_t, gain.data[t, None], out=gx_t)
+            np.multiply(g_t, gain_data[t, None], out=gx_t)
             sum_gx = gx_t.sum(axis=1, keepdims=True)
             np.multiply(gx_t, xhat_t, out=buf_t)
             sum_gx_xhat = buf_t.sum(axis=1, keepdims=True)
@@ -526,9 +585,9 @@ def batch_norm_train(x, gain, bias, eps: float, *, relu: bool = False):
             gx_t -= sum_gx
             gx_t -= np.multiply(xhat_t, sum_gx_xhat, out=buf_t)
             gx_t *= inv[t] / count
-        _accumulate(gain, g_gain)
-        _accumulate(bias, g_bias)
-        _accumulate(x, gx)
+        _accumulate(s_gain, g_gain)
+        _accumulate(s_bias, g_bias)
+        _accumulate(sx, gx)
 
     return _make(out, (x, gain, bias), bw), mean, var
 
@@ -560,35 +619,38 @@ def vector_norm_scale_train(v, log_scale, eps: float, gate=None):
     mean_norm = norms.mean(axis=1)
     denom = mean_norm + eps
     coef = np.exp(log_scale.data) / denom  # (q,)
-    out = vector_scale(v.data, coef, None if gate is None else gate.data, np.empty(v.data.shape))
+    gate_data = None if gate is None else gate.data
+    out = vector_scale(v.data, coef, gate_data, np.empty(v.data.shape))
     count = v.data.shape[2]
+    v_data, sv, s_log_scale = v.data, v.slot, log_scale.slot
+    s_gate = None if gate is None else gate.slot
 
     def bw(g):
-        buf = np.empty(v.data.shape[1:])
-        if gate is not None:
-            sites = (3,) + gate.data.shape + (count // gate.data.shape[1],)
-            if gate.requires_grad:
+        buf = np.empty(v_data.shape[1:])
+        if s_gate is not None:
+            sites = (3,) + gate_data.shape + (count // gate_data.shape[1],)
+            if s_gate.requires_grad:
                 g_gate = np.zeros(buf.shape)  # the ungated output times g, summed over axis 0
-                for vi, gi in zip(v.data, g):
+                for vi, gi in zip(v_data, g):
                     np.multiply(vi, coef[:, None], out=buf)
                     buf *= gi
                     g_gate += buf
-                _accumulate(gate, g_gate.reshape(sites[1:]).sum(axis=-1))
+                _accumulate(s_gate, g_gate.reshape(sites[1:]).sum(axis=-1))
                 del g_gate
-            g = np.multiply(g.reshape(sites), gate.data[:, :, None]).reshape(v.data.shape)
+            g = np.multiply(g.reshape(sites), gate_data[:, :, None]).reshape(v_data.shape)
         a = np.zeros(coef.shape)  # (q,) inner product with the output direction
-        for vi, gi in zip(v.data, g):
+        for vi, gi in zip(v_data, g):
             a += np.multiply(gi, vi, out=buf).sum(axis=1)
-        _accumulate(log_scale, a * coef)
+        _accumulate(s_log_scale, a * coef)
         # a gated g is ours, so it becomes the gradient of v in place
-        gv = np.multiply(g, coef[None, :, None], out=None if gate is None else g)
+        gv = np.multiply(g, coef[None, :, None], out=None if s_gate is None else g)
         through_mean = (a * coef / denom / count)[:, None]  # the mean norm depends on v
         safe = np.where(norms > 0, norms, 1.0)
-        for vi, gvi in zip(v.data, gv):
+        for vi, gvi in zip(v_data, gv):
             np.divide(vi, safe, out=buf)
             buf *= through_mean
             gvi -= buf
-        _accumulate(v, gv)
+        _accumulate(sv, gv)
 
     return _make(out, (v, log_scale) + (() if gate is None else (gate,)), bw), mean_norm
 
@@ -610,11 +672,12 @@ def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
     batch = z.shape[1]
     loss = -log_probs[labels, np.arange(batch)].mean()
     softmax = ez / ez.sum(axis=0, keepdims=True)
+    s_logits = logits.slot
 
     def bw(g):
         gz = softmax.copy()
         gz[labels, np.arange(batch)] -= 1.0
-        _accumulate(logits, g * gz / batch)
+        _accumulate(s_logits, g * gz / batch)
 
     return _make(np.float64(loss), (logits,), bw)
 

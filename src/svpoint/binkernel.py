@@ -204,6 +204,8 @@ def linear(x, params, finish=None) -> ad.Tensor:
     xnor_popcount_gemm(bitpack(ws.T >= 0), sites, tile)
     if not records:
         return ad.Tensor(out)
+    sx, s_beta, s_w, s_gamma = (p.slot for p in parents)
+    gamma_data, n_sites = gamma.data, out.shape[1]
 
     def signs() -> np.ndarray:
         # C order, the layout matmul gives its right operand
@@ -216,34 +218,34 @@ def linear(x, params, finish=None) -> ad.Tensor:
 
     def row_tiles(p):
         # the γ and β sums run over tiles of rows in a TILE_BYTES buffer
-        rows = max(1, ad.TILE_BYTES // max(1, 8 * out.shape[1]))
-        buf = np.empty((min(p, rows),) + out.shape[1:])
+        rows = max(1, ad.TILE_BYTES // max(1, 8 * n_sites))
+        buf = np.empty((min(p, rows), n_sites))
         for lo in range(0, p, rows):
             yield slice(lo, lo + rows), buf[:min(rows, p - lo)]
 
     def bw(g):
-        g_prod = g * gamma.data[:, None]
-        if gamma.requires_grad:
-            g_gamma = np.empty(gamma.data.shape)
+        g_prod = g * gamma_data[:, None]
+        if s_gamma.requires_grad:
+            g_gamma = np.empty(gamma_data.shape)
             for t, prod in row_tiles(len(g_gamma)):
                 np.copyto(prod, counts[t])
                 if nan is not None:  # a NaN activation fills its site's column
                     prod[:, nan_sites] = np.nan
                 prod[nan_outs[t]] = np.nan  # a NaN weight its output's row
                 g_gamma[t] = np.multiply(g[t], prod, out=prod).sum(axis=1)
-            ad._accumulate(gamma, g_gamma)
-        if w_signs.requires_grad:
-            ad._accumulate(w_signs, np.transpose(g_prod @ signs().T))
-        if x.requires_grad or beta.requires_grad:
+            ad._accumulate(s_gamma, g_gamma)
+        if s_w.requires_grad:
+            ad._accumulate(s_w, np.transpose(g_prod @ signs().T))
+        if sx.requires_grad or s_beta.requires_grad:
             gx = ws @ g_prod
             del g_prod
             gx *= band
-            ad._accumulate(x, gx)
-            if beta.requires_grad:
-                g_beta = np.empty(beta.data.shape)
+            ad._accumulate(sx, gx)
+            if s_beta.requires_grad:
+                g_beta = np.empty(len(gx))
                 for t, neg in row_tiles(len(g_beta)):
                     g_beta[t] = np.negative(gx[t], out=neg).sum(axis=1)
-                ad._accumulate(beta, g_beta)
+                ad._accumulate(s_beta, g_beta)
 
     return ad._make(out, parents, bw)
 

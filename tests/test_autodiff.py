@@ -82,7 +82,8 @@ def test_tape_is_single_use():
 
 
 def test_backward_releases_every_node():
-    """The sweep leaves no gradient or closure on a recorded node; leaf
+    """The sweep lets go of every recorded node, so the tape ends empty,
+    and leaves no gradient or closure on a node the caller holds; leaf
     gradients are those of the analytic formula, fan-out included."""
     rng = np.random.default_rng(4)
     w = ad.parameter(rng.standard_normal(5))
@@ -91,9 +92,10 @@ def test_backward_releases_every_node():
     with ad.Tape() as tape:
         y = ad.mul(ad.mul(w, x), b)
         loss = total(ad.concat([ad.mul(y, y), w]))
-    tape.backward(loss)
     assert len(tape.nodes) == 8  # three products, a concat; total's reshape, two matmuls, reshape
-    assert all(node.grad is None and node._grad_fn is None for node in tape.nodes)
+    tape.backward(loss)
+    assert tape.nodes == []
+    assert all(t.grad is None and t._grad_fn is None for t in (y, loss))
     y_ref = w.data * x.data * b.data
     assert np.abs(w.grad - (2.0 * y_ref * x.data * b.data + 1.0)).max() < 1e-12
     assert np.abs(b.grad - 2.0 * y_ref * w.data * x.data).max() < 1e-12

@@ -6,6 +6,7 @@ import os
 import struct
 import time
 import tracemalloc
+import weakref
 import zipfile
 
 import numpy as np
@@ -15,7 +16,7 @@ import svpoint.autodiff as ad
 import svpoint.binkernel as bk
 import svpoint.cli as cli
 import svpoint.netbuild as nb
-from helpers import node_kinds, patch_eval_oracle, traced_peak
+from helpers import node_kinds, patch_eval_oracle, same_bits, traced_peak
 from svpoint.errors import CheckpointError, ConfigError, ParameterError, StateError
 from svpoint.geometry import PointCloud
 
@@ -586,6 +587,79 @@ def test_binary_training_step_records_one_node_per_binary_layer():
     assert kinds["vector_norm_scale_train"] == len(model.blocks)
     vector_layers = [kind for _, _, kind, _ in model.layers if kind in ("frame", "vector")]
     assert kinds["vector_map_raw"] == len(vector_layers)
+
+
+def test_backward_frees_the_outputs_no_closure_reads(monkeypatch):
+    """A binary dgcnn training step's tape lets go of its outputs as the
+    sweep starts: each binary_full layer's float input, a `concat` output
+    that the layer keeps as bits, is freed then. Each vector map's input,
+    which its weight's gradient reads, lives until the sweep has passed
+    its consumers, and the caller's logits and loss keep their data."""
+    from fingerprint import BASE, CONFIGS
+
+    model = nb.build_model(nb.ModelConfig(**BASE, **CONFIGS["dg_vanilla"]), rng_seed=3)
+    clouds = random_clouds(4, 12, 6)
+    layer_inputs, map_inputs = [], []
+    linear, vector_map_raw = bk.linear, ad.vector_map_raw
+
+    def watched_linear(x, params, finish=None):
+        if getattr(x._grad_fn, "__qualname__", "").startswith("concat."):
+            layer_inputs.append(weakref.ref(x.data))
+        return linear(x, params, finish)
+
+    def watched_map(v, w):
+        map_inputs.append(weakref.ref(ad.as_tensor(v).data))
+        return vector_map_raw(v, w)
+
+    monkeypatch.setattr(bk, "linear", watched_linear)
+    monkeypatch.setattr(ad, "vector_map_raw", watched_map)
+    with ad.Tape() as tape:
+        logits = model.forward(clouds, stats_mode="train")
+        loss = ad.cross_entropy_logits(logits, np.array([c.label for c in clouds]))
+    monkeypatch.undo()
+    before = logits.data.copy(), loss.data.copy()
+    loss_bw, at_start = loss._grad_fn, {}
+
+    def first(g):  # the loss is the last node, so the sweep calls it first
+        at_start["layer"] = [ref() is not None for ref in layer_inputs]
+        at_start["map"] = [ref() is not None for ref in map_inputs]
+        loss_bw(g)
+
+    loss._grad_fn = first
+    tape.backward(loss)
+    assert at_start["layer"] and not any(at_start["layer"])
+    assert at_start["map"] and all(at_start["map"])
+    assert all(ref() is None for ref in map_inputs)
+    assert same_bits(logits.data, before[0]) and same_bits(loss.data, before[1])
+
+
+@pytest.mark.parametrize("cfg, batch, points", [
+    (dict(backbone="dgcnn_like", binarize="vanilla", k=8), 2, 32),
+    (dict(k=8), 4, 128),
+], ids=["dgcnn_binary", "pointnet_fp"])
+def test_backward_peak_stays_under_the_forward_tape(cfg, batch, points):
+    """The traced peak of a training step's backward stays at or below the
+    memory its forward left live: the outputs no closure reads are freed
+    as the sweep starts, and each node's saved arrays as the sweep passes
+    it, which makes room for the gradients. (While the tape kept every
+    output to the end of the step, backward peaked 28% above it on the
+    binary dgcnn and 43% on the fp pointnet.) The call's own Python
+    objects, 128 bytes allocated before the first output is freed, fit in
+    the 1 KiB allowed beside it."""
+    model = nb.build_model(nb.ModelConfig(**cfg), rng_seed=1)
+    clouds = random_clouds(batch, points, 2)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy_logits(model.forward(clouds, stats_mode="train"),
+                                           np.array([c.label for c in clouds]))
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= live + 1024, (peak, live)
 
 
 def test_every_stored_tensor_gets_a_gradient():

@@ -40,3 +40,24 @@ def test_train_step_memory_report_runs(tmp_path):
     assert result["clouds_per_s"] == 1 / result["step_s_p50"]
     assert result["peak_rss_mb"] > 0
     assert result["tape_nodes"] > 0 and result["tape_output_mb"] > 0
+
+
+def test_train_step_memory_report_takes_the_scale(tmp_path):
+    """`--points` and `--k` set the workload's cloud size and neighbor
+    count before set-up, and the report records them."""
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "reports" / "train_step_memory.py"),
+                           "--batch", "1", "--points", "48", "--k", "6", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert (result["batch"], result["points"], result["k"]) == (1, 48, 6)
+    # 7.4 MiB here; 84.4 MiB at the benchmark's 256 points and k = 16
+    assert result["tape_nodes"] > 0 and 0 < result["tape_output_mb"] < 20
+
+
+def test_train_step_memory_report_rejects_a_bad_scale():
+    proc = subprocess.run([sys.executable, str(ROOT / "reports" / "train_step_memory.py"),
+                           "--batch", "1", "--k", "0"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "--k must be positive" in proc.stderr

@@ -98,3 +98,30 @@ def test_benchmark_tracer_installs(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(getattr(autodiff, name) is fn for name, fn in originals.items())
+
+
+def test_tracer_backward_wrapper_runs_in_the_sweep(monkeypatch):
+    """The benchmark's tracer wraps a primitive's output `_grad_fn` once the
+    primitive returns; the assignment reaches the slot the sweep calls, so
+    `Tape.backward` runs the wrapper and records the backward span, and
+    the sweep lets go of the wrapper afterwards."""
+    import weakref
+
+    import numpy as np
+    from svpoint import autodiff as ad
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    mul = tracer.wrap_primitive("autodiff.mul", ad.mul)
+    x = ad.parameter(np.arange(3.0))
+    with ad.Tape() as tape:
+        y = mul(x, 2.0)
+        loss = ad.reshape(ad.matmul(ad.reshape(y, (1, 3)), np.ones((3, 1))), ())
+    wrapper = weakref.ref(y._grad_fn)
+    assert wrapper() is tape.nodes[0].slot.grad_fn
+    tape.backward(loss)
+    assert [span[0] for span in tracer.spans] == ["autodiff.mul.fwd", "autodiff.mul.bwd"]
+    assert x.grad.tolist() == [2.0, 2.0, 2.0]
+    assert y._grad_fn is None and wrapper() is None
