@@ -69,8 +69,8 @@ def main(argv=None) -> int:
     bops = dict(netbuild.count_model_ops(model, workloads.POINTS).per_layer)
     per_cloud = {"edge": workloads.POINTS * workloads.K, "node": workloads.POINTS, "cloud": 1}
     rng = np.random.default_rng(SEED)
-    # a block's last scalar layer is followed by its norm; final0 by ReLU alone
-    norms = {id(blk.scalar_mlp[-1][0]): blk.norm for blk in model.blocks}
+    # a block's scalar layer is followed by its norm; final0 by ReLU alone
+    norms = {id(blk.scalar_mlp[0][0]): blk.norm for blk in model.blocks}
     for norm in norms.values():
         p = len(norm.running_mean)
         norm.scalar_gain.data[...] = rng.standard_normal(p)
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     def model_route(x, lin, norm):
         if norm is None:
             return ad.relu(binkernel.linear(x, lin)).data
-        return binkernel.linear(x, lin, svcore.eval_norm(norm, relu=True)).data
+        return binkernel.linear(x, lin, svcore.eval_norm(norm)).data
 
     def float_route(x, lin, norm):
         signs = np.where(x - lin.beta.data[:, None] >= 0, 1.0, -1.0)

@@ -532,9 +532,15 @@ def norm_affine(xhat: np.ndarray, var: np.ndarray, eps: float, gain: np.ndarray,
     return inv
 
 
-# batch_norm_train works on tiles of at most this many bytes of channel rows
-# (one row when a row is larger), so its temporaries stay cache-sized
 TILE_BYTES = 256 * 1024
+
+
+def row_tiles(p: int, count: int) -> tuple[int, list[slice]]:
+    """Tiles of at most TILE_BYTES (one row when a row is larger) that cover p
+    rows of `count` float64s in order, so a row-wise pass keeps cache-sized
+    temporaries; and the tallest tile's row count, which sizes its buffer."""
+    rows = max(1, TILE_BYTES // max(1, 8 * count))
+    return min(p, rows), [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
 
 
 def batch_norm_train(x, gain, bias, eps: float, *, relu: bool = False):
@@ -549,8 +555,7 @@ def batch_norm_train(x, gain, bias, eps: float, *, relu: bool = False):
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     p, count = x.data.shape
-    rows = max(1, min(p, TILE_BYTES // max(1, 8 * count)))
-    tiles = [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
+    rows, tiles = row_tiles(p, count)
     xhat, out = np.empty((p, count)), np.empty((p, count))
     mean, var, inv = np.empty(p), np.empty(p), np.empty((p, 1))
     for t in tiles:
@@ -660,12 +665,17 @@ def vector_norm_scale_train(v, log_scale, eps: float, gate=None):
 
 
 def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy over a batch; logits (C, B), labels (B,)."""
+    """Mean cross-entropy over a batch; logits (C, B), integer labels (B,) in [0, C)."""
     logits = as_tensor(logits)
     z = logits.data
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = np.asarray(labels)
     if z.ndim != 2 or labels.shape != (z.shape[1],):
         raise ParameterError(f"logits {z.shape} incompatible with labels {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ParameterError(f"labels must be integer classes, got {labels.dtype} labels")
+    outside = labels[(labels < 0) | (labels >= z.shape[0])]
+    if outside.size:
+        raise ParameterError(f"label {outside[0]} is not a class in [0, {z.shape[0]})")
     zmax = z.max(axis=0, keepdims=True)
     ez = np.exp(z - zmax)
     log_probs = (z - zmax) - np.log(ez.sum(axis=0, keepdims=True))

@@ -216,18 +216,16 @@ def linear(x, params, finish=None) -> ad.Tensor:
             xs[nan] = np.nan
         return xs
 
-    def row_tiles(p):
-        # the γ and β sums run over tiles of rows in a TILE_BYTES buffer
-        rows = max(1, ad.TILE_BYTES // max(1, 8 * n_sites))
-        buf = np.empty((min(p, rows), n_sites))
-        for lo in range(0, p, rows):
-            yield slice(lo, lo + rows), buf[:min(rows, p - lo)]
+    def tile_buffers(p):  # the γ and β sums run over `ad.row_tiles`, in one buffer
+        rows, tiles = ad.row_tiles(p, n_sites)
+        buf = np.empty((rows, n_sites))
+        return ((t, buf[:t.stop - t.start]) for t in tiles)
 
     def bw(g):
         g_prod = g * gamma_data[:, None]
         if s_gamma.requires_grad:
             g_gamma = np.empty(gamma_data.shape)
-            for t, prod in row_tiles(len(g_gamma)):
+            for t, prod in tile_buffers(len(g_gamma)):
                 np.copyto(prod, counts[t])
                 if nan is not None:  # a NaN activation fills its site's column
                     prod[:, nan_sites] = np.nan
@@ -243,7 +241,7 @@ def linear(x, params, finish=None) -> ad.Tensor:
             ad._accumulate(sx, gx)
             if s_beta.requires_grad:
                 g_beta = np.empty(len(gx))
-                for t, neg in row_tiles(len(g_beta)):
+                for t, neg in tile_buffers(len(g_beta)):
                     g_beta[t] = np.negative(gx[t], out=neg).sum(axis=1)
                 ad._accumulate(s_beta, g_beta)
 

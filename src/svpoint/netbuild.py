@@ -22,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import CheckpointError, ConfigError, ParameterError, StateError, decode_utf8
 from .geometry import PointCloud, batch_graph, neighbor_tables
-from .svcore import (LinearParams, NormParams, SVBlockParams, SVFeature, _run_mlp, aggregate,
-                     invariant_head, invariant_projection, regroup_edges, svblock_forward)
+from .svcore import (LinearParams, NormParams, SVBlockParams, SVFeature, aggregate, invariant_head,
+                     invariant_projection, regroup_edges, scalar_linear, svblock_forward)
 
 BACKBONES = ("pointnet_like", "dgcnn_like")
 BINARIZE_MODES = ("none", "vanilla", "two_step")
@@ -277,6 +277,16 @@ def extract_initial_features(clouds, neighbors: np.ndarray, frame_params) -> SVF
 # model
 
 
+def _run_mlp(x, layers: list[tuple[LinearParams, str]]):
+    for lin, tag in layers:
+        x = scalar_linear(x, lin)
+        if tag == "relu":
+            x = ad.relu(x)
+        elif tag != "none":
+            raise ParameterError(f"unknown nonlinearity tag {tag!r}")
+    return x
+
+
 class Model:
     """A built network: parameter store plus the layer structure.
 
@@ -373,22 +383,20 @@ def _build_linear(model: Model, name: str, d_in: int, d_out: int,
 def _build_block(model: Model, idx: int, p_in: int, q_in: int,
                  p_out: int, q_out: int, cfg: ModelConfig, sites: str) -> SVBlockParams:
     """The config's two interaction switches decide which layers exist (the
-    frame, the gate MLP); the block reads its wiring back from those layers."""
+    frame, the gate); the block reads its wiring back from those layers."""
     name = f"block{idx}"
     project = cfg.scalar_concat and q_in > 0
     frame = _build_linear(model, f"{name}.frame", q_in, 3, "frame", sites) if project else None
     s_in = p_in + 3 * q_in if project else p_in
     scalar_mlp = [(_build_linear(model, f"{name}.scalar0", s_in, p_out, "scalar", sites), "relu")]
     vector_map = _build_linear(model, f"{name}.vector_map", q_in, q_out, "vector", sites)
-    gate_mlp = []
-    if cfg.vector_reweight and q_out:
-        gate_mlp = [(_build_linear(model, f"{name}.gate0", p_in, q_out, "gate", "cloud"),
-                     "sigmoid")]
+    gate = (_build_linear(model, f"{name}.gate0", p_in, q_out, "gate", "cloud")
+            if cfg.vector_reweight and q_out else None)
     norm = NormParams.create(p_out, q_out)
     for key in ("scalar_gain", "scalar_bias", "vector_log_scale"):
         model.store.add(f"{name}.norm.{key}", getattr(norm, key))
     return SVBlockParams(frame=frame, scalar_mlp=scalar_mlp, vector_map=vector_map,
-                         gate_mlp=gate_mlp, norm=norm)
+                         gate=gate, norm=norm)
 
 
 def layout_model(cfg: ModelConfig) -> Model:

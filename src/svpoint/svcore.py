@@ -109,13 +109,18 @@ class NormParams:
 @dataclass
 class SVBlockParams:
     """One block's layers, which are its wiring: a frame only where the block
-    projects its input vectors, and a non-empty `gate_mlp` only where it gates."""
+    projects its input vectors, one scalar layer with its ReLU in the norm, and
+    a `gate` layer, whose sigmoid gives the vector factors, where it gates."""
 
     frame: LinearParams | None  # (q_in, 3); None when the scalars read no projection
-    scalar_mlp: list[tuple[LinearParams, str]]  # (layer, nonlinearity tag)
+    scalar_mlp: list[tuple[LinearParams, str]]  # exactly [(layer, "relu")]
     vector_map: LinearParams  # (q_in, q_out)
-    gate_mlp: list[tuple[LinearParams, str]]  # ends with a sigmoid tag; [] for no gating
+    gate: LinearParams | None  # (p_in, q_out); None for no gating
     norm: NormParams
+
+    def __post_init__(self):
+        if (tags := [tag for _, tag in self.scalar_mlp]) != ["relu"]:
+            raise ParameterError(f"a block's scalar_mlp is one (layer, 'relu') pair, not {tags}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +200,9 @@ def invariant_projection(v, frame: LinearParams) -> ad.Tensor:
     return ad.reshape(prod, (3 * q, n))
 
 
-def _activate(x, tag: str):
-    if tag == "relu":
-        return ad.relu(x)
-    if tag == "sigmoid":
-        return ad.sigmoid(x)
-    if tag != "none":
-        raise ParameterError(f"unknown nonlinearity tag {tag!r}")
-    return x
-
-
-def _run_mlp(x, layers: list[tuple[LinearParams, str]]):
-    for lin, tag in layers:
-        x = _activate(scalar_linear(x, lin), tag)
-    return x
-
-
-def eval_norm(norm: NormParams, relu: bool):
-    """Eval's scalar normalization by the running statistics, then ReLU when
-    `relu`, in place on a layer's output or one tile of it:
+def eval_norm(norm: NormParams):
+    """Eval's scalar normalization by the running statistics, then ReLU, in
+    place on a layer's output or one tile of it:
     (x - mean) * (1 / sqrt(var + eps)) * gain + bias by `ad.norm_affine`."""
     mean = norm.running_mean[:, None]
     gain, bias = ad.as_tensor(norm.scalar_gain).data, ad.as_tensor(norm.scalar_bias).data
@@ -221,8 +210,7 @@ def eval_norm(norm: NormParams, relu: bool):
     def finish(tile):
         tile -= mean
         ad.norm_affine(tile, norm.running_var, NORM_EPS, gain, bias, out=tile)
-        if relu:
-            np.maximum(tile, 0.0, out=tile)
+        np.maximum(tile, 0.0, out=tile)
 
     return finish
 
@@ -238,11 +226,11 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     """One scalar-vector block over `groups` clouds of equal site count.
 
     Scalar path: frame projection and concat (when the block has a
-    frame), the scalar layers, normalize, then the last layer's
-    nonlinearity. Vector path: channel map, then one scaling: each channel
-    divided by its mean site norm (directions stay), then times per-cloud
-    factors in (0, 1), the input scalars mean-pooled per cloud through the
-    gate MLP (when the block has one). Gating follows normalization: the
+    frame), the scalar layer, then normalization with its ReLU. Vector
+    path: channel map, then one scaling: each channel divided by its mean
+    site norm (directions stay), then times per-cloud factors in (0, 1),
+    the sigmoid of the gate layer on the input scalars mean-pooled per
+    cloud (when the block has a gate). Gating follows normalization: the
     other order would cancel the factors (a mean norm scales with them).
 
     Training normalizes by the batch statistics and folds them into the
@@ -255,28 +243,23 @@ def svblock_forward(x: SVFeature, params: SVBlockParams, train: bool, groups: in
     n = s.data.shape[1]
     if groups < 1 or n % groups != 0:
         raise ParameterError(f"{n} sites do not split into {groups} groups")
-    # v_in lives to the end of the block: freed before the scalar layers, it
+    # v_in lives to the end of the block: freed before the scalar layer, it
     # raises glibc's dynamic mmap threshold early, and the binary pointnet
     # eval benchmark's peak RSS went from 245 to 271 MB
     v_in = None if params.frame is None else invariant_projection(v, params.frame)
     s_out = s if v_in is None else ad.concat([s, v_in])
-    *hidden, (last, last_tag) = params.scalar_mlp
-    s_out = _run_mlp(s_out, hidden)
     norm = params.norm
-    relu = last_tag == "relu"
-    # the last layer's ReLU runs inside the norm: in eval in place on the product
-    # (on each cache-resident packed tile), in training in the norm's node
-    s_out = scalar_linear(s_out, last, None if train else eval_norm(norm, relu))
+    # the ReLU runs inside the norm: in eval in place on the product (on each
+    # cache-resident packed tile), in training in the norm's node
+    s_out = scalar_linear(s_out, params.scalar_mlp[0][0], None if train else eval_norm(norm))
     v_out = vector_mapping(v, params.vector_map)
     if train:
         s_out, *batch = ad.batch_norm_train(s_out, norm.scalar_gain, norm.scalar_bias, NORM_EPS,
-                                            relu=relu)
+                                            relu=True)
         _update_running((norm.running_mean, norm.running_var), batch)
-    if not relu:
-        s_out = _activate(s_out, last_tag)
 
-    factors = (_run_mlp(ad.pool_groups(s, n // groups, "mean"), params.gate_mlp)
-               if params.gate_mlp else None)  # (q_out, groups)
+    factors = (None if params.gate is None else  # (q_out, groups)
+               ad.sigmoid(scalar_linear(ad.pool_groups(s, n // groups, "mean"), params.gate)))
     if train:
         v_out, mean_norm = ad.vector_norm_scale_train(v_out, norm.vector_log_scale, NORM_EPS,
                                                       factors)

@@ -235,13 +235,13 @@ def _float_linear(x, params, finish=None) -> ad.Tensor:
     return out
 
 
-def _textbook_eval_norm(norm, relu):
+def _textbook_eval_norm(norm):
     stats = (norm.running_mean, norm.running_var)
     gain, bias = ad.as_tensor(norm.scalar_gain).data, ad.as_tensor(norm.scalar_bias).data
 
     def finish(out):
         y = batch_norm_textbook(out, gain, bias, sv.NORM_EPS, np.zeros_like(out), stats)[0]
-        out[...] = np.maximum(y, 0.0) if relu else y
+        out[...] = np.maximum(y, 0.0)
 
     return finish
 
@@ -250,8 +250,8 @@ def patch_eval_oracle(monkeypatch) -> None:
     """Turn the untaped eval forward into its float oracle: each
     binary_full layer's `binkernel.linear` becomes `ste_chain` with the
     finish run once on the whole product, and `svcore.eval_norm` the
-    textbook running-statistics formula, computed out of place and written
-    back, so that fp layers face an independent formula too."""
+    textbook running-statistics formula and ReLU, computed out of place and
+    written back, so that fp layers face an independent formula too."""
     monkeypatch.setattr(bk, "linear", _float_linear)
     monkeypatch.setattr(sv, "eval_norm", _textbook_eval_norm)
 

@@ -156,8 +156,7 @@ def test_criterion_2_equivariance_suite(capsys):
         scalar_mlp=[(sv.LinearParams(weight=rng.standard_normal((11, 4)),
                                      bias=np.zeros(4)), "relu")],
         vector_map=sv.LinearParams(weight=rng.standard_normal((3, 2))),
-        gate_mlp=[(sv.LinearParams(weight=rng.standard_normal((2, 2)),
-                                   bias=np.zeros(2)), "sigmoid")],
+        gate=sv.LinearParams(weight=rng.standard_normal((2, 2)), bias=np.zeros(2)),
         norm=sv.NormParams.create(4, 2),
     )
     feat = sv.SVFeature(scalars=rng.standard_normal((2, 8)),
@@ -182,8 +181,8 @@ def test_criterion_2_equivariance_suite(capsys):
     re_base = sv.regroup_edges(feat4, neighbors).vectors.data
     # the equivariant norm is the vectors of an eval-mode block with identity
     # maps and no gate
-    nrm = sv.SVBlockParams(frame=None, scalar_mlp=[(sv.LinearParams(weight=np.eye(2)), "none")],
-                           vector_map=sv.LinearParams(weight=np.eye(2)), gate_mlp=[],
+    nrm = sv.SVBlockParams(frame=None, scalar_mlp=[(sv.LinearParams(weight=np.eye(2)), "relu")],
+                           vector_map=sv.LinearParams(weight=np.eye(2)), gate=None,
                            norm=sv.NormParams.create(2, 2))
     nrm_base = sv.svblock_forward(feat4, nrm, False, 1).vectors.data
     head_frame = sv.LinearParams(weight=rng.standard_normal((2, 3)))

@@ -461,8 +461,8 @@ def test_batch_norm_relu_is_relu_of_batch_norm_bit_for_bit():
 def test_eval_norm_is_the_textbook_running_norm_bit_for_bit():
     """`svcore.eval_norm`, in place on a whole product or on tiles of its
     sites, gives the textbook normalization by the running statistics bit
-    for bit, then its ReLU when asked: with outputs of 0.0 and -0.0 at the
-    kink, a NaN input and a NaN running mean, which fills its row."""
+    for bit, then its ReLU: with outputs of 0.0 and -0.0 at the kink, a NaN
+    input and a NaN running mean, which fills its row."""
     rng = np.random.default_rng(39)
     p, n = 6, 50
     data = rng.standard_normal((p, n))
@@ -480,14 +480,13 @@ def test_eval_norm_is_the_textbook_running_norm_bit_for_bit():
                               np.zeros((p, n)), stats)[0]
     assert same_bits(ref[:4, 3], [0.0, -0.0, 0.0, -0.0])  # the kink, at both zeros
     assert np.isnan(ref).sum(axis=1).tolist() == [0] * 4 + [1, n]
-    for relu in (False, True):
-        finish = eval_norm(norm, relu)
-        whole, tiled = data.copy(), data.copy()
-        finish(whole)
-        for lo in range(0, n, 16):
-            finish(tiled[:, lo:lo + 16])
-        want = np.maximum(ref, 0.0) if relu else ref
-        assert same_bits(whole, want) and same_bits(tiled, want), relu
+    finish = eval_norm(norm)
+    whole, tiled = data.copy(), data.copy()
+    finish(whole)
+    for lo in range(0, n, 16):
+        finish(tiled[:, lo:lo + 16])
+    want = np.maximum(ref, 0.0)
+    assert same_bits(whole, want) and same_bits(tiled, want)
 
 
 def test_matmul_bias_matches_add_composition():
@@ -623,6 +622,20 @@ def test_cross_entropy_value():
     assert abs(loss.item() - np.log(3.0)) < 1e-12
     with pytest.raises(ParameterError):
         ad.cross_entropy_logits(ad.as_tensor(z), np.array([0, 1, 2]))
+
+
+def test_cross_entropy_rejects_labels_that_are_not_classes():
+    """A label must be an integer class in [0, C): a negative label would
+    index from the end, a fractional one would truncate and one past the
+    last class would raise numpy's IndexError."""
+    z = ad.as_tensor(np.zeros((3, 2)))
+    for labels, message in (([0, -1], "label -1 is not a class in \\[0, 3\\)"),
+                            ([0.7, 1.0], "labels must be integer classes, got float64"),
+                            ([0, 3], "label 3 is not a class in \\[0, 3\\)")):
+        with pytest.raises(ParameterError, match=message):
+            ad.cross_entropy_logits(z, np.array(labels))
+    loss = ad.cross_entropy_logits(z, np.array([0, 2], dtype=np.uint8))
+    assert abs(loss.item() - np.log(3.0)) < 1e-12
 
 
 def test_vector_linear_rejects_binary_full():

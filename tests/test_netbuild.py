@@ -178,7 +178,7 @@ def test_build_pure_scalar_and_pure_vector():
     scalar = nb.build_model(small_cfg(sv_ratio=1.0))
     for blk in scalar.blocks:
         assert blk.vector_map.out_dim == 0
-        assert blk.gate_mlp == []
+        assert blk.gate is None
     p, q = nb.split_channels(24, 1.0)
     assert (p, q) == (24, 0)
 
@@ -579,7 +579,7 @@ def test_binary_training_step_records_one_node_per_binary_layer():
     kinds = node_kinds(tape)
     tape.backward(loss)
     modes = [lin.mode for _, lin, _, _ in model.layers]
-    gated = [blk for blk in model.blocks if blk.gate_mlp]
+    gated = [blk for blk in model.blocks if blk.gate is not None]
     assert modes.count("binary_full") > 0 and modes.count("binary_weight") > 0 and gated
     assert kinds["linear"] == modes.count("binary_full")
     assert kinds["sign_ste"] == len(modes) - modes.count("full_precision")
@@ -755,8 +755,8 @@ def test_binarize_plan_layer_modes():
         for lin, _ in blk.scalar_mlp:
             assert lin.mode == "binary_full"
             assert lin.bias is None and lin.beta is not None and lin.gamma is not None
-        for lin, _ in blk.gate_mlp:
-            assert lin.mode == "full_precision"
+        if blk.gate is not None:
+            assert blk.gate.mode == "full_precision"
 
 
 def test_binarize_plan_can_include_boundary():

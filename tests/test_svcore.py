@@ -20,8 +20,8 @@ def arr(x):
 
 
 def make_block(p_in, q_in, p_out, q_out, seed=0, concat=True, reweight=True):
-    # the layers are the wiring: concat adds the frame and widens the first
-    # scalar layer by the 3*q_in projected rows, reweight adds the gate MLP
+    # the layers are the wiring: concat adds the frame and widens the scalar
+    # layer by the 3*q_in projected rows, reweight adds the gate
     rng = np.random.default_rng(seed)
     frame = LinearParams(weight=rng.standard_normal((q_in, 3)))
     s_in = p_in + 3 * q_in if concat else p_in
@@ -30,8 +30,8 @@ def make_block(p_in, q_in, p_out, q_out, seed=0, concat=True, reweight=True):
         scalar_mlp=[(LinearParams(weight=rng.standard_normal((s_in, p_out)),
                                   bias=np.zeros(p_out)), "relu")],
         vector_map=LinearParams(weight=rng.standard_normal((q_in, q_out))),
-        gate_mlp=[(LinearParams(weight=rng.standard_normal((p_in, q_out)),
-                                bias=np.zeros(q_out)), "sigmoid")] if reweight else [],
+        gate=LinearParams(weight=rng.standard_normal((p_in, q_out)),
+                          bias=np.zeros(q_out)) if reweight else None,
         norm=NormParams.create(p_out, q_out),
     )
 
@@ -171,25 +171,23 @@ def test_projection_flatten_is_frame_axis_major():
 
 
 def test_scalar_update_passthrough():
-    # the last layer's nonlinearity belongs to the block, after normalization
+    # the scalar layer's ReLU belongs to the block, after normalization
     params = make_block(3, 2, 3, 2, concat=False)
     params.norm = identity_norm(3, 2)
     s = np.array([[1.0, -2.0], [0.5, 3.0], [-0.1, 0.0]])
     feat = SVFeature(scalars=s, vectors=np.zeros((3, 2, 2)))
-    params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "none")]
-    assert np.array_equal(arr(svblock_forward(feat, params, False, 1).scalars), s)
     params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "relu")]
     assert np.array_equal(arr(svblock_forward(feat, params, False, 1).scalars),
                           np.maximum(s, 0.0))
 
 
-def test_block_rejects_unknown_last_scalar_tag():
-    # the block applies the last scalar nonlinearity itself, after the norm
+def test_block_rejects_any_scalar_mlp_but_one_relu_layer():
+    # the block runs one scalar layer and applies its ReLU itself, in the norm
     params = make_block(3, 2, 3, 2, concat=False)
-    params.scalar_mlp = [(LinearParams(weight=np.eye(3)), "tanh")]
-    feat = SVFeature(scalars=np.ones((3, 4)), vectors=np.ones((3, 2, 4)))
-    with pytest.raises(ParameterError, match="unknown nonlinearity tag 'tanh'"):
-        svblock_forward(feat, params, True, 1)
+    eye = LinearParams(weight=np.eye(3))
+    for mlp in ([(eye, "tanh")], [(eye, "none")], [(eye, "relu"), (eye, "relu")], []):
+        with pytest.raises(ParameterError, match="one \\(layer, 'relu'\\) pair"):
+            replace(params, scalar_mlp=mlp)
 
 
 def test_scalar_update_zero_weights():
@@ -218,22 +216,22 @@ def gate_probe(params, scalars, groups):
     identity vector map, an identity norm and unit vectors its output
     vectors are the factors."""
     (p, n), q = np.shape(scalars), params.vector_map.out_dim
-    probe = SVBlockParams(frame=None, scalar_mlp=[(LinearParams(weight=np.eye(p)), "none")],
+    probe = SVBlockParams(frame=None, scalar_mlp=[(LinearParams(weight=np.eye(p)), "relu")],
                           vector_map=LinearParams(weight=np.eye(q)),
-                          gate_mlp=params.gate_mlp, norm=identity_norm(p, q))
+                          gate=params.gate, norm=identity_norm(p, q))
     feat = SVFeature(scalars=scalars, vectors=np.ones((3, q, n)))
     return arr(svblock_forward(feat, probe, False, groups).vectors)[0]
 
 
 def test_reweighting_factors_values():
     params = make_block(3, 2, 3, 2, concat=False)
-    params.gate_mlp = [(LinearParams(weight=np.zeros((3, 2)), bias=np.zeros(2)), "sigmoid")]
+    params.gate = LinearParams(weight=np.zeros((3, 2)), bias=np.zeros(2))
     out = gate_probe(params, np.random.default_rng(6).standard_normal((3, 9)), 1)
     assert np.array_equal(out, np.full((2, 9), 0.5))
 
     rng = np.random.default_rng(7)
     w = rng.standard_normal((3, 2))
-    params.gate_mlp = [(LinearParams(weight=w, bias=np.zeros(2)), "sigmoid")]
+    params.gate = LinearParams(weight=w, bias=np.zeros(2))
     s = rng.standard_normal((3, 9))
     expect = 1.0 / (1.0 + np.exp(-(w.T @ s.mean(axis=1, keepdims=True))))
     factors = gate_probe(params, s, 1)
@@ -246,7 +244,7 @@ def test_reweighting_factors_groups_and_errors():
     s = np.random.default_rng(8).standard_normal((2, 6))
     per_cloud = gate_probe(params, s, 3).reshape(2, 3, 2)
     assert (per_cloud == per_cloud[:, :, :1]).all()  # one factor per cloud and channel
-    w = arr(params.gate_mlp[0][0].weight)
+    w = arr(params.gate.weight)
     expect = 1.0 / (1.0 + np.exp(-(w.T @ s.reshape(2, 3, 2).mean(axis=2))))
     assert np.abs(per_cloud[:, :, 0] - expect).max() < 1e-12
     feat = SVFeature(scalars=s, vectors=np.ones((3, 2, 6)))
@@ -264,18 +262,18 @@ def test_vector_update_toggle_and_factors():
     pure = arr(vector_mapping(feat.vectors, params.vector_map))
     assert np.array_equal(arr(svblock_forward(feat, params, False, 1).vectors), pure)
 
-    params.gate_mlp = make_block(2, 2, 2, 3).gate_mlp
+    params.gate = make_block(2, 2, 2, 3).gate
     for groups in (1, 5):  # one cloud, then one cloud per site
         factors = gate_probe(params, feat.scalars, groups)
         gated = arr(svblock_forward(feat, params, False, groups).vectors)
         assert np.array_equal(gated, pure * factors[None])
         # training gates its batch-normalized vectors by the same factors
-        trained = [arr(svblock_forward(feat, replace(params, gate_mlp=gate,
+        trained = [arr(svblock_forward(feat, replace(params, gate=gate,
                                                      norm=NormParams.create(2, 3)),
                                        True, groups).vectors)
-                   for gate in ([], params.gate_mlp)]
+                   for gate in (None, params.gate)]
         assert same_bits(trained[1], trained[0] * factors[None])
-    params.gate_mlp = [(LinearParams(weight=np.zeros((2, 3)), bias=np.zeros(3)), "sigmoid")]
+    params.gate = LinearParams(weight=np.zeros((2, 3)), bias=np.zeros(3))
     halved = arr(svblock_forward(feat, params, False, 1).vectors)
     assert np.abs(halved - 0.5 * pure).max() < 1e-15
     with pytest.raises(ParameterError):
@@ -298,11 +296,11 @@ def test_vector_update_equivariant():
 
 
 def norm_block(norm):
-    """A block that only normalizes: identity maps, no frame, no gate, and
-    no nonlinearity after the norm."""
+    """A block that only normalizes, with the norm's ReLU: identity maps, no
+    frame and no gate."""
     p, q = len(norm.running_mean), len(norm.running_norm)
-    return SVBlockParams(frame=None, scalar_mlp=[(LinearParams(weight=np.eye(p)), "none")],
-                         vector_map=LinearParams(weight=np.eye(q)), gate_mlp=[], norm=norm)
+    return SVBlockParams(frame=None, scalar_mlp=[(LinearParams(weight=np.eye(p)), "relu")],
+                         vector_map=LinearParams(weight=np.eye(q)), gate=None, norm=norm)
 
 
 def test_norm_identity_when_stats_are_neutral():
@@ -327,7 +325,14 @@ def test_norm_absorbs_vector_scale():
 def test_norm_scalar_standardizes():
     feat = SVFeature(scalars=np.random.default_rng(13).standard_normal((2, 200)) * 5 + 3,
                      vectors=np.zeros((3, 0, 200)))
-    out = arr(svblock_forward(feat, norm_block(NormParams.create(2, 0)), True, 1).scalars)
+    # the norm's ReLU keeps the positive part, and under a gain of -1 the
+    # negated negative part, so their difference is the standardized scalars
+    parts = []
+    for gain in (1.0, -1.0):
+        norm = NormParams.create(2, 0)
+        norm.scalar_gain.data[...] = gain
+        parts.append(arr(svblock_forward(feat, norm_block(norm), True, 1).scalars))
+    out = parts[0] - parts[1]
     assert np.abs(out.mean(axis=1)).max() < 1e-12
     assert np.abs(out.std(axis=1) - 1.0).max() < 1e-4
 
@@ -375,7 +380,8 @@ def test_norm_eval_is_the_explicit_affine_bit_for_bit():
 
     gamma, beta = norm.scalar_gain.data[:, None], norm.scalar_bias.data[:, None]
     inv = 1.0 / np.sqrt(running[1][:, None] + 1e-5)
-    assert np.array_equal(arr(out.scalars), (s - running[0][:, None]) * inv * gamma + beta)
+    assert np.array_equal(arr(out.scalars),
+                          np.maximum((s - running[0][:, None]) * inv * gamma + beta, 0.0))
     coef = np.exp(norm.vector_log_scale.data) / (running[2] + 1e-5)
     assert np.array_equal(arr(out.vectors), v * coef[None, :, None])
     for kept, now in zip(running, (norm.running_mean, norm.running_var, norm.running_norm)):
@@ -471,7 +477,7 @@ def test_block_eval_scales_vectors_by_norm_then_gate_bit_for_bit(monkeypatch):
             want = pure * coef[None, :, None]
             if gated:
                 means = arr(feat.scalars).reshape(2, groups, size).mean(axis=-1)
-                factors = arr(sv._run_mlp(means, block.gate_mlp))
+                factors = arr(ad.sigmoid(sv.scalar_linear(means, block.gate)))
                 want = want * np.repeat(factors, size, axis=-1)[None]
             got = arr(svblock_forward(feat, block, False, groups).vectors)
             assert same_bits(got, want), (binary, gated, q_out, groups)
